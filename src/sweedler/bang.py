@@ -8,6 +8,11 @@ are merged, zero terms are dropped.  Points are never expanded, because no
 structural map is linear in the point.  The same machinery runs one level
 up, for !!V, with unit kets playing the role of basis vectors.
 
+Any space with ``contains``, ``expand`` (into canonical units), ``key``,
+``zero``, ``render`` and ``label`` can carry kets; ``BaseSpace`` and
+``BangSpace`` here, the map and tensor spaces of ``semantics``.  Entries do
+their own arithmetic: ``+``, unary ``-`` and ``scale``.
+
 Subset and partition enumerations are guarded; blowing the guard raises
 ``EnumerationLimitError`` rather than silently truncating.
 """
@@ -15,6 +20,7 @@ Subset and partition enumerations are guarded; blowing the guard raises
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Vec, as_scalar, check_dim, scalar_str
@@ -70,16 +76,14 @@ def set_partitions(items):
     yield from rec(items, [])
 
 
+@dataclass(frozen=True, slots=True)
 class BaseSpace:
     """The base space V = Q^dim; entries are Vec values."""
 
-    __slots__ = ("dim",)
+    dim: int
 
-    def __init__(self, dim):
-        object.__setattr__(self, "dim", check_dim(dim))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BaseSpace is immutable")
+    def __post_init__(self):
+        check_dim(self.dim)
 
     def contains(self, entry):
         return isinstance(entry, Vec) and entry.dim == self.dim
@@ -96,41 +100,18 @@ class BaseSpace:
     def zero(self):
         return Vec.zero(self.dim)
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def scale(self, c, a):
-        return a.scale(c)
-
     def render(self, entry):
         return repr(entry)
 
     def label(self):
         return str(self.dim)
 
-    def __eq__(self, other):
-        return isinstance(other, BaseSpace) and other.dim == self.dim
 
-    def __hash__(self):
-        return hash(("BaseSpace", self.dim))
-
-    def __repr__(self):
-        return "BaseSpace(%d)" % self.dim
-
-
+@dataclass(frozen=True, slots=True)
 class BangSpace:
     """!W for an inner space W; entries are BangElement values over W."""
 
-    __slots__ = ("inner",)
-
-    def __init__(self, inner):
-        object.__setattr__(self, "inner", inner)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BangSpace is immutable")
+    inner: object
 
     def contains(self, entry):
         return isinstance(entry, BangElement) and entry.space == self.inner
@@ -147,29 +128,11 @@ class BangSpace:
     def zero(self):
         return BangElement(self.inner, {})
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def scale(self, c, a):
-        return a.scale(c)
-
     def render(self, entry):
         return "(%s)" % entry
 
     def label(self):
         return "!%s" % self.inner.label()
-
-    def __eq__(self, other):
-        return isinstance(other, BangSpace) and other.inner == self.inner
-
-    def __hash__(self):
-        return hash(("BangSpace", self.inner))
-
-    def __repr__(self):
-        return "BangSpace(%r)" % (self.inner,)
 
 
 class Ket:
@@ -207,7 +170,59 @@ def ket_key(space, k: Ket):
     return (space.key(k.point), tuple(space.key(t) for t in k.tangents))
 
 
-class BangElement:
+class _TermSum:
+    """Exact linear combinations of terms over fixed spaces.
+
+    The arithmetic shared by ``BangElement`` (terms are kets) and
+    ``TensorElement`` (terms are tuples of kets).  Subclasses name their
+    spaces through ``_over`` and are rebuilt as ``cls(_over(), terms)``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def is_zero(self):
+        return not self.terms
+
+    def _merge(self, other, sign):
+        if type(other) is not type(self):
+            return NotImplemented
+        if other._over() != self._over():
+            raise SpaceError("cannot combine elements over %r and %r"
+                             % (self._over(), other._over()))
+        acc = dict(self.terms)
+        for k, c in other.terms.items():
+            c0 = acc.get(k)
+            c1 = sign * c if c0 is None else c0 + sign * c
+            if c1 == 0:
+                acc.pop(k, None)
+            else:
+                acc[k] = c1
+        return type(self)(self._over(), acc)
+
+    def __add__(self, other):
+        return self._merge(other, 1)
+
+    def __sub__(self, other):
+        return self._merge(other, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        c = as_scalar(c)
+        if c == 0:
+            return type(self)(self._over(), {})
+        return type(self)(self._over(), {k: c * v for k, v in self.terms.items()})
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and other._over() == self._over() and other.terms == self.terms)
+
+
+class BangElement(_TermSum):
     """A finite linear combination of kets over a fixed entry space.
 
     The constructor trusts its term dict; use ``ket`` / ``from_terms`` to
@@ -220,8 +235,8 @@ class BangElement:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "terms", dict(terms))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BangElement is immutable")
+    def _over(self):
+        return self.space
 
     @classmethod
     def zero(cls, space):
@@ -263,47 +278,6 @@ class BangElement:
     def term_key(self):
         return tuple((ket_key(self.space, k), c) for k, c in self.sorted_terms())
 
-    def is_zero(self):
-        return not self.terms
-
-    def max_order(self):
-        return max((k.order for k in self.terms), default=0)
-
-    def _merge(self, other, sign):
-        if not isinstance(other, BangElement):
-            return NotImplemented
-        if other.space != self.space:
-            raise SpaceError("cannot combine elements of %s and %s"
-                             % (self.space.label(), other.space.label()))
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            c0 = acc.get(k)
-            c1 = sign * c if c0 is None else c0 + sign * c
-            if c1 == 0:
-                acc.pop(k, None)
-            else:
-                acc[k] = c1
-        return BangElement(self.space, acc)
-
-    def __add__(self, other):
-        return self._merge(other, 1)
-
-    def __sub__(self, other):
-        return self._merge(other, -1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = as_scalar(c)
-        if c == 0:
-            return BangElement(self.space, {})
-        return BangElement(self.space, {k: c * v for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, BangElement)
-                and other.space == self.space and other.terms == self.terms)
-
     def __hash__(self):
         try:
             return self._hash
@@ -333,7 +307,7 @@ def unit(space, k: Ket) -> BangElement:
     return BangElement(space, {k: Fraction(1)})
 
 
-class TensorElement:
+class TensorElement(_TermSum):
     """A sum of pure tensors of kets, one factor per listed space.
 
     Kets inside tensor terms are always taken from canonical elements, so
@@ -346,12 +320,8 @@ class TensorElement:
         object.__setattr__(self, "spaces", tuple(spaces))
         object.__setattr__(self, "terms", dict(terms))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorElement is immutable")
-
-    @classmethod
-    def zero(cls, spaces):
-        return cls(spaces, {})
+    def _over(self):
+        return self.spaces
 
     @classmethod
     def from_terms(cls, spaces, items):
@@ -371,43 +341,6 @@ class TensorElement:
             kets, _ = item
             return tuple(ket_key(s, k) for s, k in zip(self.spaces, kets))
         return sorted(self.terms.items(), key=termkey)
-
-    def is_zero(self):
-        return not self.terms
-
-    def _merge(self, other, sign):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        if other.spaces != self.spaces:
-            raise SpaceError("tensor factor spaces differ")
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            c0 = acc.get(k)
-            c1 = sign * c if c0 is None else c0 + sign * c
-            if c1 == 0:
-                acc.pop(k, None)
-            else:
-                acc[k] = c1
-        return TensorElement(self.spaces, acc)
-
-    def __add__(self, other):
-        return self._merge(other, 1)
-
-    def __sub__(self, other):
-        return self._merge(other, -1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = as_scalar(c)
-        if c == 0:
-            return TensorElement(self.spaces, {})
-        return TensorElement(self.spaces, {k: c * v for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorElement)
-                and other.spaces == self.spaces and other.terms == self.terms)
 
     def __hash__(self):
         return hash(("TensorElement", self.spaces, frozenset(self.terms.items())))
@@ -477,13 +410,12 @@ def counit(t: BangElement) -> Fraction:
 
 def dereliction(t: BangElement):
     """d: group-likes fall to their point, single tangents to their vector."""
-    space = t.space
-    acc = space.zero()
+    acc = t.space.zero()
     for k, c in t.terms.items():
         if k.order == 0:
-            acc = space.add(acc, space.scale(c, k.point))
+            acc = acc + k.point.scale(c)
         elif k.order == 1:
-            acc = space.add(acc, space.scale(c, k.tangents[0]))
+            acc = acc + k.tangents[0].scale(c)
     return acc
 
 
@@ -534,20 +466,16 @@ def cocontract(a: BangElement, b: BangElement) -> BangElement:
     """nabla: multiply kets by adding points and concatenating tangents."""
     if a.space != b.space:
         raise SpaceError("cocontraction needs matching spaces")
-    space = a.space
     return BangElement.from_terms(
-        space,
-        ((ca * cb, space.add(ka.point, kb.point), ka.tangents + kb.tangents)
+        a.space,
+        ((ca * cb, ka.point + kb.point, ka.tangents + kb.tangents)
          for ka, ca in a.terms.items() for kb, cb in b.terms.items()))
 
 
 def antipode(t: BangElement) -> BangElement:
     """S: negate the point and every tangent."""
-    space = t.space
     return BangElement.from_terms(
-        space,
-        ((c, space.neg(k.point), tuple(space.neg(x) for x in k.tangents))
-         for k, c in t.terms.items()))
+        t.space, ((c, -k.point, tuple(-x for x in k.tangents)) for k, c in t.terms.items()))
 
 
 def coweaken(space) -> BangElement:

@@ -23,17 +23,18 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
+from . import bang as bg
+from . import encodings as enc
 from . import laws as lw
 from .exact import Matrix, scalar_str
 from .sexpr import ParseError, parse_proof
 from .syntax import Bang, ProofError, check_proof
 from .semantics import (
-    Base, BangSpace, BangVal, BaseVec, HomSpace, MapVal, MatVal, ProbeConfig,
-    SpaceMismatch, TensorVal, _probes, apply_hom, denote_formula, denote_proof,
-    derivative_eval, extensional_equal, parse_value, space_label, value_to_json)
-from . import encodings as enc
+    Base, BangSpace, HomSpace, MapVal, ProbeConfig, ProbeDepthError,
+    SpaceMismatch, apply_hom, denote_formula, denote_proof,
+    derivative_eval, extensional_equal, nl_eval, parse_value, probes,
+    value_to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -71,24 +72,20 @@ def named_value(space, data):
         dim = _numeral_dim(space)
         if dim is None:
             raise SpaceMismatch(
-                "a church numeral does not live in %s" % space_label(space))
+                "a church numeral does not live in %s" % space.label())
         return denote_proof(enc.int_proof(n, dim)).eval()
     if set(data) == {"bint"}:
         bits = enc.parse_bits(data["bint"])
         dim = _string_numeral_dim(space)
         if dim is None:
             raise SpaceMismatch(
-                "a binary integer does not live in %s" % space_label(space))
+                "a binary integer does not live in %s" % space.label())
         return denote_proof(enc.bint_proof(bits, dim)).eval()
     return None
 
 
 # ---------------------------------------------------------------------------
 # value rendering
-
-
-def _fmt_scalar(c):
-    return scalar_str(Fraction(c))
 
 
 def _fmt_matrix(m: Matrix):
@@ -103,17 +100,13 @@ def _probe_config(args):
 
 def render_text(v, space, args, indent="") -> list:
     """Deterministic text lines for a semantic value."""
-    if isinstance(v, BaseVec):
-        return [indent + "(%s)" % ", ".join(scalar_str(x) for x in v.vec.coords)]
-    if isinstance(v, MatVal):
-        return [indent + _fmt_matrix(v.mat)]
-    if isinstance(v, (BangVal, TensorVal)):
-        return [indent + str(v.elt) if isinstance(v, BangVal) else indent + str(v)]
+    if isinstance(v, Matrix):
+        return [indent + _fmt_matrix(v)]
     if isinstance(v, MapVal):
         cfg = _probe_config(args)
         rng = random.Random(args.seed)
-        lines = [indent + "map %s, sampled on probes:" % space_label(space)]
-        for probe, used in _probes(space.dom, rng, cfg, cfg.depth, cfg.max_tangents):
+        lines = [indent + "map %s, sampled on probes:" % space.label()]
+        for probe, _ in probes(space.dom, rng, cfg, cfg.depth, cfg.max_tangents):
             result = apply_hom(v, probe)
             arg = render_text(probe, space.dom, args, "")[0]
             sub = render_text(result, space.cod, args, indent + "    ")
@@ -127,13 +120,13 @@ def render_json(v, space, args):
     if isinstance(v, MapVal):
         cfg = _probe_config(args)
         rng = random.Random(args.seed)
-        probes = []
-        for probe, used in _probes(space.dom, rng, cfg, cfg.depth, cfg.max_tangents):
+        table = []
+        for probe, _ in probes(space.dom, rng, cfg, cfg.depth, cfg.max_tangents):
             result = apply_hom(v, probe)
-            probes.append({"arg": value_to_json(probe),
-                           "value": render_json(result, space.cod, args)})
-        return {"space": space_label(space), "probes": probes}
-    return {"space": space_label(space), "value": value_to_json(v)}
+            table.append({"arg": value_to_json(probe),
+                          "value": render_json(result, space.cod, args)})
+        return {"space": space.label(), "probes": table}
+    return {"space": space.label(), "value": value_to_json(v)}
 
 
 def _emit(v, space, args):
@@ -150,7 +143,11 @@ def _emit(v, space, args):
 
 def _load_proof(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_proof(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise OSError("%s is not UTF-8 text: %s" % (path, e)) from None
+    return parse_proof(text)
 
 
 def cmd_check(args):
@@ -171,8 +168,11 @@ def cmd_check(args):
 
 
 def _parse_json_arg(text, what):
+    def inexact(token):
+        raise ParseError("%s holds the inexact number %s; write scalars as integers "
+                         "or strings such as \"3/2\"" % (what, token), 0, 0)
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=inexact, parse_constant=inexact)
     except json.JSONDecodeError as e:
         raise ParseError("%s is not valid JSON: %s" % (what, e), 0, 0)
 
@@ -209,7 +209,7 @@ def cmd_eval(args):
     for data in extras:
         if not isinstance(space, HomSpace):
             raise SpaceMismatch(
-                "cannot apply a value of %s to further input" % space_label(space))
+                "cannot apply a value of %s to further input" % space.label())
         arg = parse_value(space.dom, data, named_value)
         result = apply_hom(result, arg)
         space = space.cod
@@ -250,15 +250,13 @@ def cmd_examples(args):
     shear = Matrix(((1, 1), (0, 1)))
     nilp = Matrix(((0, 0), (1, 0)))
     out.append("iterating a map twice squares it:")
-    from .semantics import nl_eval
-    got = nl_eval(enc.church_proof(2, dim), MatVal(shear))
-    check("church-2 at [[1, 1], [0, 1]]", _fmt_matrix(got.mat),
-          _fmt_matrix(shear @ shear))
+    got = nl_eval(enc.church_proof(2, dim), shear)
+    check("church-2 at [[1, 1], [0, 1]]", _fmt_matrix(got), _fmt_matrix(shear @ shear))
 
     out.append("derivative of iteration inserts the tangent in every slot:")
-    got = derivative_eval(enc.church_proof(3, dim), MatVal(shear), MatVal(nilp))
+    got = derivative_eval(enc.church_proof(3, dim), shear, nilp)
     want = nilp @ shear @ shear + shear @ nilp @ shear + shear @ shear @ nilp
-    check("church-3 derivative", _fmt_matrix(got.mat), _fmt_matrix(want))
+    check("church-3 derivative", _fmt_matrix(got), _fmt_matrix(want))
 
     out.append("binary integer 001 composes one map per bit, leftmost first:")
     gamma = Matrix(((1, 1), (0, 1)))
@@ -267,36 +265,33 @@ def cmd_examples(args):
     alpha2 = Matrix(((1, 0), (1, 1)))
     beta = Matrix(((1, 0), (1, 1)))
 
+    end = HomSpace(Base(dim), Base(dim))
+
     def bval(point, *tangents):
-        from . import bang as bg
-        from .semantics import entry_space
-        end = HomSpace(Base(dim), Base(dim))
-        return BangVal(BangSpace(end), bg.BangElement.ket(
-            entry_space(end), MatVal(point), tuple(MatVal(t) for t in tangents)))
+        return bg.BangElement.ket(end, point, tangents)
 
     v001 = denote_proof(enc.bint_proof("001", dim)).eval()
 
     def run001(a, b):
         return apply_hom(apply_hom(v001, a), b)
 
-    check("001 at (|>_g, |>_d)", _fmt_matrix(run001(bval(gamma), bval(delta)).mat),
+    check("001 at (|>_g, |>_d)", _fmt_matrix(run001(bval(gamma), bval(delta))),
           _fmt_matrix(delta @ gamma @ gamma))
-    check("001 at (|a>_g, |>_d)", _fmt_matrix(run001(bval(gamma, alpha), bval(delta)).mat),
+    check("001 at (|a>_g, |>_d)", _fmt_matrix(run001(bval(gamma, alpha), bval(delta))),
           _fmt_matrix(delta @ alpha @ gamma + delta @ gamma @ alpha))
     check("001 at (|a1,a2>_g, |>_d)",
-          _fmt_matrix(run001(bval(gamma, alpha, alpha2), bval(delta)).mat),
+          _fmt_matrix(run001(bval(gamma, alpha, alpha2), bval(delta))),
           _fmt_matrix(delta @ alpha @ alpha2 + delta @ alpha2 @ alpha))
-    check("001 at (|>_g, |b>_d)", _fmt_matrix(run001(bval(gamma), bval(delta, beta)).mat),
+    check("001 at (|>_g, |b>_d)", _fmt_matrix(run001(bval(gamma), bval(delta, beta))),
           _fmt_matrix(beta @ gamma @ gamma))
     check("001 at (|a>_g, |b>_d)",
-          _fmt_matrix(run001(bval(gamma, alpha), bval(delta, beta)).mat),
+          _fmt_matrix(run001(bval(gamma, alpha), bval(delta, beta))),
           _fmt_matrix(beta @ alpha @ gamma + beta @ gamma @ alpha))
     check("001 with three tangents on the first slot",
-          _fmt_matrix(run001(bval(gamma, alpha, alpha2, alpha), bval(delta)).mat),
+          _fmt_matrix(run001(bval(gamma, alpha, alpha2, alpha), bval(delta))),
           _fmt_matrix(Matrix.zero(dim, dim)))
 
     out.append("doubling a promoted string concatenates it with itself:")
-    end = HomSpace(Base(dim), Base(dim))
     bint_space = HomSpace(BangSpace(end), HomSpace(BangSpace(end), end))
     pcfg = ProbeConfig(seed=args.seed, samples=2, max_tangents=2,
                        depth=args.probe_depth)
@@ -304,12 +299,11 @@ def cmd_examples(args):
     same = extensional_equal(got, denote_proof(enc.bint_proof("0101", dim)).eval(),
                              bint_space, pcfg)
     check("repeat at |>_[01] agrees with [0101] on all probes", same, True)
-    from .semantics import add_values
     got = derivative_eval(enc.repeat_proof(dim),
                           denote_proof(enc.bint_proof("0", dim)).eval(),
                           denote_proof(enc.bint_proof("1", dim)).eval())
-    want = add_values(denote_proof(enc.bint_proof("01", dim)).eval(),
-                      denote_proof(enc.bint_proof("10", dim)).eval())
+    want = (denote_proof(enc.bint_proof("01", dim)).eval()
+            + denote_proof(enc.bint_proof("10", dim)).eval())
     same = extensional_equal(got, want, bint_space, pcfg)
     check("repeat derivative at [0] toward [1] agrees with [01] + [10]", same, True)
 
@@ -321,7 +315,7 @@ def cmd_examples(args):
                          denote_proof(enc.int_proof(m, dim)).eval())
     got = apply_hom(dv, bval(x))
     check("mult(-, 2) derivative at 1 toward 1, on |>_x",
-          _fmt_matrix(got.mat), _fmt_matrix((x @ x).scale(2)))
+          _fmt_matrix(got), _fmt_matrix((x @ x).scale(2)))
     check("difference-quotient interpolation gives the same matrix",
           _fmt_matrix(enc.mult_difference_quotient(l, m, n, x)),
           _fmt_matrix((x @ x).scale(2)))
@@ -336,17 +330,27 @@ def cmd_examples(args):
 # argument parsing
 
 
+def _positive_int(text):
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+    return n
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized trials and probes")
     common.add_argument("--dim", type=int, default=2,
                         help="dimension of the base space for law runs")
-    common.add_argument("--trials", type=int, default=200,
+    common.add_argument("--trials", type=_positive_int, default=200,
                         help="trial budget per law")
     common.add_argument("--max-tangents", type=int, default=3,
                         help="largest tangent multiset drawn by generators")
-    common.add_argument("--probe-depth", type=int, default=4,
+    common.add_argument("--probe-depth", type=_positive_int, default=4,
                         help="recursion depth for extensional probing")
     common.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -408,7 +412,7 @@ def main(argv=None):
     except ProofError as e:
         print("invalid proof at %s: %s" % (e.path, e.message), file=sys.stderr)
         return 1
-    except (SpaceMismatch, ValueError) as e:
+    except (SpaceMismatch, ValueError, bg.EnumerationLimitError, ProbeDepthError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
 

@@ -109,11 +109,6 @@ class Vec:
         c = as_scalar(c)
         return Vec(tuple(c * a for a in self.coords))
 
-    def dot(self, other):
-        if other.dim != self.dim:
-            raise DimensionError("vector dims %d and %d differ" % (self.dim, other.dim))
-        return sum((a * b for a, b in zip(self.coords, other.coords)), Fraction(0))
-
     def concat(self, other):
         return Vec(self.coords + other.coords)
 
@@ -140,17 +135,6 @@ class Vec:
         if not isinstance(data, list):
             raise ValueError("vector JSON must be an array, got %r" % (data,))
         return cls(tuple(as_scalar(c) for c in data))
-
-
-def vec_order(a: Vec, b: Vec) -> int:
-    """Total lexicographic order on equal-dimension vectors: -1, 0 or 1."""
-    if a.dim != b.dim:
-        raise DimensionError("cannot order vectors of dims %d and %d" % (a.dim, b.dim))
-    if a.coords < b.coords:
-        return -1
-    if a.coords > b.coords:
-        return 1
-    return 0
 
 
 class Matrix:
@@ -196,9 +180,6 @@ class Matrix:
         if v.dim != self.ncols:
             raise DimensionError("matrix is %dx%d, vector has dim %d" % (self.nrows, self.ncols, v.dim))
         return Vec(tuple(sum((c * x for c, x in zip(row, v.coords)), Fraction(0)) for row in self.rows))
-
-    def column(self, j) -> Vec:
-        return Vec(tuple(row[j] for row in self.rows))
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
@@ -261,8 +242,3 @@ class Matrix:
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ValueError("matrix JSON must be an array of arrays, got %r" % (data,))
         return cls(tuple(tuple(as_scalar(c) for c in row) for row in data))
-
-
-def mat_compose(f: Matrix, g: Matrix) -> Matrix:
-    """The composite f after g."""
-    return f @ g

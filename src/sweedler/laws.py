@@ -35,9 +35,8 @@ from . import poly as pl
 from .exact import Matrix, Vec
 from . import encodings as enc
 from .semantics import (
-    BangSpace, BangVal, Base, HomSpace, MapVal, MatVal, ProbeConfig,
-    add_values, apply_hom, denote_proof, derivative_eval, entry_space,
-    extensional_equal, nl_eval, scale_value)
+    BangSpace, Base, HomSpace, ProbeConfig, apply_hom, denote_proof,
+    derivative_eval, extensional_equal, nl_eval, rand_fraction)
 from .syntax import Axiom, Bang, Cut, Prom, PropVar, derivative_transform
 
 
@@ -130,10 +129,6 @@ def _short(x, limit=200):
 
 def _witness(parts):
     return "; ".join("%s = %s" % (k, _short(v)) for k, v in parts)
-
-
-def rand_fraction(rng, span):
-    return Fraction(rng.randint(-span, span), rng.randint(1, 2))
 
 
 def rand_vec(rng, dim, span):
@@ -418,7 +413,7 @@ def _law_pair_coproduct(rng, cfg):
     f = rand_poly(rng, cfg.dim, cfg.span)
     g = rand_poly(rng, cfg.dim, cfg.span)
     lhs = pl.residue_pairing_tensor(bg.coproduct(x), (f, g))
-    rhs = pl.residue_pairing(x, pl.poly_mul(f, g))
+    rhs = pl.residue_pairing(x, f * g)
     if lhs != rhs:
         return _witness([("x", x), ("f", f.to_str()), ("g", g.to_str()),
                          ("lhs", lhs), ("rhs", rhs)])
@@ -508,9 +503,7 @@ def _den_int(n, dim):
 
 
 def _bend(dim, point, *tangents):
-    end = HomSpace(Base(dim), Base(dim))
-    return BangVal(BangSpace(end), bg.BangElement.ket(
-        entry_space(end), MatVal(point), tuple(MatVal(t) for t in tangents)))
+    return bg.BangElement.ket(HomSpace(Base(dim), Base(dim)), point, tangents)
 
 
 def _probe_cfg(rng, cfg, max_tangents=2):
@@ -524,15 +517,15 @@ def _law_multilinearity(rng, cfg):
     """Proof denotations are linear in every sequent slot."""
     den = _den_comp(3, cfg.dim)
     slot = rng.randint(0, 2)
-    mats = [MatVal(rand_matrix(rng, cfg.dim, cfg.span)) for _ in range(3)]
-    extra = MatVal(rand_matrix(rng, cfg.dim, cfg.span))
+    mats = [rand_matrix(rng, cfg.dim, cfg.span) for _ in range(3)]
+    extra = rand_matrix(rng, cfg.dim, cfg.span)
     c = rand_fraction(rng, cfg.span)
     combo = list(mats)
-    combo[slot] = add_values(mats[slot], scale_value(c, extra))
+    combo[slot] = mats[slot] + extra.scale(c)
     alt = list(mats)
     alt[slot] = extra
     lhs = den.eval(*combo)
-    rhs = add_values(den.eval(*mats), scale_value(c, den.eval(*alt)))
+    rhs = den.eval(*mats) + den.eval(*alt).scale(c)
     if lhs != rhs:
         return _witness([("slot", slot), ("c", c), ("lhs", lhs), ("rhs", rhs)])
 
@@ -544,8 +537,8 @@ def _law_promotion_identity(rng, cfg):
     den = denote_proof(Prom(Axiom(Bang(a))))
     space = bg.BaseSpace(cfg.dim)
     x = rand_bang(rng, space, 2, cfg.span)
-    got = den.eval(BangVal(BangSpace(Base(cfg.dim)), x))
-    want = BangVal(BangSpace(BangSpace(Base(cfg.dim))), bg.promote(x))
+    got = den.eval(x)
+    want = bg.promote(x)
     if got != want:
         return _witness([("x", x), ("got", got), ("want", want)])
 
@@ -556,10 +549,8 @@ def _law_promotion_group_like(rng, cfg):
     n = rng.randint(0, 3)
     den = _den_church_prom(n, cfg.dim)
     alpha = rand_matrix(rng, cfg.dim, cfg.span)
-    end = HomSpace(Base(cfg.dim), Base(cfg.dim))
     got = den.eval(_bend(cfg.dim, alpha))
-    want = BangVal(BangSpace(end), bg.BangElement.ket(
-        entry_space(end), MatVal(enc.church_value_oracle(n, alpha))))
+    want = _bend(cfg.dim, enc.church_value_oracle(n, alpha))
     if got != want:
         return _witness([("n", n), ("alpha", alpha), ("got", got), ("want", want)])
 
@@ -571,12 +562,9 @@ def _law_promotion_tangent(rng, cfg):
     den = _den_church_prom(n, cfg.dim)
     alpha = rand_matrix(rng, cfg.dim, cfg.span)
     nu = rand_matrix(rng, cfg.dim, cfg.span)
-    end = HomSpace(Base(cfg.dim), Base(cfg.dim))
     got = den.eval(_bend(cfg.dim, alpha, nu))
-    want = BangVal(BangSpace(end), bg.BangElement.from_terms(
-        entry_space(end),
-        [(1, MatVal(enc.church_value_oracle(n, alpha)),
-          (MatVal(enc.church_derivative_oracle(n, alpha, nu)),))]))
+    want = _bend(cfg.dim, enc.church_value_oracle(n, alpha),
+                 enc.church_derivative_oracle(n, alpha, nu))
     if got != want:
         return _witness([("n", n), ("alpha", alpha), ("nu", nu),
                          ("got", got), ("want", want)])
@@ -590,9 +578,9 @@ def _law_derivative_path(rng, cfg):
     dpi = denote_proof(derivative_transform(p))
     alpha = rand_matrix(rng, cfg.dim, cfg.span)
     nu = rand_matrix(rng, cfg.dim, cfg.span)
-    got = dpi.eval(_bend(cfg.dim, alpha), MatVal(nu))
-    want = derivative_eval(p, MatVal(alpha), MatVal(nu))
-    oracle = MatVal(enc.church_derivative_oracle(n, alpha, nu))
+    got = dpi.eval(_bend(cfg.dim, alpha), nu)
+    want = derivative_eval(p, alpha, nu)
+    oracle = enc.church_derivative_oracle(n, alpha, nu)
     if not (got == want == oracle):
         return _witness([("n", n), ("alpha", alpha), ("nu", nu),
                          ("transform", got), ("direct", want), ("oracle", oracle)])
@@ -606,8 +594,8 @@ def _law_derivative_path_bint(rng, cfg):
     dpi = denote_proof(derivative_transform(p))
     gamma = rand_matrix(rng, cfg.dim, cfg.span)
     nu = rand_matrix(rng, cfg.dim, cfg.span)
-    got = dpi.eval(_bend(cfg.dim, gamma), MatVal(nu))
-    want = derivative_eval(p, MatVal(gamma), MatVal(nu))
+    got = dpi.eval(_bend(cfg.dim, gamma), nu)
+    want = derivative_eval(p, gamma, nu)
     end = HomSpace(Base(cfg.dim), Base(cfg.dim))
     target = HomSpace(BangSpace(end), end)
     if not extensional_equal(got, want, target, _probe_cfg(rng, cfg)):
@@ -637,10 +625,10 @@ def _law_church_oracle(rng, cfg):
     p = enc.church_proof(n, cfg.dim)
     alpha = rand_matrix(rng, cfg.dim, cfg.span)
     nu = rand_matrix(rng, cfg.dim, cfg.span)
-    if nl_eval(p, MatVal(alpha)) != MatVal(enc.church_value_oracle(n, alpha)):
+    if nl_eval(p, alpha) != enc.church_value_oracle(n, alpha):
         return _witness([("n", n), ("alpha", alpha)])
-    got = derivative_eval(p, MatVal(alpha), MatVal(nu))
-    if got != MatVal(enc.church_derivative_oracle(n, alpha, nu)):
+    got = derivative_eval(p, alpha, nu)
+    if got != enc.church_derivative_oracle(n, alpha, nu):
         return _witness([("n", n), ("alpha", alpha), ("nu", nu), ("got", got)])
 
 
@@ -656,7 +644,7 @@ def _law_bint_oracle(rng, cfg):
     v = _bint_value(s, cfg.dim)
     got = apply_hom(apply_hom(v, _bend(cfg.dim, gamma, *alphas)),
                     _bend(cfg.dim, delta, *betas))
-    want = MatVal(enc.bint_oracle(s, gamma, delta, alphas, betas))
+    want = enc.bint_oracle(s, gamma, delta, alphas, betas)
     if got != want:
         return _witness([("s", repr(s)), ("gamma", gamma), ("delta", delta),
                          ("alphas", alphas), ("betas", betas),
@@ -682,8 +670,8 @@ def _law_mult(rng, cfg):
                          _den_int(m, cfg.dim).eval())
     x = rand_matrix(rng, cfg.dim, cfg.span)
     got = apply_hom(dv, _bend(cfg.dim, x))
-    closed = MatVal(enc.mult_derivative_oracle(l, m, n, x))
-    interp = MatVal(enc.mult_difference_quotient(l, m, n, x))
+    closed = enc.mult_derivative_oracle(l, m, n, x)
+    interp = enc.mult_difference_quotient(l, m, n, x)
     if not (got == closed == interp):
         return _witness([("l", l), ("m", m), ("n", n), ("x", x),
                          ("got", got), ("closed", closed), ("interpolated", interp)])

@@ -49,18 +49,8 @@ class Polynomial:
     def const(cls, nvars, c):
         return cls(nvars, {(0,) * nvars: as_scalar(c)})
 
-    @classmethod
-    def variable(cls, nvars, i):
-        """The coordinate function x_{i+1} (0-based index i)."""
-        if not 0 <= i < nvars:
-            raise DimensionError("variable index %d out of range" % i)
-        return cls(nvars, {tuple(1 if j == i else 0 for j in range(nvars)): 1})
-
     def is_zero(self):
         return not self.terms
-
-    def degree(self):
-        return max((sum(e) for e in self.terms), default=0)
 
     def _merge(self, other, sign):
         if not isinstance(other, Polynomial):
@@ -96,14 +86,6 @@ class Polynomial:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 acc[e] = acc.get(e, Fraction(0)) + c1 * c2
         return Polynomial(self.nvars, acc)
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        acc = Polynomial.const(self.nvars, 1)
-        for _ in range(n):
-            acc = acc * self
-        return acc
 
     def partial(self, i):
         """d/dx_{i+1}."""
@@ -178,10 +160,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash(("Polynomial", self.nvars, frozenset(self.terms.items())))
-
-
-def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f * g
 
 
 def shift_doubling(f: Polynomial) -> Polynomial:

@@ -1,69 +1,124 @@
 """Denotational semantics: formulas become spaces, proofs become linear maps.
 
-A propositional variable of dimension n denotes Q^n; -o denotes the space
-of linear maps; ! denotes the cofree coalgebra from ``bang``.  A proof of
-A1, ..., Ak |- B denotes a multilinear map, packaged as a ``Denotation``
-with one callable slot per context formula.
+A propositional variable of dimension n denotes Q^n (``Base``, the base
+space of ``bang``); -o denotes the space of linear maps (``HomSpace``); *
+denotes ``TensorSpace``; ! denotes the cofree coalgebra over the space of
+its formula (``bang.BangSpace``).  A proof of A1, ..., Ak |- B denotes a
+multilinear map, packaged as a ``Denotation`` with one callable slot per
+context formula.
 
-Values are kept exact wherever the space is concrete: vectors and matrices
-are literal rational arrays, elements of !A are canonical ket sums.  A
-linear map whose domain or codomain is not concrete stays a closure
-(``MapVal``); such values are compared extensionally, by probing them with
-seeded arguments, never numerically.
+Every formula space is an entry space of ``bang``, so elements of !A are
+canonical ket sums over the space of A itself.  Values are plain objects:
+a ``Vec`` for a base space, a ``Matrix`` for a map between base spaces, a
+``BangElement`` for !A, a ``TensorVal`` for A * B.  A linear map whose
+domain or codomain is not concrete stays a closure (``MapVal``); such values
+are compared extensionally, by probing them with seeded arguments, never
+numerically.  Every value does its own arithmetic: ``+``, unary ``-`` and
+``scale``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import bang as bg
 from . import syntax as syn
+from .bang import BangSpace, BaseSpace as Base
 from .exact import Matrix, Vec, as_scalar, scalar_str
+
+
+class SpaceMismatch(ValueError):
+    pass
+
+
+class ProbeDepthError(RuntimeError):
+    """Extensional comparison ran out of probes before reaching a concrete space."""
+
 
 # -- spaces -----------------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
-class Base:
-    dim: int
+class HomSpace:
+    """Linear maps dom -> cod: a Matrix between base spaces, else a MapVal.
+
+    As an entry space, a matrix expands into elementary matrices, so kets
+    over a concrete Hom space canonicalize like kets over a base space; a
+    closure is one formal unit, keyed by its creation serial.
+    """
+
+    dom: object
+    cod: object
+
+    @property
+    def concrete(self):
+        return isinstance(self.dom, Base) and isinstance(self.cod, Base)
+
+    def contains(self, v):
+        if isinstance(v, Matrix):
+            return self.concrete and (v.nrows, v.ncols) == (self.cod.dim, self.dom.dim)
+        return isinstance(v, MapVal) and v.space == self
+
+    def expand(self, v):
+        if not self.contains(v):
+            raise bg.SpaceError("expected a map of %s, got %r" % (self.label(), v))
+        if isinstance(v, MapVal):
+            return [(Fraction(1), v)]
+        return [(c, _matrix_unit(v.nrows, v.ncols, i, j))
+                for i, row in enumerate(v.rows) for j, c in enumerate(row) if c != 0]
+
+    def key(self, v):
+        return ("f", v.serial) if isinstance(v, MapVal) else ("m", v.rows)
+
+    def zero(self):
+        if self.concrete:
+            return Matrix.zero(self.cod.dim, self.dom.dim)
+        return MapVal(self, lambda x: self.cod.zero())
+
+    def render(self, v):
+        return repr(v)
+
+    def label(self):
+        return "(%s -o %s)" % (self.dom.label(), self.cod.label())
 
 
 @dataclass(frozen=True, slots=True)
 class TensorSpace:
-    left: "SemSpace"
-    right: "SemSpace"
+    """A * B; as an entry space, each pure tensor of a TensorVal is one unit."""
+
+    left: object
+    right: object
+
+    def contains(self, v):
+        return isinstance(v, TensorVal) and v.space == self
+
+    def expand(self, v):
+        if not self.contains(v):
+            raise bg.SpaceError("expected a tensor of %s, got %r" % (self.label(), v))
+        return [(c, TensorVal(self, ((Fraction(1), vals),))) for c, vals in v.terms]
+
+    def key(self, v):
+        return tuple((c, (self.left.key(a), self.right.key(b))) for c, (a, b) in v.terms)
+
+    def zero(self):
+        return TensorVal(self, ())
+
+    def render(self, v):
+        return repr(v)
+
+    def label(self):
+        return "(%s * %s)" % (self.left.label(), self.right.label())
 
 
-@dataclass(frozen=True, slots=True)
-class HomSpace:
-    dom: "SemSpace"
-    cod: "SemSpace"
+def _matrix_unit(nrows, ncols, i, j):
+    return Matrix(tuple(tuple(1 if (r, c) == (i, j) else 0 for c in range(ncols))
+                        for r in range(nrows)))
 
 
-@dataclass(frozen=True, slots=True)
-class BangSpace:
-    inner: "SemSpace"
-
-
-SemSpace = Base | TensorSpace | HomSpace | BangSpace
-
-
-def space_label(s) -> str:
-    if isinstance(s, Base):
-        return str(s.dim)
-    if isinstance(s, TensorSpace):
-        return "(%s * %s)" % (space_label(s.left), space_label(s.right))
-    if isinstance(s, HomSpace):
-        return "(%s -o %s)" % (space_label(s.dom), space_label(s.cod))
-    if isinstance(s, BangSpace):
-        return "!%s" % space_label(s.inner)
-    raise TypeError("not a space: %r" % (s,))
-
-
-def denote_formula(f: syn.Formula) -> SemSpace:
+def denote_formula(f: syn.Formula):
     if isinstance(f, syn.PropVar):
         return Base(f.dim)
     if isinstance(f, syn.Tensor):
@@ -75,63 +130,36 @@ def denote_formula(f: syn.Formula) -> SemSpace:
     raise TypeError("not a formula: %r" % (f,))
 
 
-class SpaceMismatch(ValueError):
-    pass
-
-
-class ProbeDepthError(RuntimeError):
-    """Extensional comparison ran out of probes before reaching a concrete space."""
-
-
 # -- values -----------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class BaseVec:
-    vec: Vec
-
-    def __repr__(self):
-        return repr(self.vec)
-
-
-@dataclass(frozen=True, slots=True)
-class MatVal:
-    mat: Matrix
-
-    def __repr__(self):
-        return repr(self.mat)
+_serials = itertools.count()
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class MapVal:
+    """A lazy linear map; ``serial`` counts creations and orders closures."""
+
     space: HomSpace
     fn: object
+    serial: int = field(default_factory=_serials.__next__, init=False)
+
+    def __add__(self, other):
+        if not self.space.contains(other):
+            return NotImplemented
+        return MapVal(self.space, lambda x: apply_hom(self, x) + apply_hom(other, x))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        c = as_scalar(c)
+        return MapVal(self.space, lambda x: apply_hom(self, x).scale(c))
 
     def __repr__(self):
-        return "<linear map %s>" % space_label(self.space)
-
-
-class BangVal:
-    """A value of !A: a canonical BangElement over the entry space of A."""
-
-    __slots__ = ("space", "elt")
-
-    def __init__(self, space, elt):
-        assert isinstance(space, BangSpace)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "elt", elt)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BangVal is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, BangVal) and other.space == self.space and other.elt == self.elt
-
-    def __hash__(self):
-        return hash(("BangVal", self.space, self.elt))
-
-    def __repr__(self):
-        return repr(self.elt)
+        return "<linear map %s>" % self.space.label()
 
 
 class TensorVal:
@@ -155,27 +183,39 @@ class TensorVal:
             coeff = as_scalar(coeff)
             if coeff == 0:
                 continue
-            expansions = [entry_space(s).expand(entry_of(v, s)) for s, v in zip(factors, vals)]
+            expansions = [s.expand(v) for s, v in zip(factors, vals)]
             for combo in itertools.product(*expansions):
                 c = coeff
                 for u, _ in combo:
                     c *= u
-                key = tuple(entry_space(s).key(e) for s, (_, e) in zip(factors, combo))
+                key = tuple(s.key(e) for s, (_, e) in zip(factors, combo))
                 prev = acc.get(key)
                 acc[key] = c if prev is None else prev + c
-                stash[key] = tuple(entry_to_value(e, s) for s, (_, e) in zip(factors, combo))
+                stash[key] = tuple(e for _, e in combo)
         terms = tuple((acc[k], stash[k]) for k in sorted(acc) if acc[k] != 0)
         return cls(space, terms)
 
     def is_zero(self):
         return not self.terms
 
+    def __add__(self, other):
+        if not isinstance(other, TensorVal):
+            return NotImplemented
+        if other.space != self.space:
+            raise SpaceMismatch("adding tensors of %s and %s"
+                                % (self.space.label(), other.space.label()))
+        return TensorVal.make(self.space, self.terms + other.terms)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        c = as_scalar(c)
+        return TensorVal(self.space, tuple((c * c0, vals) for c0, vals in self.terms if c != 0))
+
     def __eq__(self, other):
-        if not isinstance(other, TensorVal) or other.space != self.space:
-            return False
-        def normal(tv):
-            return {tuple(value_key(v) for v in vals): c for c, vals in tv.terms}
-        return normal(self) == normal(other)
+        return (isinstance(other, TensorVal) and other.space == self.space
+                and self.space.key(self) == self.space.key(other))
 
     def __hash__(self):
         return hash(("TensorVal", self.space, tuple(c for c, _ in self.terms)))
@@ -188,212 +228,35 @@ class TensorVal:
             for c, vals in self.terms)
 
 
-SemValue = BaseVec | MatVal | MapVal | BangVal | TensorVal
-
-
-def value_key(v):
-    """A deterministic structural sort/merge key (identity for closures)."""
-    if isinstance(v, BaseVec):
-        return ("v", v.vec.coords)
-    if isinstance(v, MatVal):
-        return ("m", v.mat.rows)
-    if isinstance(v, BangVal):
-        return ("b", v.elt.term_key())
-    if isinstance(v, TensorVal):
-        return ("t", tuple((c, tuple(value_key(x) for x in vals)) for c, vals in v.terms))
-    if isinstance(v, MapVal):
-        return ("f", id(v))
-    raise TypeError("not a value: %r" % (v,))
-
-
-# -- the bridge between semantic values and bang entries --------------------
-
-
-class SemEntrySpace:
-    """Adapter giving SemValues the entry-space protocol of ``bang``.
-
-    Matrix-valued entries expand into elementary matrices, so kets over a
-    concrete Hom space canonicalize just like kets over a base space; all
-    other values stay formal units.
-    """
-
-    __slots__ = ("sem",)
-
-    def __init__(self, sem):
-        object.__setattr__(self, "sem", sem)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SemEntrySpace is immutable")
-
-    def contains(self, entry):
-        return check_value(entry, self.sem)
-
-    def expand(self, entry):
-        if isinstance(entry, MatVal):
-            units = []
-            for i, row in enumerate(entry.mat.rows):
-                for j, c in enumerate(row):
-                    if c != 0:
-                        units.append((c, MatVal(_matrix_unit(entry.mat.nrows, entry.mat.ncols, i, j))))
-            return units
-        if isinstance(entry, TensorVal):
-            return [(c, TensorVal(entry.space, ((Fraction(1), vals),))) for c, vals in entry.terms]
-        return [(Fraction(1), entry)]
-
-    def key(self, entry):
-        return value_key(entry)
-
-    def zero(self):
-        return zero_value(self.sem)
-
-    def add(self, a, b):
-        return add_values(a, b)
-
-    def neg(self, a):
-        return scale_value(-1, a)
-
-    def scale(self, c, a):
-        return scale_value(c, a)
-
-    def render(self, entry):
-        return repr(entry)
-
-    def label(self):
-        return space_label(self.sem)
-
-    def __eq__(self, other):
-        return isinstance(other, SemEntrySpace) and other.sem == self.sem
-
-    def __hash__(self):
-        return hash(("SemEntrySpace", self.sem))
-
-    def __repr__(self):
-        return "SemEntrySpace(%s)" % space_label(self.sem)
-
-
-def _matrix_unit(nrows, ncols, i, j):
-    return Matrix(tuple(tuple(1 if (r, c) == (i, j) else 0 for c in range(ncols))
-                        for r in range(nrows)))
-
-
-def entry_space(sem):
-    """The bang-protocol space whose entries represent values of sem."""
-    if isinstance(sem, Base):
-        return bg.BaseSpace(sem.dim)
-    if isinstance(sem, BangSpace):
-        return bg.BangSpace(entry_space(sem.inner))
-    return SemEntrySpace(sem)
-
-
-def entry_of(v, sem):
-    """Unwrap a SemValue into the raw entry the bang machinery stores."""
-    if isinstance(sem, Base):
-        if not isinstance(v, BaseVec):
-            raise SpaceMismatch("expected a vector of %s, got %r" % (space_label(sem), v))
-        return v.vec
-    if isinstance(sem, BangSpace):
-        if not isinstance(v, BangVal):
-            raise SpaceMismatch("expected an element of %s, got %r" % (space_label(sem), v))
-        return v.elt
-    return v
-
-
-def entry_to_value(e, sem):
-    if isinstance(sem, Base):
-        return BaseVec(e)
-    if isinstance(sem, BangSpace):
-        return BangVal(sem, e)
-    return e
-
-
 # -- generic value operations ------------------------------------------------
 
 
-def zero_value(space):
-    if isinstance(space, Base):
-        return BaseVec(Vec.zero(space.dim))
-    if isinstance(space, HomSpace):
-        if isinstance(space.dom, Base) and isinstance(space.cod, Base):
-            return MatVal(Matrix.zero(space.cod.dim, space.dom.dim))
-        return MapVal(space, lambda x: zero_value(space.cod))
-    if isinstance(space, BangSpace):
-        return BangVal(space, bg.BangElement.zero(entry_space(space.inner)))
-    if isinstance(space, TensorSpace):
-        return TensorVal(space, ())
-    raise TypeError("not a space: %r" % (space,))
-
-
 def add_values(a, b):
-    if isinstance(a, BaseVec) and isinstance(b, BaseVec):
-        return BaseVec(a.vec + b.vec)
-    if isinstance(a, MatVal) and isinstance(b, MatVal):
-        return MatVal(a.mat + b.mat)
-    if isinstance(a, BangVal) and isinstance(b, BangVal):
-        if a.space != b.space:
-            raise SpaceMismatch("adding values of %s and %s"
-                                % (space_label(a.space), space_label(b.space)))
-        return BangVal(a.space, a.elt + b.elt)
-    if isinstance(a, TensorVal) and isinstance(b, TensorVal):
-        return TensorVal.make(a.space, tuple(a.terms) + tuple(b.terms))
-    if isinstance(a, (MapVal, MatVal)) and isinstance(b, (MapVal, MatVal)):
-        space = a.space if isinstance(a, MapVal) else b.space
-        return MapVal(space, lambda x, f=a, g=b: add_values(apply_hom(f, x), apply_hom(g, x)))
-    raise SpaceMismatch("cannot add %r and %r" % (a, b))
-
-
-def scale_value(c, v):
-    c = as_scalar(c)
-    if isinstance(v, BaseVec):
-        return BaseVec(v.vec.scale(c))
-    if isinstance(v, MatVal):
-        return MatVal(v.mat.scale(c))
-    if isinstance(v, BangVal):
-        return BangVal(v.space, v.elt.scale(c))
-    if isinstance(v, TensorVal):
-        return TensorVal(v.space, tuple((c * c0, vals) for c0, vals in v.terms if c != 0))
-    if isinstance(v, MapVal):
-        return MapVal(v.space, lambda x, f=v: scale_value(c, apply_hom(f, x)))
-    raise TypeError("not a value: %r" % (v,))
+    return a + b
 
 
 def lincomb(space, pairs):
-    acc = zero_value(space)
+    acc = space.zero()
     for c, v in pairs:
         if c == 0:
             continue
-        acc = add_values(acc, scale_value(c, v) if c != 1 else v)
+        acc = acc + (v.scale(c) if c != 1 else v)
     return acc
 
 
 def apply_hom(h, x):
-    if isinstance(h, MatVal):
-        if not isinstance(x, BaseVec):
+    if isinstance(h, Matrix):
+        if not isinstance(x, Vec):
             raise SpaceMismatch("matrix applied to non-vector %r" % (x,))
-        return BaseVec(h.mat.apply(x.vec))
+        return h.apply(x)
     if isinstance(h, MapVal):
         return h.fn(x)
     raise SpaceMismatch("not a linear map: %r" % (h,))
 
 
-def check_value(v, space) -> bool:
-    if isinstance(space, Base):
-        return isinstance(v, BaseVec) and v.vec.dim == space.dim
-    if isinstance(space, HomSpace):
-        if isinstance(v, MatVal):
-            return (isinstance(space.dom, Base) and isinstance(space.cod, Base)
-                    and v.mat.ncols == space.dom.dim and v.mat.nrows == space.cod.dim)
-        return isinstance(v, MapVal) and v.space == space
-    if isinstance(space, BangSpace):
-        return isinstance(v, BangVal) and v.space == space \
-            and v.elt.space == entry_space(space.inner)
-    if isinstance(space, TensorSpace):
-        return isinstance(v, TensorVal) and v.space == space
-    return False
-
-
 def require_value(v, space, what="value"):
-    if not check_value(v, space):
-        raise SpaceMismatch("%s does not lie in %s: %r" % (what, space_label(space), v))
+    if not space.contains(v):
+        raise SpaceMismatch("%s does not lie in %s: %r" % (what, space.label(), v))
     return v
 
 
@@ -403,7 +266,7 @@ def require_value(v, space, what="value"):
 @dataclass(frozen=True, eq=False, slots=True)
 class Denotation:
     source: tuple
-    target: SemSpace
+    target: object
     fn: object
 
     def eval(self, *args):
@@ -434,12 +297,11 @@ def _den(p) -> Denotation:
         dom, cod = prem.source[-1], prem.target
         src = prem.source[:-1]
         hom = HomSpace(dom, cod)
-        if isinstance(dom, Base) and isinstance(cod, Base):
+        if hom.concrete:
             def fn(*args):
-                cols = [entry_of(prem.fn(*args, BaseVec(Vec.basis(dom.dim, j))), cod)
-                        for j in range(dom.dim)]
-                rows = tuple(tuple(col.coords[i] for col in cols) for i in range(cod.dim))
-                return MatVal(Matrix(rows))
+                cols = [prem.fn(*args, Vec.basis(dom.dim, j)) for j in range(dom.dim)]
+                return Matrix(tuple(tuple(col.coords[i] for col in cols)
+                                    for i in range(cod.dim)))
         else:
             def fn(*args):
                 return MapVal(hom, lambda x: prem.fn(*args, require_value(x, dom, "argument")))
@@ -491,29 +353,28 @@ def _den(p) -> Denotation:
         def fn(*vals):
             t = vals[i]
             # d kills kets of order >= 2 and the premise is linear in slot i.
-            if not any(k.order <= 1 for k in t.elt.terms):
-                return zero_value(prem.target)
-            v = entry_to_value(bg.dereliction(t.elt), a)
-            return prem.fn(*vals[:i], v, *vals[i + 1:])
+            if not any(k.order <= 1 for k in t.terms):
+                return prem.target.zero()
+            return prem.fn(*vals[:i], bg.dereliction(t), *vals[i + 1:])
         return Denotation(src, prem.target, fn)
 
     if isinstance(p, syn.Ctr):
         prem = _den(p.premise)
         i = p.index
         bspace = prem.source[i]
-        es = entry_space(bspace.inner)
+        es = bspace.inner
         src = prem.source[:i] + (bspace,) + prem.source[i + 2:]
 
         def fn(*vals):
             t = vals[i]
             # Bilinear premise: sum c*f(k1, k2) = sum_k1 f(k1, sum c*k2), one call per k1.
             rights = {}
-            for (k1, k2), c in bg.coproduct(t.elt).terms.items():
+            for (k1, k2), c in bg.coproduct(t).terms.items():
                 rights.setdefault(k1, {})[k2] = c
             pairs = []
             for k1, right in rights.items():
-                v1 = BangVal(bspace, bg.unit(es, k1))
-                v2 = BangVal(bspace, bg.BangElement(es, right))
+                v1 = bg.unit(es, k1)
+                v2 = bg.BangElement(es, right)
                 pairs.append((1, prem.fn(*vals[:i], v1, v2, *vals[i + 1:])))
             return lincomb(prem.target, pairs)
         return Denotation(src, prem.target, fn)
@@ -525,36 +386,29 @@ def _den(p) -> Denotation:
         src = prem.source[:i] + (bspace,) + prem.source[i:]
 
         def fn(*vals):
-            c = bg.counit(vals[i].elt)
+            c = bg.counit(vals[i])
             # The result is c times the premise, so a zero counit needs no call.
             if c == 0:
-                return zero_value(prem.target)
+                return prem.target.zero()
             rest = vals[:i] + vals[i + 1:]
             return lincomb(prem.target, [(c, prem.fn(*rest))])
         return Denotation(src, prem.target, fn)
 
     if isinstance(p, syn.Prom):
         prem = _den(p.premise)
-        inners = tuple(s.inner for s in prem.source)
-        spaces = tuple(entry_space(a) for a in inners)
-        tgt = BangSpace(prem.target)
-        out_entry = entry_space(prem.target)
+        spaces = tuple(s.inner for s in prem.source)
 
         def fn(*vals):
             items = []
-            slot_terms = [sorted(v.elt.terms.items(), key=lambda kc: bg.ket_key(es, kc[0]))
-                          for v, es in zip(vals, spaces)]
+            slot_terms = [v.sorted_terms() for v in vals]
             for combo in itertools.product(*slot_terms):
                 coeff = Fraction(1)
                 for _, c in combo:
                     coeff *= c
                 kets = [k for k, _ in combo]
                 tagged = [(si, x) for si, k in enumerate(kets) for x in k.tangents]
-                group_args = tuple(
-                    BangVal(prem.source[si], bg.BangElement.ket(spaces[si], k.point))
-                    for si, k in enumerate(kets))
-                point = entry_of(prem.fn(*group_args), prem.target)
-                tang_entries = []
+                point = prem.fn(*(bg.BangElement.ket(spaces[si], k.point)
+                                  for si, k in enumerate(kets)))
                 for blocks in bg.set_partitions(range(len(tagged))):
                     entries = []
                     for block in blocks:
@@ -562,16 +416,13 @@ def _den(p) -> Denotation:
                         for j in block:
                             si, x = tagged[j]
                             picked.setdefault(si, []).append(x)
-                        args = tuple(
-                            BangVal(prem.source[si],
-                                    bg.BangElement.from_terms(
-                                        spaces[si],
-                                        [(1, kets[si].point, tuple(picked.get(si, ())))]))
-                            for si in range(len(kets)))
-                        entries.append(entry_of(prem.fn(*args), prem.target))
+                        entries.append(prem.fn(*(
+                            bg.BangElement.from_terms(
+                                spaces[si], [(1, kets[si].point, tuple(picked.get(si, ())))])
+                            for si in range(len(kets)))))
                     items.append((coeff, point, tuple(entries)))
-            return BangVal(tgt, bg.BangElement.from_terms(out_entry, items))
-        return Denotation(prem.source, tgt, fn)
+            return bg.BangElement.from_terms(prem.target, items)
+        return Denotation(prem.source, BangSpace(prem.target), fn)
 
     if isinstance(p, syn.Cut):
         ld, rd = _den(p.left), _den(p.right)
@@ -601,11 +452,10 @@ def _den(p) -> Denotation:
         i = p.index
         bspace = prem.source[i]
         a = bspace.inner
-        es = entry_space(a)
         src = prem.source[:i] + (a,) + prem.source[i + 1:]
 
         def fn(*vals):
-            t = BangVal(bspace, bg.codereliction(es, entry_of(vals[i], a)))
+            t = bg.codereliction(a, vals[i])
             return prem.fn(*vals[:i], t, *vals[i + 1:])
         return Denotation(src, prem.target, fn)
 
@@ -616,7 +466,7 @@ def _den(p) -> Denotation:
         src = prem.source[:i] + (bspace, bspace) + prem.source[i + 1:]
 
         def fn(*vals):
-            merged = BangVal(bspace, bg.cocontract(vals[i].elt, vals[i + 1].elt))
+            merged = bg.cocontract(vals[i], vals[i + 1])
             return prem.fn(*vals[:i], merged, *vals[i + 2:])
         return Denotation(src, prem.target, fn)
 
@@ -627,7 +477,7 @@ def _den(p) -> Denotation:
         src = prem.source[:i] + prem.source[i + 1:]
 
         def fn(*vals):
-            u = BangVal(bspace, bg.coweaken(entry_space(bspace.inner)))
+            u = bg.coweaken(bspace.inner)
             return prem.fn(*vals[:i], u, *vals[i:])
         return Denotation(src, prem.target, fn)
 
@@ -644,22 +494,16 @@ def _nl_shape(p):
     return denote_proof(p)
 
 
-def nl_eval(p: syn.Proof, point) -> SemValue:
+def nl_eval(p: syn.Proof, point):
     """Evaluate a proof of !A |- B at the group-like ket over the given point."""
     d = _nl_shape(p)
-    bspace = d.source[0]
-    e = entry_of(point, bspace.inner)
-    return d.fn(BangVal(bspace, bg.BangElement.ket(entry_space(bspace.inner), e)))
+    return d.fn(bg.BangElement.ket(d.source[0].inner, point))
 
 
-def derivative_eval(p: syn.Proof, point, tangent) -> SemValue:
+def derivative_eval(p: syn.Proof, point, tangent):
     """Evaluate a proof of !A |- B at the single-tangent ket |tangent>_point."""
     d = _nl_shape(p)
-    bspace = d.source[0]
-    ep = entry_of(point, bspace.inner)
-    et = entry_of(tangent, bspace.inner)
-    elt = bg.BangElement.from_terms(entry_space(bspace.inner), [(1, ep, (et,))])
-    return d.fn(BangVal(bspace, elt))
+    return d.fn(bg.BangElement.from_terms(d.source[0].inner, [(1, point, (tangent,))]))
 
 
 # -- extensional comparison ---------------------------------------------------
@@ -674,69 +518,54 @@ class ProbeConfig:
     span: int = 3       # coordinate magnitude for random probe entries
 
 
-def _rand_fraction(rng, span):
+def rand_fraction(rng, span):
     return Fraction(rng.randint(-span, span), rng.randint(1, 2))
 
 
-def _probes(space, rng, cfg, depth, budget):
+def probes(space, rng, cfg, depth, budget):
     """Seeded probe values for a domain space: (value, tangent budget used)."""
     if depth <= 0:
-        raise ProbeDepthError("probe recursion exhausted at %s" % space_label(space))
+        raise ProbeDepthError("probe recursion exhausted at %s" % space.label())
     if isinstance(space, Base):
-        out = [(BaseVec(Vec.basis(space.dim, 0)), 0)]
+        out = [(Vec.basis(space.dim, 0), 0)]
         for _ in range(cfg.samples):
-            out.append((BaseVec(Vec(tuple(_rand_fraction(rng, cfg.span)
-                                          for _ in range(space.dim)))), 0))
+            out.append((Vec(tuple(rand_fraction(rng, cfg.span) for _ in range(space.dim))), 0))
         return out
-    if isinstance(space, HomSpace) and isinstance(space.dom, Base) and isinstance(space.cod, Base):
+    if isinstance(space, HomSpace) and space.concrete:
         out = []
         for _ in range(cfg.samples + 1):
-            rows = tuple(tuple(_rand_fraction(rng, cfg.span) for _ in range(space.dom.dim))
+            rows = tuple(tuple(rand_fraction(rng, cfg.span) for _ in range(space.dom.dim))
                          for _ in range(space.cod.dim))
-            out.append((MatVal(Matrix(rows)), 0))
+            out.append((Matrix(rows), 0))
         return out
     if isinstance(space, BangSpace):
-        es = entry_space(space.inner)
-        inner_probes = _probes(space.inner, rng, cfg, depth - 1, budget)
+        inner_probes = probes(space.inner, rng, cfg, depth - 1, budget)
         out = []
         for s in range(min(budget, cfg.max_tangents) + 1):
             for _ in range(max(1, cfg.samples - 1)):
                 point = rng.choice(inner_probes)[0]
-                tangents = tuple(entry_of(rng.choice(inner_probes)[0], space.inner)
-                                 for _ in range(s))
-                elt = bg.BangElement.from_terms(es, [(1, entry_of(point, space.inner), tangents)])
-                out.append((BangVal(space, elt), s))
+                tangents = tuple(rng.choice(inner_probes)[0] for _ in range(s))
+                out.append((bg.BangElement.from_terms(space.inner, [(1, point, tangents)]), s))
         return out
     if isinstance(space, TensorSpace):
-        left = _probes(space.left, rng, cfg, depth - 1, budget)
-        right = _probes(space.right, rng, cfg, depth - 1, budget)
+        left = probes(space.left, rng, cfg, depth - 1, budget)
+        right = probes(space.right, rng, cfg, depth - 1, budget)
         out = []
         for _ in range(cfg.samples):
             lv, lu = rng.choice(left)
             rv, ru = rng.choice(right)
             out.append((TensorVal.make(space, [(1, (lv, rv))]), lu + ru))
         return out
-    raise ProbeDepthError("cannot synthesize probes for %s" % space_label(space))
+    raise ProbeDepthError("cannot synthesize probes for %s" % space.label())
 
 
 def _opaque(v) -> bool:
     if isinstance(v, MapVal):
         return True
-    if isinstance(v, BangVal):
-        return any(_opaque_entry(e)
-                   for k in v.elt.terms for e in (k.point,) + k.tangents)
+    if isinstance(v, bg.BangElement):
+        return any(_opaque(e) for k in v.terms for e in (k.point,) + k.tangents)
     if isinstance(v, TensorVal):
         return any(_opaque(x) for _, vals in v.terms for x in vals)
-    return False
-
-
-def _opaque_entry(e):
-    if isinstance(e, MapVal):
-        return True
-    if isinstance(e, bg.BangElement):
-        return any(_opaque_entry(x) for k in e.terms for x in (k.point,) + k.tangents)
-    if isinstance(e, TensorVal):
-        return _opaque(e)
     return False
 
 
@@ -757,9 +586,9 @@ def _ext_eq(a, b, space, rng, cfg, depth, budget):
     if isinstance(space, Base):
         return a == b
     if isinstance(space, HomSpace):
-        if isinstance(a, MatVal) and isinstance(b, MatVal):
+        if isinstance(a, Matrix) and isinstance(b, Matrix):
             return a == b
-        for probe, used in _probes(space.dom, rng, cfg, depth, budget):
+        for probe, used in probes(space.dom, rng, cfg, depth, budget):
             xa = apply_hom(a, probe)
             xb = apply_hom(b, probe)
             if not _ext_eq(xa, xb, space.cod, rng, cfg, depth - 1, budget - used):
@@ -770,7 +599,7 @@ def _ext_eq(a, b, space, rng, cfg, depth, budget):
             return True
         if _opaque(a) or _opaque(b):
             raise ProbeDepthError(
-                "cannot decide equality of opaque values in %s" % space_label(space))
+                "cannot decide equality of opaque values in %s" % space.label())
         return False
     raise TypeError("not a space: %r" % (space,))
 
@@ -791,59 +620,41 @@ def parse_value(space, data, named=None):
         if v is not None:
             return v
     if isinstance(space, Base):
-        return BaseVec(Vec.from_json(data))
-    if isinstance(space, HomSpace) and isinstance(space.dom, Base) and isinstance(space.cod, Base):
+        return Vec.from_json(data)
+    if isinstance(space, HomSpace) and space.concrete:
         m = Matrix.from_json(data)
-        if m.ncols != space.dom.dim or m.nrows != space.cod.dim:
+        if not space.contains(m):
             raise SpaceMismatch("expected a %dx%d matrix for %s"
-                                % (space.cod.dim, space.dom.dim, space_label(space)))
-        return MatVal(m)
+                                % (space.cod.dim, space.dom.dim, space.label()))
+        return m
     if isinstance(space, BangSpace):
         if isinstance(data, dict):
             data = [data]
         if not isinstance(data, list):
-            raise SpaceMismatch("expected a list of kets for %s" % space_label(space))
-        es = entry_space(space.inner)
+            raise SpaceMismatch("expected a list of kets for %s" % space.label())
         items = []
         for entry in data:
             if not isinstance(entry, dict) or "point" not in entry:
                 raise SpaceMismatch("ket objects need point/tangents/coeff fields")
             coeff = as_scalar(entry.get("coeff", 1))
-            point = entry_of(parse_value(space.inner, entry["point"], named), space.inner)
-            tangents = tuple(entry_of(parse_value(space.inner, t, named), space.inner)
+            point = parse_value(space.inner, entry["point"], named)
+            tangents = tuple(parse_value(space.inner, t, named)
                              for t in entry.get("tangents", ()))
             items.append((coeff, point, tangents))
-        return BangVal(space, bg.BangElement.from_terms(es, items))
-    raise SpaceMismatch("no JSON form for values of %s" % space_label(space))
+        return bg.BangElement.from_terms(space.inner, items)
+    raise SpaceMismatch("no JSON form for values of %s" % space.label())
 
 
 def value_to_json(v):
     """Exact JSON for concrete values; raises on closures."""
-    if isinstance(v, BaseVec):
-        return v.vec.to_json()
-    if isinstance(v, MatVal):
-        return v.mat.to_json()
-    if isinstance(v, BangVal):
-        out = []
-        for k, c in v.elt.sorted_terms():
-            out.append({
-                "coeff": scalar_str(c),
-                "point": _entry_json(k.point),
-                "tangents": [_entry_json(t) for t in k.tangents],
-            })
-        return out
+    if isinstance(v, (Vec, Matrix)):
+        return v.to_json()
+    if isinstance(v, bg.BangElement):
+        return [{"coeff": scalar_str(c),
+                 "point": value_to_json(k.point),
+                 "tangents": [value_to_json(t) for t in k.tangents]}
+                for k, c in v.sorted_terms()]
     if isinstance(v, TensorVal):
         return [{"coeff": scalar_str(c), "factors": [value_to_json(x) for x in vals]}
                 for c, vals in v.terms]
     raise SpaceMismatch("value has no exact JSON form: %r" % (v,))
-
-
-def _entry_json(e):
-    if isinstance(e, (Vec, Matrix)):
-        return e.to_json()
-    if isinstance(e, bg.BangElement):
-        return [{"coeff": scalar_str(c),
-                 "point": _entry_json(k.point),
-                 "tangents": [_entry_json(t) for t in k.tangents]}
-                for k, c in e.sorted_terms()]
-    return value_to_json(e)

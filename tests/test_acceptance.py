@@ -14,9 +14,8 @@ from sweedler import bang as bg
 from sweedler.laws import (
     RunConfig, _bend, _bint_value, rand_matrix, run_laws)
 from sweedler.semantics import (
-    BangSpace, BangVal, Base, HomSpace, MatVal, ProbeConfig, add_values,
-    apply_hom, denote_formula, denote_proof, derivative_eval, entry_of,
-    entry_space, extensional_equal, nl_eval)
+    BangSpace, Base, HomSpace, ProbeConfig, add_values, apply_hom,
+    denote_formula, denote_proof, derivative_eval, extensional_equal, nl_eval)
 from sweedler.syntax import Cut, Prom, derivative_transform
 from sweedler.encodings import (
     bint_formula, bint_oracle, bint_proof, church_derivative_oracle,
@@ -82,9 +81,9 @@ def test_criterion_04_church_numerals():
         for _ in range(50):
             alpha = rand_matrix(rng, 2, 3)
             nu = rand_matrix(rng, 2, 3)
-            assert nl_eval(p, MatVal(alpha)) == MatVal(church_value_oracle(n, alpha))
-            assert derivative_eval(p, MatVal(alpha), MatVal(nu)) \
-                == MatVal(church_derivative_oracle(n, alpha, nu))
+            assert nl_eval(p, alpha) == church_value_oracle(n, alpha)
+            assert derivative_eval(p, alpha, nu) \
+                == church_derivative_oracle(n, alpha, nu)
     _report(4, "iterate and derivative values for n <= 5, 50 pairs each")
 
 
@@ -103,7 +102,7 @@ def test_criterion_05_binary_integers_exhaustive():
                 alphas = tuple(rand_matrix(rng, 2, 3) for _ in range(stang))
                 betas = tuple(rand_matrix(rng, 2, 3) for _ in range(rtang))
                 got = run(s, _bend(2, g, *alphas), _bend(2, d, *betas))
-                assert got == MatVal(bint_oracle(s, g, d, alphas, betas)), \
+                assert got == bint_oracle(s, g, d, alphas, betas), \
                     (s, stang, rtang)
                 checks += 1
     assert checks == 150
@@ -111,15 +110,15 @@ def test_criterion_05_binary_integers_exhaustive():
     # the five displayed values for the string 001, plus vanishing
     g, d = rand_matrix(rng, 2, 3), rand_matrix(rng, 2, 3)
     a, a2, b = (rand_matrix(rng, 2, 3) for _ in range(3))
-    assert run("001", _bend(2, g), _bend(2, d)) == MatVal(d @ g @ g)
+    assert run("001", _bend(2, g), _bend(2, d)) == d @ g @ g
     assert run("001", _bend(2, g, a), _bend(2, d)) \
-        == MatVal(d @ a @ g + d @ g @ a)
+        == d @ a @ g + d @ g @ a
     assert run("001", _bend(2, g, a, a2), _bend(2, d)) \
-        == MatVal(d @ a @ a2 + d @ a2 @ a)
-    assert run("001", _bend(2, g), _bend(2, d, b)) == MatVal(b @ g @ g)
+        == d @ a @ a2 + d @ a2 @ a
+    assert run("001", _bend(2, g), _bend(2, d, b)) == b @ g @ g
     assert run("001", _bend(2, g, a), _bend(2, d, b)) \
-        == MatVal(b @ a @ g + b @ g @ a)
-    zero = MatVal(Matrix.zero(2, 2))
+        == b @ a @ g + b @ g @ a
+    zero = Matrix.zero(2, 2)
     assert run("001", _bend(2, g, a, a2, a), _bend(2, d)) == zero
     assert run("001", _bend(2, g), _bend(2, d, b, b)) == zero
     assert run("", _bend(2, g, a), _bend(2, d)) == zero
@@ -156,8 +155,8 @@ def test_criterion_07_mult_derivative_closed_form():
                 for _ in range(2):
                     x = rand_matrix(rng, 2, 3)
                     got = apply_hom(dv, _bend(2, x))
-                    assert got == MatVal(mult_derivative_oracle(l, m, n, x))
-                    assert got == MatVal(mult_difference_quotient(l, m, n, x))
+                    assert got == mult_derivative_oracle(l, m, n, x)
+                    assert got == mult_difference_quotient(l, m, n, x)
     _report(7, "multiplication derivative equals n*x^(l(n-1)+m) and its "
                "difference-quotient interpolation for all l,m,n <= 3")
 
@@ -189,17 +188,17 @@ def test_criterion_09_derivative_path_coherence():
         dpi = denote_proof(derivative_transform(p))
         for _ in range(5):
             a, v = rand_matrix(rng, 2, 3), rand_matrix(rng, 2, 3)
-            got = dpi.eval(_bend(2, a), MatVal(v))
-            want = derivative_eval(p, MatVal(a), MatVal(v))
-            assert got == want == MatVal(church_derivative_oracle(n, a, v))
+            got = dpi.eval(_bend(2, a), v)
+            want = derivative_eval(p, a, v)
+            assert got == want == church_derivative_oracle(n, a, v)
     # string numerals: extensional agreement on the curried form
     cfg = ProbeConfig(seed=9, samples=2, max_tangents=2, depth=4)
     for s in ("", "0", "10", "001"):
         p = bint_proof(s, arrows=1)
         dpi = denote_proof(derivative_transform(p))
         g, v = rand_matrix(rng, 2, 3), rand_matrix(rng, 2, 3)
-        got = dpi.eval(_bend(2, g), MatVal(v))
-        want = derivative_eval(p, MatVal(g), MatVal(v))
+        got = dpi.eval(_bend(2, g), v)
+        want = derivative_eval(p, g, v)
         assert extensional_equal(got, want, HomSpace(BangSpace(END), END), cfg), s
     # doubling proof: the bang argument carries higher-order entries
     rp = repeat_proof()
@@ -207,8 +206,7 @@ def test_criterion_09_derivative_path_coherence():
     bsp = denote_formula(bint_formula())
     for s, t in (("0", "1"), ("", "01")):
         sv, tv = _bint_value(s, 2), _bint_value(t, 2)
-        arg = BangVal(BangSpace(bsp), bg.BangElement.ket(
-            entry_space(bsp), entry_of(sv, bsp)))
+        arg = bg.BangElement.ket(bsp, sv)
         got = dpi.eval(arg, tv)
         want = derivative_eval(rp, sv, tv)
         assert extensional_equal(got, want, BINT_SPACE, cfg), (s, t)

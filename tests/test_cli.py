@@ -183,3 +183,43 @@ def test_examples_all_verify(capsys):
     assert code == 0
     assert out.strip().endswith("all examples verified")
     assert "[ok]" in out and "MISMATCH" not in out
+
+
+def test_enumeration_limit_exits_1(capsys):
+    code, _, err = run(capsys, "axioms", "--group", "bang", "--max-tangents", "20",
+                       "--dim", "1", "--trials", "10")
+    assert code == 1
+    assert err.startswith("error: refusing to enumerate")
+
+
+def test_probe_depth_exhausted_exits_1(capsys):
+    code, _, err = run(capsys, "eval", proof("repeat"),
+                       "--input", '[[{"point": {"bint": "0"}}]]', "--probe-depth", "1")
+    assert code == 1
+    assert err.startswith("error: probe recursion exhausted")
+
+
+@pytest.mark.parametrize("number", ["1.5", "1e3", "NaN"])
+def test_json_float_is_a_usage_error(capsys, number):
+    code, out, err = run(capsys, "derive", proof("church-2"),
+                         "--point", "[[%s, 1], [0, 1]]" % number,
+                         "--tangent", "[[0, 0], [1, 0]]")
+    assert code == 2 and out == ""
+    assert "inexact number %s" % number in err
+
+
+def test_proof_file_not_utf8_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.sexp"
+    bad.write_bytes(b"\xff\xfe(axiom (pvar A 2))")
+    code, _, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert "not UTF-8" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--trials", "-5"), ("--trials", "0"),
+                                        ("--probe-depth", "0"), ("--probe-depth", "x")])
+def test_non_positive_counts_rejected(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["axioms", "--group", "poly", flag, value])
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err

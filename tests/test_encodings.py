@@ -9,8 +9,8 @@ from sweedler.exact import Matrix, Vec
 from sweedler.sexpr import parse_proof, print_proof
 from sweedler.syntax import Bang, Cut, Lolli, Prom, PropVar, Sequent, check_proof, derivative_transform
 from sweedler.semantics import (
-    BangSpace, BangVal, Base, HomSpace, MatVal, ProbeConfig, denote_proof,
-    derivative_eval, entry_space, extensional_equal, nl_eval)
+    BangSpace, Base, HomSpace, ProbeConfig, denote_proof, derivative_eval,
+    extensional_equal, nl_eval)
 from sweedler.encodings import (
     bint_formula, bint_oracle, bint_proof, bundled_proofs, church_derivative_oracle,
     church_proof, church_value_oracle, comp_proof, end_formula, int_formula,
@@ -21,13 +21,11 @@ A = PropVar("A", 2)
 E = Lolli(A, A)
 END = HomSpace(Base(2), Base(2))
 BEND = BangSpace(END)
-ES = entry_space(END)
 BINT_SPACE = HomSpace(BEND, HomSpace(BEND, END))
 
 
 def bend(point, *tangents, coeff=1):
-    return BangVal(BEND, bg.BangElement.ket(
-        ES, MatVal(point), tuple(MatVal(t) for t in tangents), coeff))
+    return bg.BangElement.ket(END, point, tangents, coeff)
 
 
 def rand_mat(rng, span=3):
@@ -61,10 +59,10 @@ def test_comp_applies_first_slot_first():
     rng = random.Random(5)
     d = denote_proof(comp_proof(3))
     for _ in range(5):
-        f, g, h = (MatVal(rand_mat(rng)) for _ in range(3))
+        f, g, h = (rand_mat(rng) for _ in range(3))
         got = d.eval(f, g, h)
-        assert got == MatVal(h.mat @ g.mat @ f.mat)
-    assert denote_proof(comp_proof(0)).eval() == MatVal(Matrix.identity(2))
+        assert got == h @ g @ f
+    assert denote_proof(comp_proof(0)).eval() == Matrix.identity(2)
 
 
 def test_church_on_group_likes():
@@ -73,13 +71,13 @@ def test_church_on_group_likes():
         p = church_proof(n)
         for _ in range(4):
             alpha = rand_mat(rng)
-            assert nl_eval(p, MatVal(alpha)) == MatVal(church_value_oracle(n, alpha))
+            assert nl_eval(p, alpha) == church_value_oracle(n, alpha)
 
 
 def test_church_shear_frozen():
     # iterating the unit shear twice squares it
     shear = Matrix(((1, 1), (0, 1)))
-    assert nl_eval(church_proof(2), MatVal(shear)) == MatVal(Matrix(((1, 2), (0, 1))))
+    assert nl_eval(church_proof(2), shear) == Matrix(((1, 2), (0, 1)))
 
 
 def test_church_derivative_lemma():
@@ -88,8 +86,8 @@ def test_church_derivative_lemma():
         p = church_proof(n)
         for _ in range(4):
             alpha, nu = rand_mat(rng), rand_mat(rng)
-            got = derivative_eval(p, MatVal(alpha), MatVal(nu))
-            assert got == MatVal(church_derivative_oracle(n, alpha, nu))
+            got = derivative_eval(p, alpha, nu)
+            assert got == church_derivative_oracle(n, alpha, nu)
 
 
 def _bint_eval(s, *args):
@@ -104,24 +102,24 @@ def test_bint_001_displayed_values():
     rng = random.Random(8)
     g, dl, a, a2, b = (rand_mat(rng) for _ in range(5))
     # group-likes only: the string read right-to-left gives the composite
-    assert _bint_eval("001", bend(g), bend(dl)) == MatVal(dl @ g @ g)
+    assert _bint_eval("001", bend(g), bend(dl)) == dl @ g @ g
     # one tangent on the 0 argument: substitute it for each gamma in turn
-    assert _bint_eval("001", bend(g, a), bend(dl)) == MatVal(dl @ a @ g + dl @ g @ a)
+    assert _bint_eval("001", bend(g, a), bend(dl)) == dl @ a @ g + dl @ g @ a
     # two tangents on the 0 argument: both orders, no gamma left
     assert _bint_eval("001", bend(g, a, a2), bend(dl)) \
-        == MatVal(dl @ a @ a2 + dl @ a2 @ a)
+        == dl @ a @ a2 + dl @ a2 @ a
     # one tangent on the 1 argument
-    assert _bint_eval("001", bend(g), bend(dl, b)) == MatVal(b @ g @ g)
+    assert _bint_eval("001", bend(g), bend(dl, b)) == b @ g @ g
     # tangents on both arguments
-    assert _bint_eval("001", bend(g, a), bend(dl, b)) == MatVal(b @ a @ g + b @ g @ a)
+    assert _bint_eval("001", bend(g, a), bend(dl, b)) == b @ a @ g + b @ g @ a
 
 
 def test_bint_vanishing_when_tangents_exceed_positions():
     rng = random.Random(9)
     g, dl, a, a2, a3, b, b2 = (rand_mat(rng) for _ in range(7))
-    assert _bint_eval("001", bend(g, a, a2, a3), bend(dl)) == MatVal(Matrix.zero(2, 2))
-    assert _bint_eval("001", bend(g), bend(dl, b, b2)) == MatVal(Matrix.zero(2, 2))
-    assert _bint_eval("", bend(g, a), bend(dl)) == MatVal(Matrix.zero(2, 2))
+    assert _bint_eval("001", bend(g, a, a2, a3), bend(dl)) == Matrix.zero(2, 2)
+    assert _bint_eval("001", bend(g), bend(dl, b, b2)) == Matrix.zero(2, 2)
+    assert _bint_eval("", bend(g, a), bend(dl)) == Matrix.zero(2, 2)
 
 
 def test_bint_matches_oracle_small():
@@ -133,7 +131,7 @@ def test_bint_matches_oracle_small():
             betas = tuple(rand_mat(rng) for _ in range(rtang))
             got = _bint_eval(s, bend(g, *alphas), bend(dl, *betas))
             want = bint_oracle(s, g, dl, alphas, betas)
-            assert got == MatVal(want), (s, stang, rtang)
+            assert got == want, (s, stang, rtang)
 
 
 def test_bint_oracle_frozen_products():
@@ -172,13 +170,10 @@ def test_promotion_totem_values():
         d = denote_proof(Prom(church_proof(n)))
         alpha, nu = rand_mat(rng), rand_mat(rng)
         out0 = d.eval(bend(alpha))
-        assert out0 == BangVal(BangSpace(END), bg.BangElement.ket(
-            ES, MatVal(church_value_oracle(n, alpha))))
+        assert out0 == bend(church_value_oracle(n, alpha))
         out1 = d.eval(bend(alpha, nu))
-        want = bg.BangElement.from_terms(ES, [(
-            1, MatVal(church_value_oracle(n, alpha)),
-            (MatVal(church_derivative_oracle(n, alpha, nu)),))])
-        assert out1 == BangVal(BangSpace(END), want)
+        assert out1 == bend(church_value_oracle(n, alpha),
+                            church_derivative_oracle(n, alpha, nu))
 
 
 def test_cut_promoted_bint_through_repeat():
@@ -200,8 +195,8 @@ def test_mult_derivative_closed_form():
         for _ in range(3):
             x = rand_mat(rng)
             got = apply_hom(dv, bend(x))
-            assert got == MatVal(mult_derivative_oracle(l, m, n, x))
-            assert got == MatVal(mult_difference_quotient(l, m, n, x))
+            assert got == mult_derivative_oracle(l, m, n, x)
+            assert got == mult_difference_quotient(l, m, n, x)
 
 
 def test_difference_quotient_agrees_with_closed_form():
@@ -218,9 +213,9 @@ def test_derivative_transform_coherence_on_church():
         dpi = denote_proof(derivative_transform(church_proof(n)))
         for _ in range(3):
             alpha, nu = rand_mat(rng), rand_mat(rng)
-            got = dpi.eval(bend(alpha), MatVal(nu))
-            want = derivative_eval(church_proof(n), MatVal(alpha), MatVal(nu))
-            assert got == want == MatVal(church_derivative_oracle(n, alpha, nu))
+            got = dpi.eval(bend(alpha), nu)
+            want = derivative_eval(church_proof(n), alpha, nu)
+            assert got == want == church_derivative_oracle(n, alpha, nu)
 
 
 def test_bundled_files_match_constructors(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sweedler.exact import (
-    DimensionError, Matrix, Vec, mat_compose, parse_scalar, scalar_str, vec_order)
+    DimensionError, Matrix, Vec, parse_scalar, scalar_str)
 
 
 def test_scalar_round_trip():
@@ -33,12 +33,6 @@ def test_vec_arithmetic():
     assert Vec.basis(3, 1) == Vec((0, 1, 0))
 
 
-def test_vec_order_is_lexicographic():
-    assert vec_order(Vec(("1/2", 0)), Vec(("1/3", 5))) == 1
-    assert vec_order(Vec((0, 1)), Vec((0, 2))) == -1
-    assert vec_order(Vec((3, 4)), Vec((3, 4))) == 0
-
-
 def test_dim_guard():
     with pytest.raises(DimensionError):
         Vec.zero(9)
@@ -53,8 +47,8 @@ def test_dim_guard():
 def test_matrix_compose_frozen():
     f = Matrix(((1, 2), (3, 4)))
     g = Matrix(((0, 1), (1, 0)))
-    assert mat_compose(f, g) == Matrix(((2, 1), (4, 3)))
-    assert mat_compose(g, f) == Matrix(((3, 4), (1, 2)))
+    assert f @ g == Matrix(((2, 1), (4, 3)))
+    assert g @ f == Matrix(((3, 4), (1, 2)))
     assert f @ Matrix.identity(2) == f
 
 
@@ -82,16 +76,6 @@ def test_json_round_trip():
 
 
 _frac = st.fractions(min_value=-50, max_value=50, max_denominator=9)
-
-
-@given(st.lists(_frac, min_size=2, max_size=2), st.lists(_frac, min_size=2, max_size=2),
-       st.lists(_frac, min_size=2, max_size=2))
-def test_vec_order_total(xs, ys, zs):
-    a, b, c = Vec(xs), Vec(ys), Vec(zs)
-    assert vec_order(a, b) == -vec_order(b, a)
-    assert (vec_order(a, b) == 0) == (a == b)
-    if vec_order(a, b) <= 0 and vec_order(b, c) <= 0:
-        assert vec_order(a, c) <= 0
 
 
 @given(st.lists(st.lists(_frac, min_size=3, max_size=3), min_size=2, max_size=2))
