@@ -22,7 +22,7 @@ GOLDEN = os.path.join(ROOT, "tests", "golden")
 BUNDLED = ("bint-0", "bint-001", "bint-10", "bint-empty", "church-0", "church-1",
            "church-2", "church-3", "comp-3", "int-2", "mult", "mult-2", "repeat")
 SHEAR_INPUT = '[[{"point": [[1,1],[0,1]]}]]'
-README = {
+TEXT_AND_JSON = {
     "eval-church-2": ["eval", "proofs/church-2.sexp", "--input", SHEAR_INPUT],
     "derive-church-2": ["derive", "proofs/church-2.sexp", "--point", "[[1,1],[0,1]]",
                         "--tangent", "[[0,0],[1,0]]"],
@@ -36,7 +36,7 @@ README = {
 }
 
 CASES = {"check-" + name: ["check", "proofs/%s.sexp" % name] for name in BUNDLED}
-for name, argv in README.items():
+for name, argv in TEXT_AND_JSON.items():
     CASES[name] = argv
     CASES[name + "-json"] = argv + ["--format", "json"]
 CASES["eval-bint-10"] = ["eval", "proofs/bint-10.sexp", "--seed", "3"]
