@@ -13,13 +13,14 @@ Any space with ``contains``, ``expand`` (into canonical units), ``key``,
 ``BangSpace`` here, the map and tensor spaces of ``semantics``.  Entries do
 their own arithmetic: ``+``, unary ``-`` and ``scale``.
 
-Subset and partition enumerations are guarded; blowing the guard raises
-``EnumerationLimitError`` rather than silently truncating.
+Tangent expansion, subset and partition enumerations are guarded; blowing a
+guard raises ``EnumerationLimitError`` rather than silently truncating.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -173,8 +174,9 @@ def ket_key(space, k: Ket):
 class _TermSum:
     """Exact linear combinations of terms over fixed spaces.
 
-    The arithmetic shared by ``BangElement`` (terms are kets) and
-    ``TensorElement`` (terms are tuples of kets).  Subclasses name their
+    The arithmetic shared by ``BangElement`` (terms are kets),
+    ``TensorElement`` (terms are tuples of kets) and ``semantics.TensorVal``
+    (terms are pairs of canonical units).  Subclasses name their
     spaces through ``_over`` and are rebuilt as ``cls(_over(), terms)``.
     """
 
@@ -252,7 +254,8 @@ class BangElement(_TermSum):
 
         Tangents are expanded multilinearly into the space's canonical units
         and sorted; like kets merge; zero coefficients vanish.  Points pass
-        through untouched.
+        through untouched.  A raw ket whose expansion would exceed
+        2^MAX_SUBSET_TANGENTS products raises EnumerationLimitError.
         """
         acc = {}
         for coeff, point, tangents in items:
@@ -262,6 +265,11 @@ class BangElement(_TermSum):
             if not space.contains(point):
                 raise SpaceError("point %r does not lie in %s" % (point, space.label()))
             expansions = [space.expand(t) for t in tangents]
+            size = math.prod(map(len, expansions))
+            if size > 1 << MAX_SUBSET_TANGENTS:
+                raise EnumerationLimitError(
+                    "refusing to expand a ket into %d tangent products (limit 2^%d)"
+                    % (size, MAX_SUBSET_TANGENTS))
             for combo in itertools.product(*expansions):
                 c = coeff
                 for u, _ in combo:
@@ -276,7 +284,9 @@ class BangElement(_TermSum):
         return sorted(self.terms.items(), key=lambda kc: ket_key(self.space, kc[0]))
 
     def term_key(self):
-        return tuple((ket_key(self.space, k), c) for k, c in self.sorted_terms())
+        # one ket_key per ket: nested !-values would otherwise cost 2^depth
+        return tuple(sorted(((ket_key(self.space, k), c) for k, c in self.terms.items()),
+                            key=lambda kc: kc[0]))
 
     def __hash__(self):
         try:

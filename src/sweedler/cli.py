@@ -167,14 +167,18 @@ def cmd_check(args):
     return 0
 
 
+class FlagError(ValueError):
+    """A flag value that cannot be read: a usage error, so exit code 2."""
+
+
 def _parse_json_arg(text, what):
     def inexact(token):
-        raise ParseError("%s holds the inexact number %s; write scalars as integers "
-                         "or strings such as \"3/2\"" % (what, token), 0, 0)
+        raise FlagError("%s holds the inexact number %s; write scalars as integers "
+                        "or strings such as \"3/2\"" % (what, token))
     try:
         return json.loads(text, parse_float=inexact, parse_constant=inexact)
     except json.JSONDecodeError as e:
-        raise ParseError("%s is not valid JSON: %s" % (what, e), 0, 0)
+        raise FlagError("%s is not valid JSON: %s" % (what, e))
 
 
 def cmd_eval(args):
@@ -406,7 +410,7 @@ def main(argv=None):
             return 2
     try:
         return args.fn(args)
-    except (OSError, ParseError) as e:
+    except (OSError, ParseError, FlagError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except ProofError as e:

@@ -35,7 +35,7 @@ from . import poly as pl
 from .exact import Matrix, Vec
 from . import encodings as enc
 from .semantics import (
-    BangSpace, Base, HomSpace, ProbeConfig, apply_hom, denote_proof,
+    SPAN, BangSpace, Base, HomSpace, ProbeConfig, apply_hom, denote_proof,
     derivative_eval, extensional_equal, nl_eval, rand_fraction)
 from .syntax import Axiom, Bang, Cut, Prom, PropVar, derivative_transform
 
@@ -53,7 +53,6 @@ class RunConfig:
     trials: int = 200
     max_tangents: int = 3
     probe_depth: int = 4
-    span: int = 3
     mutate: bool = False
 
 
@@ -131,36 +130,32 @@ def _witness(parts):
     return "; ".join("%s = %s" % (k, _short(v)) for k, v in parts)
 
 
-def rand_vec(rng, dim, span):
-    return Vec(tuple(rand_fraction(rng, span) for _ in range(dim)))
+def rand_vec(rng, dim):
+    return Vec(tuple(rand_fraction(rng) for _ in range(dim)))
 
 
-def rand_matrix(rng, n, span):
-    return Matrix(tuple(tuple(rng.randint(-span, span) for _ in range(n)) for _ in range(n)))
+def rand_matrix(rng, n):
+    return Matrix(tuple(tuple(rng.randint(-SPAN, SPAN) for _ in range(n)) for _ in range(n)))
 
 
-def rand_bang(rng, space, max_tangents, span, terms=2):
+def rand_bang(rng, space, max_tangents):
     items = []
-    for _ in range(rng.randint(1, terms)):
+    for _ in range(rng.randint(1, 2)):
         order = rng.randint(0, max_tangents)
-        point = rand_vec(rng, space.dim, span)
-        tangents = tuple(rand_vec(rng, space.dim, span) for _ in range(order))
+        point = rand_vec(rng, space.dim)
+        tangents = tuple(rand_vec(rng, space.dim) for _ in range(order))
         coeff = Fraction(rng.choice((-2, -1, 1, 1, 2)), rng.choice((1, 2)))
         items.append((coeff, point, tangents))
     return bg.BangElement.from_terms(space, items)
 
 
-def rand_poly(rng, nvars, span, deg=2, terms=3):
+def rand_poly(rng, nvars, deg=2):
     acc = {}
-    for _ in range(rng.randint(1, terms)):
+    for _ in range(rng.randint(1, 3)):
         expo = tuple(rng.randint(0, deg) for _ in range(nvars))
-        c = rand_fraction(rng, span)
+        c = rand_fraction(rng)
         acc[expo] = acc.get(expo, Fraction(0)) + c
     return pl.Polynomial(nvars, {e: c for e, c in acc.items() if c != 0})
-
-
-def _unit_of(space, k):
-    return bg.BangElement.from_terms(space, [(1, k.point, k.tangents)])
 
 
 def _D(cfg):
@@ -175,8 +170,8 @@ def _D(cfg):
 def _law_deriving_counit(rng, cfg):
     """Adjoining a tangent kills the counit."""
     space = bg.BaseSpace(cfg.dim)
-    x = rand_bang(rng, space, cfg.max_tangents, cfg.span)
-    v = rand_vec(rng, cfg.dim, cfg.span)
+    x = rand_bang(rng, space, cfg.max_tangents)
+    v = rand_vec(rng, cfg.dim)
     got = bg.counit(_D(cfg)(x, v))
     if got != 0:
         return _witness([("x", x), ("v", v), ("counit", got)])
@@ -187,11 +182,11 @@ def _law_deriving_coproduct(rng, cfg):
     """The coproduct routes a fresh tangent into either factor."""
     space = bg.BaseSpace(cfg.dim)
     D = _D(cfg)
-    x = rand_bang(rng, space, cfg.max_tangents, cfg.span)
-    v = rand_vec(rng, cfg.dim, cfg.span)
+    x = rand_bang(rng, space, cfg.max_tangents)
+    v = rand_vec(rng, cfg.dim)
     lhs = bg.coproduct(D(x, v))
     dx = bg.coproduct(x)
-    kD = lambda k: D(_unit_of(space, k), v)
+    kD = lambda k: D(bg.unit(space, k), v)
     rhs = bg.map_factor(dx, 1, kD, space) + bg.map_factor(dx, 0, kD, space)
     if lhs != rhs:
         return _witness([("x", x), ("v", v), ("lhs", lhs), ("rhs", rhs)])
@@ -201,8 +196,8 @@ def _law_deriving_coproduct(rng, cfg):
 def _law_deriving_dereliction(rng, cfg):
     """Dereliction after a fresh tangent returns counit(x) times the tangent."""
     space = bg.BaseSpace(cfg.dim)
-    x = rand_bang(rng, space, cfg.max_tangents, cfg.span)
-    v = rand_vec(rng, cfg.dim, cfg.span)
+    x = rand_bang(rng, space, cfg.max_tangents)
+    v = rand_vec(rng, cfg.dim)
     lhs = bg.dereliction(_D(cfg)(x, v))
     rhs = v.scale(bg.counit(x))
     if lhs != rhs:
@@ -214,13 +209,13 @@ def _law_deriving_promotion(rng, cfg):
     """Promotion of a derived element re-derives the promoted split."""
     space = bg.BaseSpace(cfg.dim)
     D = _D(cfg)
-    x = rand_bang(rng, space, cfg.max_tangents, cfg.span)
-    v = rand_vec(rng, cfg.dim, cfg.span)
+    x = rand_bang(rng, space, cfg.max_tangents)
+    v = rand_vec(rng, cfg.dim)
     lhs = bg.promote(D(x, v))
     outer = bg.BangSpace(space)
     rhs = bg.BangElement.zero(outer)
     for (k1, k2), c in bg.coproduct(x).terms.items():
-        part = D(bg.promote(_unit_of(space, k1)), D(_unit_of(space, k2), v))
+        part = D(bg.promote(bg.unit(space, k1)), D(bg.unit(space, k2), v))
         rhs = rhs + part.scale(c)
     if lhs != rhs:
         return _witness([("x", x), ("v", v), ("lhs", lhs), ("rhs", rhs)])
@@ -229,7 +224,7 @@ def _law_deriving_promotion(rng, cfg):
 @law("bang", "coproduct-coassociative")
 def _law_coassoc(rng, cfg):
     space = bg.BaseSpace(cfg.dim)
-    x = rand_bang(rng, space, cfg.max_tangents, cfg.span)
+    x = rand_bang(rng, space, cfg.max_tangents)
     dx = bg.coproduct(x)
     lhs = bg.coproduct_factor(dx, 0)
     rhs = bg.coproduct_factor(dx, 1)
@@ -240,7 +235,7 @@ def _law_coassoc(rng, cfg):
 @law("bang", "coproduct-cocommutative")
 def _law_cocomm(rng, cfg):
     space = bg.BaseSpace(cfg.dim)
-    x = rand_bang(rng, space, cfg.max_tangents, cfg.span)
+    x = rand_bang(rng, space, cfg.max_tangents)
     dx = bg.coproduct(x)
     swapped = bg.TensorElement.from_terms(
         dx.spaces, ((c, (k2, k1)) for (k1, k2), c in dx.terms.items()))
@@ -252,11 +247,11 @@ def _law_cocomm(rng, cfg):
 def _law_counit_law(rng, cfg):
     """Collapsing one coproduct leg with the counit is the identity."""
     space = bg.BaseSpace(cfg.dim)
-    x = rand_bang(rng, space, cfg.max_tangents, cfg.span)
+    x = rand_bang(rng, space, cfg.max_tangents)
     acc = bg.BangElement.zero(space)
     for (k1, k2), c in bg.coproduct(x).terms.items():
         if k1.order == 0:
-            acc = acc + _unit_of(space, k2).scale(c)
+            acc = acc + bg.unit(space, k2).scale(c)
     if acc != x:
         return _witness([("x", x), ("collapsed", acc)])
 
@@ -265,7 +260,7 @@ def _law_counit_law(rng, cfg):
 def _law_promotion_dereliction(rng, cfg):
     """Dereliction undoes promotion (comonad counit law)."""
     space = bg.BaseSpace(cfg.dim)
-    x = rand_bang(rng, space, cfg.max_tangents, cfg.span)
+    x = rand_bang(rng, space, cfg.max_tangents)
     got = bg.dereliction(bg.promote(x))
     if got != x:
         return _witness([("x", x), ("got", got)])
@@ -276,9 +271,9 @@ def _law_promotion_morphism(rng, cfg):
     """Promotion intertwines the coproducts and preserves the counit."""
     space = bg.BaseSpace(cfg.dim)
     outer = bg.BangSpace(space)
-    x = rand_bang(rng, space, cfg.max_tangents, cfg.span)
+    x = rand_bang(rng, space, cfg.max_tangents)
     lhs = bg.coproduct(bg.promote(x))
-    dprom = lambda k: bg.promote(_unit_of(space, k))
+    dprom = lambda k: bg.promote(bg.unit(space, k))
     dx = bg.coproduct(x)
     rhs = bg.map_factor(bg.map_factor(dx, 0, dprom, outer), 1, dprom, outer)
     if lhs != rhs:
@@ -290,9 +285,9 @@ def _law_promotion_morphism(rng, cfg):
 @law("bang", "cocontraction-commutative-monoid")
 def _law_cocontraction_monoid(rng, cfg):
     space = bg.BaseSpace(cfg.dim)
-    x = rand_bang(rng, space, 2, cfg.span)
-    y = rand_bang(rng, space, 2, cfg.span)
-    z = rand_bang(rng, space, 1, cfg.span)
+    x = rand_bang(rng, space, 2)
+    y = rand_bang(rng, space, 2)
+    z = rand_bang(rng, space, 1)
     if bg.cocontract(x, y) != bg.cocontract(y, x):
         return _witness([("x", x), ("y", y)])
     if bg.cocontract(bg.cocontract(x, y), z) != bg.cocontract(x, bg.cocontract(y, z)):
@@ -305,14 +300,14 @@ def _law_cocontraction_monoid(rng, cfg):
 def _law_bialgebra(rng, cfg):
     """Coproduct of a cocontraction factors through both coproducts."""
     space = bg.BaseSpace(cfg.dim)
-    x = rand_bang(rng, space, 2, cfg.span)
-    y = rand_bang(rng, space, 2, cfg.span)
+    x = rand_bang(rng, space, 2)
+    y = rand_bang(rng, space, 2)
     lhs = bg.coproduct(bg.cocontract(x, y))
     items = []
     for (x1, x2), cx in bg.coproduct(x).terms.items():
         for (y1, y2), cy in bg.coproduct(y).terms.items():
-            p1 = bg.cocontract(_unit_of(space, x1), _unit_of(space, y1))
-            p2 = bg.cocontract(_unit_of(space, x2), _unit_of(space, y2))
+            p1 = bg.cocontract(bg.unit(space, x1), bg.unit(space, y1))
+            p2 = bg.cocontract(bg.unit(space, x2), bg.unit(space, y2))
             for k1, c1 in p1.terms.items():
                 for k2, c2 in p2.terms.items():
                     items.append((cx * cy * c1 * c2, (k1, k2)))
@@ -337,11 +332,11 @@ def _law_coweaken(rng, cfg):
 def _law_antipode(rng, cfg):
     """Cocontracting the antipode against one coproduct leg gives u . counit."""
     space = bg.BaseSpace(cfg.dim)
-    x = rand_bang(rng, space, cfg.max_tangents, cfg.span)
+    x = rand_bang(rng, space, cfg.max_tangents)
     acc = bg.BangElement.zero(space)
     for (k1, k2), c in bg.coproduct(x).terms.items():
         acc = acc + bg.cocontract(
-            bg.antipode(_unit_of(space, k1)), _unit_of(space, k2)).scale(c)
+            bg.antipode(bg.unit(space, k1)), bg.unit(space, k2)).scale(c)
     target = bg.coweaken(space).scale(bg.counit(x))
     if acc != target:
         return _witness([("x", x), ("lhs", acc), ("rhs", target)])
@@ -352,7 +347,7 @@ def _law_antipode(rng, cfg):
 @law("bang", "codereliction-primitives")
 def _law_codereliction(rng, cfg):
     space = bg.BaseSpace(cfg.dim)
-    v = rand_vec(rng, cfg.dim, cfg.span)
+    v = rand_vec(rng, cfg.dim)
     e = bg.codereliction(space, v)
     u = bg.coweaken(space)
     if bg.counit(e) != 0:
@@ -367,8 +362,8 @@ def _law_codereliction(rng, cfg):
 def _law_deriving_cocontraction(rng, cfg):
     """D(x; v) is cocontraction against a coderelicted tangent."""
     space = bg.BaseSpace(cfg.dim)
-    x = rand_bang(rng, space, cfg.max_tangents, cfg.span)
-    v = rand_vec(rng, cfg.dim, cfg.span)
+    x = rand_bang(rng, space, cfg.max_tangents)
+    v = rand_vec(rng, cfg.dim)
     lhs = _D(cfg)(x, v)
     rhs = bg.cocontract(x, bg.codereliction(space, v))
     if lhs != rhs:
@@ -378,8 +373,8 @@ def _law_deriving_cocontraction(rng, cfg):
 @law("bang", "split-merge-inverse")
 def _law_split_merge(rng, cfg):
     d1, d2 = cfg.dim, max(1, cfg.dim - 1)
-    a = rand_bang(rng, bg.BaseSpace(d1), cfg.max_tangents, cfg.span)
-    b = rand_bang(rng, bg.BaseSpace(d2), cfg.max_tangents, cfg.span)
+    a = rand_bang(rng, bg.BaseSpace(d1), cfg.max_tangents)
+    b = rand_bang(rng, bg.BaseSpace(d2), cfg.max_tangents)
     merged = bg.split_merge(a, b)
     back = bg.split_inverse(merged, d1, d2)
     if back != bg.tensor_pair(a, b):
@@ -391,8 +386,8 @@ def _law_split_merge(rng, cfg):
 @law("bang", "tangent-lift-primitive-pair")
 def _law_tangent_lift(rng, cfg):
     space = bg.BaseSpace(cfg.dim)
-    p = rand_vec(rng, cfg.dim, cfg.span)
-    v = rand_vec(rng, cfg.dim, cfg.span)
+    p = rand_vec(rng, cfg.dim)
+    v = rand_vec(rng, cfg.dim)
     e0, e1 = bg.tangent_lift(space, p, v)
     if bg.coproduct(e0) != bg.tensor_pair(e0, e0):
         return _witness([("p", p), ("coproduct(e0)", bg.coproduct(e0))])
@@ -409,9 +404,9 @@ def _law_tangent_lift(rng, cfg):
 @law("poly", "coproduct-dual-to-multiplication")
 def _law_pair_coproduct(rng, cfg):
     space = bg.BaseSpace(cfg.dim)
-    x = rand_bang(rng, space, cfg.max_tangents, cfg.span)
-    f = rand_poly(rng, cfg.dim, cfg.span)
-    g = rand_poly(rng, cfg.dim, cfg.span)
+    x = rand_bang(rng, space, cfg.max_tangents)
+    f = rand_poly(rng, cfg.dim)
+    g = rand_poly(rng, cfg.dim)
     lhs = pl.residue_pairing_tensor(bg.coproduct(x), (f, g))
     rhs = pl.residue_pairing(x, f * g)
     if lhs != rhs:
@@ -423,9 +418,9 @@ def _law_pair_coproduct(rng, cfg):
 def _law_pair_cocontraction(rng, cfg):
     """Pairing a product of kets equals pairing blockwise against f(x + y)."""
     space = bg.BaseSpace(cfg.dim)
-    x = rand_bang(rng, space, 2, cfg.span)
-    y = rand_bang(rng, space, 2, cfg.span)
-    f = rand_poly(rng, cfg.dim, cfg.span)
+    x = rand_bang(rng, space, 2)
+    y = rand_bang(rng, space, 2)
+    f = rand_poly(rng, cfg.dim)
     lhs = pl.residue_pairing(bg.cocontract(x, y), f)
     rhs = pl.residue_pairing(bg.split_merge(x, y), pl.shift_doubling(f))
     if lhs != rhs:
@@ -436,9 +431,9 @@ def _law_pair_cocontraction(rng, cfg):
 @law("poly", "deriving-dual-to-directional")
 def _law_pair_deriving(rng, cfg):
     space = bg.BaseSpace(cfg.dim)
-    x = rand_bang(rng, space, cfg.max_tangents, cfg.span)
-    v = rand_vec(rng, cfg.dim, cfg.span)
-    f = rand_poly(rng, cfg.dim, cfg.span, deg=3)
+    x = rand_bang(rng, space, cfg.max_tangents)
+    v = rand_vec(rng, cfg.dim)
+    f = rand_poly(rng, cfg.dim, deg=3)
     lhs = pl.residue_pairing(_D(cfg)(x, v), f)
     rhs = pl.residue_pairing(x, f.directional(v))
     if lhs != rhs:
@@ -449,9 +444,9 @@ def _law_pair_deriving(rng, cfg):
 @law("poly", "units-dual-to-evaluation")
 def _law_pair_units(rng, cfg):
     space = bg.BaseSpace(cfg.dim)
-    x = rand_bang(rng, space, cfg.max_tangents, cfg.span)
-    v = rand_vec(rng, cfg.dim, cfg.span)
-    f = rand_poly(rng, cfg.dim, cfg.span)
+    x = rand_bang(rng, space, cfg.max_tangents)
+    v = rand_vec(rng, cfg.dim)
+    f = rand_poly(rng, cfg.dim)
     one = pl.Polynomial.const(cfg.dim, 1)
     origin = Vec.zero(cfg.dim)
     if pl.residue_pairing(x, one) != bg.counit(x):
@@ -465,8 +460,8 @@ def _law_pair_units(rng, cfg):
 @law("poly", "antipode-dual-to-reflection")
 def _law_pair_antipode(rng, cfg):
     space = bg.BaseSpace(cfg.dim)
-    x = rand_bang(rng, space, cfg.max_tangents, cfg.span)
-    f = rand_poly(rng, cfg.dim, cfg.span, deg=3)
+    x = rand_bang(rng, space, cfg.max_tangents)
+    f = rand_poly(rng, cfg.dim, deg=3)
     lhs = pl.residue_pairing(bg.antipode(x), f)
     rhs = pl.residue_pairing(x, f.reflect())
     if lhs != rhs:
@@ -508,8 +503,7 @@ def _bend(dim, point, *tangents):
 
 def _probe_cfg(rng, cfg, max_tangents=2):
     return ProbeConfig(seed=rng.randint(0, 2**30), samples=2,
-                       max_tangents=max_tangents, depth=cfg.probe_depth,
-                       span=min(cfg.span, 3))
+                       max_tangents=max_tangents, depth=cfg.probe_depth)
 
 
 @law("semantics", "denotation-multilinearity", weight=5)
@@ -517,9 +511,9 @@ def _law_multilinearity(rng, cfg):
     """Proof denotations are linear in every sequent slot."""
     den = _den_comp(3, cfg.dim)
     slot = rng.randint(0, 2)
-    mats = [rand_matrix(rng, cfg.dim, cfg.span) for _ in range(3)]
-    extra = rand_matrix(rng, cfg.dim, cfg.span)
-    c = rand_fraction(rng, cfg.span)
+    mats = [rand_matrix(rng, cfg.dim) for _ in range(3)]
+    extra = rand_matrix(rng, cfg.dim)
+    c = rand_fraction(rng)
     combo = list(mats)
     combo[slot] = mats[slot] + extra.scale(c)
     alt = list(mats)
@@ -536,7 +530,7 @@ def _law_promotion_identity(rng, cfg):
     a = PropVar("A", cfg.dim)
     den = denote_proof(Prom(Axiom(Bang(a))))
     space = bg.BaseSpace(cfg.dim)
-    x = rand_bang(rng, space, 2, cfg.span)
+    x = rand_bang(rng, space, 2)
     got = den.eval(x)
     want = bg.promote(x)
     if got != want:
@@ -548,7 +542,7 @@ def _law_promotion_group_like(rng, cfg):
     """Promoted proofs send group-like kets to group-like kets at the image."""
     n = rng.randint(0, 3)
     den = _den_church_prom(n, cfg.dim)
-    alpha = rand_matrix(rng, cfg.dim, cfg.span)
+    alpha = rand_matrix(rng, cfg.dim)
     got = den.eval(_bend(cfg.dim, alpha))
     want = _bend(cfg.dim, enc.church_value_oracle(n, alpha))
     if got != want:
@@ -560,8 +554,8 @@ def _law_promotion_tangent(rng, cfg):
     """Promoted proofs push one tangent forward along the derivative."""
     n = rng.randint(0, 3)
     den = _den_church_prom(n, cfg.dim)
-    alpha = rand_matrix(rng, cfg.dim, cfg.span)
-    nu = rand_matrix(rng, cfg.dim, cfg.span)
+    alpha = rand_matrix(rng, cfg.dim)
+    nu = rand_matrix(rng, cfg.dim)
     got = den.eval(_bend(cfg.dim, alpha, nu))
     want = _bend(cfg.dim, enc.church_value_oracle(n, alpha),
                  enc.church_derivative_oracle(n, alpha, nu))
@@ -576,8 +570,8 @@ def _law_derivative_path(rng, cfg):
     n = rng.randint(0, 3)
     p = enc.church_proof(n, cfg.dim)
     dpi = denote_proof(derivative_transform(p))
-    alpha = rand_matrix(rng, cfg.dim, cfg.span)
-    nu = rand_matrix(rng, cfg.dim, cfg.span)
+    alpha = rand_matrix(rng, cfg.dim)
+    nu = rand_matrix(rng, cfg.dim)
     got = dpi.eval(_bend(cfg.dim, alpha), nu)
     want = derivative_eval(p, alpha, nu)
     oracle = enc.church_derivative_oracle(n, alpha, nu)
@@ -592,8 +586,8 @@ def _law_derivative_path_bint(rng, cfg):
     s = "".join(rng.choice("01") for _ in range(rng.randint(0, 2)))
     p = enc.bint_proof(s, cfg.dim, arrows=1)
     dpi = denote_proof(derivative_transform(p))
-    gamma = rand_matrix(rng, cfg.dim, cfg.span)
-    nu = rand_matrix(rng, cfg.dim, cfg.span)
+    gamma = rand_matrix(rng, cfg.dim)
+    nu = rand_matrix(rng, cfg.dim)
     got = dpi.eval(_bend(cfg.dim, gamma), nu)
     want = derivative_eval(p, gamma, nu)
     end = HomSpace(Base(cfg.dim), Base(cfg.dim))
@@ -623,8 +617,8 @@ def _law_cut_promotion(rng, cfg):
 def _law_church_oracle(rng, cfg):
     n = rng.randint(0, 4)
     p = enc.church_proof(n, cfg.dim)
-    alpha = rand_matrix(rng, cfg.dim, cfg.span)
-    nu = rand_matrix(rng, cfg.dim, cfg.span)
+    alpha = rand_matrix(rng, cfg.dim)
+    nu = rand_matrix(rng, cfg.dim)
     if nl_eval(p, alpha) != enc.church_value_oracle(n, alpha):
         return _witness([("n", n), ("alpha", alpha)])
     got = derivative_eval(p, alpha, nu)
@@ -637,10 +631,10 @@ def _law_bint_oracle(rng, cfg):
     s = "".join(rng.choice("01") for _ in range(rng.randint(0, 3)))
     stang = rng.randint(0, 2)
     rtang = rng.randint(0, 2 - stang)
-    gamma = rand_matrix(rng, cfg.dim, cfg.span)
-    delta = rand_matrix(rng, cfg.dim, cfg.span)
-    alphas = tuple(rand_matrix(rng, cfg.dim, cfg.span) for _ in range(stang))
-    betas = tuple(rand_matrix(rng, cfg.dim, cfg.span) for _ in range(rtang))
+    gamma = rand_matrix(rng, cfg.dim)
+    delta = rand_matrix(rng, cfg.dim)
+    alphas = tuple(rand_matrix(rng, cfg.dim) for _ in range(stang))
+    betas = tuple(rand_matrix(rng, cfg.dim) for _ in range(rtang))
     v = _bint_value(s, cfg.dim)
     got = apply_hom(apply_hom(v, _bend(cfg.dim, gamma, *alphas)),
                     _bend(cfg.dim, delta, *betas))
@@ -668,7 +662,7 @@ def _law_mult(rng, cfg):
     dv = derivative_eval(enc.mult_by_numeral(n, cfg.dim),
                          _den_int(l, cfg.dim).eval(),
                          _den_int(m, cfg.dim).eval())
-    x = rand_matrix(rng, cfg.dim, cfg.span)
+    x = rand_matrix(rng, cfg.dim)
     got = apply_hom(dv, _bend(cfg.dim, x))
     closed = enc.mult_derivative_oracle(l, m, n, x)
     interp = enc.mult_difference_quotient(l, m, n, x)

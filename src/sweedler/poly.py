@@ -12,7 +12,6 @@ coalgebra maps are the duals of ordinary polynomial calculus.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 
 from .exact import DimensionError, Vec, as_scalar, scalar_str
@@ -176,74 +175,6 @@ def shift_doubling(f: Polynomial) -> Polynomial:
             expo = tuple(xj for xj, _ in done) + tuple(yj for _, yj in done)
             acc[expo] = acc.get(expo, Fraction(0)) + c * cc
     return Polynomial(2 * n, acc)
-
-
-_TOKEN = re.compile(r"\s*(?:(?P<sign>[+-])|(?P<num>\d+(?:/\d+)?)|x(?P<var>\d+)(?:\^(?P<pow>\d+))?|(?P<bad>\S))")
-
-
-def parse_poly(text: str, nvars=None) -> Polynomial:
-    """Parse things like '3/2 x1^2 x2 - x3'.  Whitespace is insignificant.
-
-    Terms are separated by + or -; a term is an optional rational coefficient
-    followed by variable powers (juxtaposition means product).  If nvars is
-    omitted it is inferred from the highest variable index (at least 1).
-    """
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        if m.group("bad"):
-            raise ValueError("bad character %r at offset %d in polynomial" % (m.group("bad"), m.start("bad")))
-        if m.group("sign"):
-            tokens.append(("sign", m.group("sign")))
-        elif m.group("num"):
-            tokens.append(("num", Fraction(m.group("num"))))
-        else:
-            tokens.append(("var", (int(m.group("var")), int(m.group("pow") or 1))))
-        pos = m.end()
-    if not tokens:
-        raise ValueError("empty polynomial text %r" % text)
-
-    terms = []  # (coeff, {index: power})
-    i = 0
-    while i < len(tokens):
-        sign = Fraction(1)
-        while i < len(tokens) and tokens[i][0] == "sign":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i == len(tokens):
-            raise ValueError("dangling sign in polynomial %r" % text)
-        coeff = sign
-        powers = {}
-        saw = False
-        if tokens[i][0] == "num":
-            coeff *= tokens[i][1]
-            saw = True
-            i += 1
-        while i < len(tokens) and tokens[i][0] == "var":
-            idx, k = tokens[i][1]
-            if idx < 1:
-                raise ValueError("variables are numbered from x1")
-            powers[idx] = powers.get(idx, 0) + k
-            saw = True
-            i += 1
-        if not saw:
-            raise ValueError("empty term in polynomial %r" % text)
-        terms.append((coeff, powers))
-
-    width = max((max(p) for _, p in terms if p), default=0)
-    if nvars is None:
-        nvars = max(width, 1)
-    elif width > nvars:
-        raise DimensionError("polynomial mentions x%d but nvars=%d" % (width, nvars))
-    acc = Polynomial.zero(nvars)
-    for coeff, powers in terms:
-        expo = tuple(powers.get(i + 1, 0) for i in range(nvars))
-        acc = acc + Polynomial(nvars, {expo: coeff})
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -98,13 +98,14 @@ class TensorSpace:
     def expand(self, v):
         if not self.contains(v):
             raise bg.SpaceError("expected a tensor of %s, got %r" % (self.label(), v))
-        return [(c, TensorVal(self, ((Fraction(1), vals),))) for c, vals in v.terms]
+        return [(c, TensorVal(self, {pair: Fraction(1)})) for pair, c in v.sorted_terms()]
 
     def key(self, v):
-        return tuple((c, (self.left.key(a), self.right.key(b))) for c, (a, b) in v.terms)
+        return tuple(sorted(((c, v.pair_key(pair)) for pair, c in v.terms.items()),
+                            key=lambda ck: ck[1]))
 
     def zero(self):
-        return TensorVal(self, ())
+        return TensorVal(self, {})
 
     def render(self, v):
         return repr(v)
@@ -162,70 +163,54 @@ class MapVal:
         return "<linear map %s>" % self.space.label()
 
 
-class TensorVal:
-    """A sum of pure tensors; factors are expanded into canonical units."""
+class TensorVal(bg._TermSum):
+    """A sum of pure tensors, keyed by their pair of canonical units."""
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space", "terms", "_hash")
 
     def __init__(self, space, terms):
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "terms", dict(terms))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorVal is immutable")
+    def _over(self):
+        return self.space
 
     @classmethod
     def make(cls, space, items):
-        factors = (space.left, space.right)
         acc = {}
-        stash = {}
-        for coeff, vals in items:
+        for coeff, (a, b) in items:
             coeff = as_scalar(coeff)
             if coeff == 0:
                 continue
-            expansions = [s.expand(v) for s, v in zip(factors, vals)]
-            for combo in itertools.product(*expansions):
-                c = coeff
-                for u, _ in combo:
-                    c *= u
-                key = tuple(s.key(e) for s, (_, e) in zip(factors, combo))
-                prev = acc.get(key)
-                acc[key] = c if prev is None else prev + c
-                stash[key] = tuple(e for _, e in combo)
-        terms = tuple((acc[k], stash[k]) for k in sorted(acc) if acc[k] != 0)
-        return cls(space, terms)
+            for (ca, ua), (cb, ub) in itertools.product(space.left.expand(a),
+                                                        space.right.expand(b)):
+                c = coeff * ca * cb
+                prev = acc.get((ua, ub))
+                acc[(ua, ub)] = c if prev is None else prev + c
+        return cls(space, {pair: c for pair, c in acc.items() if c != 0})
 
-    def is_zero(self):
-        return not self.terms
+    def pair_key(self, pair):
+        return self.space.left.key(pair[0]), self.space.right.key(pair[1])
 
-    def __add__(self, other):
-        if not isinstance(other, TensorVal):
-            return NotImplemented
-        if other.space != self.space:
-            raise SpaceMismatch("adding tensors of %s and %s"
-                                % (self.space.label(), other.space.label()))
-        return TensorVal.make(self.space, self.terms + other.terms)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = as_scalar(c)
-        return TensorVal(self.space, tuple((c * c0, vals) for c0, vals in self.terms if c != 0))
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorVal) and other.space == self.space
-                and self.space.key(self) == self.space.key(other))
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kc: self.pair_key(kc[0]))
 
     def __hash__(self):
-        return hash(("TensorVal", self.space, tuple(c for c, _ in self.terms)))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(("TensorVal", self.space, frozenset(self.terms.items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         if not self.terms:
             return "0"
-        return " + ".join(
-            ("%s " % c if c != 1 else "") + " (x) ".join(repr(v) for v in vals)
-            for c, vals in self.terms)
+        # a loop, not nested generators, keeps deep nested tensors printable
+        bits = []
+        for (a, b), c in self.sorted_terms():
+            bits.append(("%s " % c if c != 1 else "") + "%r (x) %r" % (a, b))
+        return " + ".join(bits)
 
 
 # -- generic value operations ------------------------------------------------
@@ -341,7 +326,7 @@ def _den(p) -> Denotation:
             t = vals[i]
             return lincomb(prem.target,
                            ((c, prem.fn(*vals[:i], fa, fb, *vals[i + 1:]))
-                            for c, (fa, fb) in t.terms))
+                            for (fa, fb), c in t.sorted_terms()))
         return Denotation(src, prem.target, fn)
 
     if isinstance(p, syn.Der):
@@ -515,11 +500,13 @@ class ProbeConfig:
     samples: int = 2
     max_tangents: int = 3
     depth: int = 4
-    span: int = 3       # coordinate magnitude for random probe entries
 
 
-def rand_fraction(rng, span):
-    return Fraction(rng.randint(-span, span), rng.randint(1, 2))
+SPAN = 3  # coordinate magnitude of random probe entries and law data
+
+
+def rand_fraction(rng):
+    return Fraction(rng.randint(-SPAN, SPAN), rng.randint(1, 2))
 
 
 def probes(space, rng, cfg, depth, budget):
@@ -529,12 +516,12 @@ def probes(space, rng, cfg, depth, budget):
     if isinstance(space, Base):
         out = [(Vec.basis(space.dim, 0), 0)]
         for _ in range(cfg.samples):
-            out.append((Vec(tuple(rand_fraction(rng, cfg.span) for _ in range(space.dim))), 0))
+            out.append((Vec(tuple(rand_fraction(rng) for _ in range(space.dim))), 0))
         return out
     if isinstance(space, HomSpace) and space.concrete:
         out = []
         for _ in range(cfg.samples + 1):
-            rows = tuple(tuple(rand_fraction(rng, cfg.span) for _ in range(space.dom.dim))
+            rows = tuple(tuple(rand_fraction(rng) for _ in range(space.dom.dim))
                          for _ in range(space.cod.dim))
             out.append((Matrix(rows), 0))
         return out
@@ -565,7 +552,7 @@ def _opaque(v) -> bool:
     if isinstance(v, bg.BangElement):
         return any(_opaque(e) for k in v.terms for e in (k.point,) + k.tangents)
     if isinstance(v, TensorVal):
-        return any(_opaque(x) for _, vals in v.terms for x in vals)
+        return any(_opaque(x) for pair in v.terms for x in pair)
     return False
 
 
@@ -655,6 +642,6 @@ def value_to_json(v):
                  "tangents": [value_to_json(t) for t in k.tangents]}
                 for k, c in v.sorted_terms()]
     if isinstance(v, TensorVal):
-        return [{"coeff": scalar_str(c), "factors": [value_to_json(x) for x in vals]}
-                for c, vals in v.terms]
+        return [{"coeff": scalar_str(c), "factors": [value_to_json(x) for x in pair]}
+                for pair, c in v.sorted_terms()]
     raise SpaceMismatch("value has no exact JSON form: %r" % (v,))

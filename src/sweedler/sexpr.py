@@ -6,15 +6,20 @@ Proofs:     (axiom F) | (lolli-r P) | (lolli-l i P Q) | (tensor-r P Q)
             | (prom P) | (cut i P Q) | (exch (j ...) P)
             | (coder i P) | (coctr i P) | (coweak i F P)
 
-Comments run from ';' to end of line.  Parse errors carry line and column.
-The printer indents one rule per line and round-trips through the parser.
+Comments run from ';' to end of line; '(' nests at most ``MAX_DEPTH`` deep.
+Parse errors carry line and column.  The printer indents one rule per line.
+Parser and printer both read the grammar from ``_SHAPES``, so they round-trip.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import syntax as syn
+
+# Deepest '(' nesting the reader accepts.  At this depth the costliest later
+# stage, printing the value of 197 nested proms, needs a recursion limit of ~820.
+MAX_DEPTH = 200
 
 
 class ParseError(ValueError):
@@ -69,44 +74,61 @@ def _read(text):
     tokens = list(_tokenize(text))
     pos = 0
 
-    def rec():
+    def rec(depth):
         nonlocal pos
         tok, line, col = tokens[pos]
         if tok is None:
             raise ParseError("unexpected end of input", line, col)
         pos += 1
         if tok == "(":
+            if depth == MAX_DEPTH:
+                raise ParseError("'(' nested deeper than %d levels" % MAX_DEPTH, line, col)
             items = []
-            while True:
-                nxt, l2, c2 = tokens[pos]
-                if nxt is None:
+            while tokens[pos][0] != ")":
+                if tokens[pos][0] is None:
                     raise ParseError("unclosed '(' opened here", line, col)
-                if nxt == ")":
-                    pos += 1
-                    return _List(tuple(items), line, col)
-                items.append(rec())
+                items.append(rec(depth + 1))
+            pos += 1
+            return _List(tuple(items), line, col)
         if tok == ")":
             raise ParseError("unmatched ')'", line, col)
         return _Atom(tok, line, col)
 
-    form = rec()
+    form = rec(0)
     tok, line, col = tokens[pos]
     if tok is not None:
         raise ParseError("trailing input after the first expression", line, col)
     return form
 
 
-def _expect_list(sx, what):
-    if not isinstance(sx, _List) or not sx.items or not isinstance(sx.items[0], _Atom):
-        line, col = (sx.line, sx.col)
-        raise ParseError("expected a %s form" % what, line, col)
-    return sx.items[0].text, sx.items[1:]
-
-
-def _arity(sx, head, args, n):
-    if len(args) != n:
-        raise ParseError("%s takes %d arguments, got %d" % (head, n, len(args)),
-                         sx.line, sx.col)
+# head -> (class, kinds of its arguments in field order).  Kinds: "name" (an
+# atom), "dimension" and "index" (integers), "perm" (a list of integers),
+# "formula" and "proof" (nested forms).  Proofs come last: the printer puts
+# them on lines of their own, after the other arguments.
+_SHAPES = {
+    "pvar": (syn.PropVar, ("name", "dimension")),
+    "lolli": (syn.Lolli, ("formula", "formula")),
+    "tensor": (syn.Tensor, ("formula", "formula")),
+    "bang": (syn.Bang, ("formula",)),
+    "axiom": (syn.Axiom, ("formula",)),
+    "lolli-r": (syn.LolliR, ("proof",)),
+    "lolli-l": (syn.LolliL, ("index", "proof", "proof")),
+    "tensor-r": (syn.TensorR, ("proof", "proof")),
+    "tensor-l": (syn.TensorL, ("index", "proof")),
+    "der": (syn.Der, ("index", "proof")),
+    "ctr": (syn.Ctr, ("index", "proof")),
+    "weak": (syn.Weak, ("index", "formula", "proof")),
+    "prom": (syn.Prom, ("proof",)),
+    "cut": (syn.Cut, ("index", "proof", "proof")),
+    "exch": (syn.Exchange, ("perm", "proof")),
+    "coder": (syn.Coder, ("index", "proof")),
+    "coctr": (syn.Coctr, ("index", "proof")),
+    "coweak": (syn.Coweak, ("index", "formula", "proof")),
+}
+_SORTS = {"formula": syn.Formula.__args__, "proof": syn.Proof.__args__}
+# class -> (sort, head, ((field name, kind), ...)), for the printer
+_PRINTED = {cls: (sort, head, tuple(zip((f.name for f in fields(cls)), kinds)))
+            for head, (cls, kinds) in _SHAPES.items() for sort in _SORTS if cls in _SORTS[sort]}
 
 
 def _int_atom(sx, what):
@@ -119,144 +141,80 @@ def _int_atom(sx, what):
                          sx.line, sx.col) from None
 
 
-def _formula(sx):
-    head, args = _expect_list(sx, "formula")
-    if head == "pvar":
-        _arity(sx, head, args, 2)
-        name = args[0]
-        if not isinstance(name, _Atom):
-            raise ParseError("pvar name must be an atom", sx.line, sx.col)
-        dim = _int_atom(args[1], "dimension")
-        try:
-            return syn.PropVar(name.text, dim)
-        except ValueError as exc:
-            raise ParseError(str(exc), sx.line, sx.col) from None
-    if head == "lolli":
-        _arity(sx, head, args, 2)
-        return syn.Lolli(_formula(args[0]), _formula(args[1]))
-    if head == "tensor":
-        _arity(sx, head, args, 2)
-        return syn.Tensor(_formula(args[0]), _formula(args[1]))
-    if head == "bang":
-        _arity(sx, head, args, 1)
-        return syn.Bang(_formula(args[0]))
-    raise ParseError("unknown formula head %r" % head, sx.line, sx.col)
-
-
-def _proof(sx):
-    head, args = _expect_list(sx, "proof")
-    if head == "axiom":
-        _arity(sx, head, args, 1)
-        return syn.Axiom(_formula(args[0]))
-    if head == "lolli-r":
-        _arity(sx, head, args, 1)
-        return syn.LolliR(_proof(args[0]))
-    if head == "lolli-l":
-        _arity(sx, head, args, 3)
-        return syn.LolliL(_int_atom(args[0], "index"), _proof(args[1]), _proof(args[2]))
-    if head == "tensor-r":
-        _arity(sx, head, args, 2)
-        return syn.TensorR(_proof(args[0]), _proof(args[1]))
-    if head == "tensor-l":
-        _arity(sx, head, args, 2)
-        return syn.TensorL(_int_atom(args[0], "index"), _proof(args[1]))
-    if head == "der":
-        _arity(sx, head, args, 2)
-        return syn.Der(_int_atom(args[0], "index"), _proof(args[1]))
-    if head == "ctr":
-        _arity(sx, head, args, 2)
-        return syn.Ctr(_int_atom(args[0], "index"), _proof(args[1]))
-    if head == "weak":
-        _arity(sx, head, args, 3)
-        return syn.Weak(_int_atom(args[0], "index"), _formula(args[1]), _proof(args[2]))
-    if head == "prom":
-        _arity(sx, head, args, 1)
-        return syn.Prom(_proof(args[0]))
-    if head == "cut":
-        _arity(sx, head, args, 3)
-        return syn.Cut(_int_atom(args[0], "index"), _proof(args[1]), _proof(args[2]))
-    if head == "exch":
-        _arity(sx, head, args, 2)
-        perm_sx = args[0]
-        if not isinstance(perm_sx, _List):
-            raise ParseError("exch needs a parenthesized permutation", sx.line, sx.col)
-        perm = tuple(_int_atom(a, "permutation entry") for a in perm_sx.items)
-        return syn.Exchange(perm, _proof(args[1]))
-    if head == "coder":
-        _arity(sx, head, args, 2)
-        return syn.Coder(_int_atom(args[0], "index"), _proof(args[1]))
-    if head == "coctr":
-        _arity(sx, head, args, 2)
-        return syn.Coctr(_int_atom(args[0], "index"), _proof(args[1]))
-    if head == "coweak":
-        _arity(sx, head, args, 3)
-        return syn.Coweak(_int_atom(args[0], "index"), _formula(args[1]), _proof(args[2]))
-    raise ParseError("unknown proof head %r" % head, sx.line, sx.col)
+def _parse(sx, sort):
+    if not isinstance(sx, _List) or not sx.items or not isinstance(sx.items[0], _Atom):
+        raise ParseError("expected a %s form" % sort, sx.line, sx.col)
+    head, args = sx.items[0].text, sx.items[1:]
+    cls, kinds = _SHAPES.get(head, (None, ()))
+    if cls not in _SORTS[sort]:
+        raise ParseError("unknown %s head %r" % (sort, head), sx.line, sx.col)
+    if len(args) != len(kinds):
+        raise ParseError("%s takes %d arguments, got %d" % (head, len(kinds), len(args)),
+                         sx.line, sx.col)
+    values = []
+    for kind, arg in zip(kinds, args):
+        if kind in _SORTS:
+            values.append(_parse(arg, kind))
+        elif kind in ("index", "dimension"):
+            values.append(_int_atom(arg, kind))
+        elif kind == "name":
+            if not isinstance(arg, _Atom):
+                raise ParseError("%s name must be an atom" % head, sx.line, sx.col)
+            values.append(arg.text)
+        else:
+            if not isinstance(arg, _List):
+                raise ParseError("%s needs a parenthesized permutation" % head,
+                                 sx.line, sx.col)
+            values.append(tuple(_int_atom(a, "permutation entry") for a in arg.items))
+    try:
+        return cls(*values)
+    except ValueError as exc:
+        raise ParseError(str(exc), sx.line, sx.col) from None
 
 
 def parse_formula(text: str) -> syn.Formula:
-    return _formula(_read(text))
+    return _parse(_read(text), "formula")
 
 
 def parse_proof(text: str) -> syn.Proof:
-    return _proof(_read(text))
+    return _parse(_read(text), "proof")
 
 
 # -- printing ---------------------------------------------------------------
 
 
+def _words(x, sort):
+    """x's head and inline arguments, and the premises printed below it."""
+    sort_of, head, shape = _PRINTED.get(type(x), (None, None, ()))
+    if sort_of != sort:
+        raise TypeError("not a %s: %r" % (sort, x))
+    words, premises = [head], []
+    for name, kind in shape:
+        value = getattr(x, name)
+        if kind == "proof":
+            premises.append(value)
+        elif kind == "formula":
+            words.append(print_formula(value))
+        elif kind == "perm":
+            words.append("(%s)" % " ".join(str(j) for j in value))
+        else:
+            words.append(str(value))
+    return words, premises
+
+
 def print_formula(f: syn.Formula) -> str:
-    if isinstance(f, syn.PropVar):
-        return "(pvar %s %d)" % (f.name, f.dim)
-    if isinstance(f, syn.Lolli):
-        return "(lolli %s %s)" % (print_formula(f.left), print_formula(f.right))
-    if isinstance(f, syn.Tensor):
-        return "(tensor %s %s)" % (print_formula(f.left), print_formula(f.right))
-    if isinstance(f, syn.Bang):
-        return "(bang %s)" % print_formula(f.inner)
-    raise TypeError("not a formula: %r" % (f,))
+    return "(%s)" % " ".join(_words(f, "formula")[0])
 
 
-def _proof_lines(p: syn.Proof, depth):
-    pad = "  " * depth
-    if isinstance(p, syn.Axiom):
-        return [pad + "(axiom %s)" % print_formula(p.formula)]
-
-    def wrap(header, subs, trailer=")"):
-        lines = [pad + header]
-        for sub in subs:
-            lines.extend(_proof_lines(sub, depth + 1))
-        lines[-1] += trailer
-        return lines
-
-    if isinstance(p, syn.LolliR):
-        return wrap("(lolli-r", [p.premise])
-    if isinstance(p, syn.LolliL):
-        return wrap("(lolli-l %d" % p.index, [p.arg, p.body])
-    if isinstance(p, syn.TensorR):
-        return wrap("(tensor-r", [p.left, p.right])
-    if isinstance(p, syn.TensorL):
-        return wrap("(tensor-l %d" % p.index, [p.premise])
-    if isinstance(p, syn.Der):
-        return wrap("(der %d" % p.index, [p.premise])
-    if isinstance(p, syn.Ctr):
-        return wrap("(ctr %d" % p.index, [p.premise])
-    if isinstance(p, syn.Weak):
-        return wrap("(weak %d %s" % (p.index, print_formula(p.formula)), [p.premise])
-    if isinstance(p, syn.Prom):
-        return wrap("(prom", [p.premise])
-    if isinstance(p, syn.Cut):
-        return wrap("(cut %d" % p.index, [p.left, p.right])
-    if isinstance(p, syn.Exchange):
-        return wrap("(exch (%s)" % " ".join(str(j) for j in p.perm), [p.premise])
-    if isinstance(p, syn.Coder):
-        return wrap("(coder %d" % p.index, [p.premise])
-    if isinstance(p, syn.Coctr):
-        return wrap("(coctr %d" % p.index, [p.premise])
-    if isinstance(p, syn.Coweak):
-        return wrap("(coweak %d %s" % (p.index, print_formula(p.formula)), [p.premise])
-    raise TypeError("not a proof: %r" % (p,))
+def _proof_lines(p: syn.Proof, depth, lines):
+    words, premises = _words(p, "proof")
+    lines.append("  " * depth + "(" + " ".join(words))
+    for q in premises:
+        _proof_lines(q, depth + 1, lines)
+    lines[-1] += ")"
 
 
 def print_proof(p: syn.Proof) -> str:
-    return "\n".join(_proof_lines(p, 0)) + "\n"
+    lines = []
+    _proof_lines(p, 0, lines)
+    return "\n".join(lines) + "\n"

@@ -175,16 +175,6 @@ class ProofError(ValueError):
         super().__init__("at %s: %s" % (where, message))
 
 
-def premises(p: Proof):
-    if isinstance(p, Axiom):
-        return ()
-    if isinstance(p, (LolliL, Cut)):
-        return (p.arg, p.body) if isinstance(p, LolliL) else (p.left, p.right)
-    if isinstance(p, TensorR):
-        return (p.left, p.right)
-    return (p.premise,)
-
-
 def check_proof(p: Proof) -> Sequent:
     """Reconstruct the conclusion sequent, raising ProofError on violations."""
     return _check(p, ())

@@ -79,8 +79,8 @@ def test_criterion_04_church_numerals():
     for n in range(6):
         p = church_proof(n)
         for _ in range(50):
-            alpha = rand_matrix(rng, 2, 3)
-            nu = rand_matrix(rng, 2, 3)
+            alpha = rand_matrix(rng, 2)
+            nu = rand_matrix(rng, 2)
             assert nl_eval(p, alpha) == church_value_oracle(n, alpha)
             assert derivative_eval(p, alpha, nu) \
                 == church_derivative_oracle(n, alpha, nu)
@@ -98,9 +98,9 @@ def test_criterion_05_binary_integers_exhaustive():
     for s in _strings(3):
         for stang in range(4):
             for rtang in range(4 - stang):
-                g, d = rand_matrix(rng, 2, 3), rand_matrix(rng, 2, 3)
-                alphas = tuple(rand_matrix(rng, 2, 3) for _ in range(stang))
-                betas = tuple(rand_matrix(rng, 2, 3) for _ in range(rtang))
+                g, d = rand_matrix(rng, 2), rand_matrix(rng, 2)
+                alphas = tuple(rand_matrix(rng, 2) for _ in range(stang))
+                betas = tuple(rand_matrix(rng, 2) for _ in range(rtang))
                 got = run(s, _bend(2, g, *alphas), _bend(2, d, *betas))
                 assert got == bint_oracle(s, g, d, alphas, betas), \
                     (s, stang, rtang)
@@ -108,8 +108,8 @@ def test_criterion_05_binary_integers_exhaustive():
     assert checks == 150
 
     # the five displayed values for the string 001, plus vanishing
-    g, d = rand_matrix(rng, 2, 3), rand_matrix(rng, 2, 3)
-    a, a2, b = (rand_matrix(rng, 2, 3) for _ in range(3))
+    g, d = rand_matrix(rng, 2), rand_matrix(rng, 2)
+    a, a2, b = (rand_matrix(rng, 2) for _ in range(3))
     assert run("001", _bend(2, g), _bend(2, d)) == d @ g @ g
     assert run("001", _bend(2, g, a), _bend(2, d)) \
         == d @ a @ g + d @ g @ a
@@ -153,7 +153,7 @@ def test_criterion_07_mult_derivative_closed_form():
                                      denote_proof(int_proof(l)).eval(),
                                      denote_proof(int_proof(m)).eval())
                 for _ in range(2):
-                    x = rand_matrix(rng, 2, 3)
+                    x = rand_matrix(rng, 2)
                     got = apply_hom(dv, _bend(2, x))
                     assert got == mult_derivative_oracle(l, m, n, x)
                     assert got == mult_difference_quotient(l, m, n, x)
@@ -187,7 +187,7 @@ def test_criterion_09_derivative_path_coherence():
         p = church_proof(n)
         dpi = denote_proof(derivative_transform(p))
         for _ in range(5):
-            a, v = rand_matrix(rng, 2, 3), rand_matrix(rng, 2, 3)
+            a, v = rand_matrix(rng, 2), rand_matrix(rng, 2)
             got = dpi.eval(_bend(2, a), v)
             want = derivative_eval(p, a, v)
             assert got == want == church_derivative_oracle(n, a, v)
@@ -196,7 +196,7 @@ def test_criterion_09_derivative_path_coherence():
     for s in ("", "0", "10", "001"):
         p = bint_proof(s, arrows=1)
         dpi = denote_proof(derivative_transform(p))
-        g, v = rand_matrix(rng, 2, 3), rand_matrix(rng, 2, 3)
+        g, v = rand_matrix(rng, 2), rand_matrix(rng, 2)
         got = dpi.eval(_bend(2, g), v)
         want = derivative_eval(p, g, v)
         assert extensional_equal(got, want, HomSpace(BangSpace(END), END), cfg), s

@@ -5,10 +5,11 @@ import pytest
 
 from sweedler.exact import Vec
 from sweedler.bang import (
-    BangElement, BangSpace, BaseSpace, EnumerationLimitError, Ket, SpaceError,
-    TensorElement, antipode, cocontract, codereliction, coproduct, coproduct_factor,
-    counit, coweaken, dereliction, deriving, deriving_mutated, index_subsets, promote,
-    set_partitions, split_inverse, split_merge, tangent_lift, tensor_pair, unit)
+    MAX_SUBSET_TANGENTS, BangElement, BangSpace, BaseSpace, EnumerationLimitError, Ket,
+    SpaceError, TensorElement, antipode, cocontract, codereliction, coproduct,
+    coproduct_factor, counit, coweaken, dereliction, deriving, deriving_mutated,
+    index_subsets, promote, set_partitions, split_inverse, split_merge, tangent_lift,
+    tensor_pair, unit)
 
 V2 = BaseSpace(2)
 E0 = Vec.basis(2, 0)
@@ -131,6 +132,18 @@ def test_guards_fire_through_maps():
         coproduct(many)
     with pytest.raises(EnumerationLimitError):
         promote(BangElement.ket(V2, Vec((0, 0)), (E0,) * 9))
+
+
+def test_ket_product_guard_at_2_to_the_subset_limit():
+    # (e0 + e1)^12 expands into 2^12 = 4096 products: allowed, and binomial
+    ones = (Vec((1, 1)),) * MAX_SUBSET_TANGENTS
+    t = BangElement.ket(V2, Vec((0, 0)), ones)
+    assert len(t.terms) == MAX_SUBSET_TANGENTS + 1
+    assert sum(t.terms.values()) == 2 ** MAX_SUBSET_TANGENTS
+    with pytest.raises(EnumerationLimitError, match="tangent products"):
+        BangElement.ket(V2, Vec((0, 0)), ones + (Vec((1, 1)),))
+    # basis tangents expand into one product each, whatever their number
+    assert BangElement.ket(V2, Vec((0, 0)), (E0,) * 13).terms
 
 
 def test_deriving_appends_and_expands():

@@ -1,9 +1,11 @@
 import json
 import os
+import time
 
 import pytest
 
 from sweedler.cli import main
+from sweedler.sexpr import MAX_DEPTH, parse_proof, print_proof
 
 PROOFS = os.path.join(os.path.dirname(__file__), "..", "proofs")
 
@@ -192,6 +194,14 @@ def test_enumeration_limit_exits_1(capsys):
     assert err.startswith("error: refusing to enumerate")
 
 
+def test_ket_product_guard_exits_1_quickly(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "axioms", "--group", "bang", "--max-tangents", "20")
+    assert code == 1
+    assert err.startswith("error: refusing to expand a ket")
+    assert time.perf_counter() - start < 10
+
+
 def test_probe_depth_exhausted_exits_1(capsys):
     code, _, err = run(capsys, "eval", proof("repeat"),
                        "--input", '[[{"point": {"bint": "0"}}]]', "--probe-depth", "1")
@@ -205,7 +215,38 @@ def test_json_float_is_a_usage_error(capsys, number):
                          "--point", "[[%s, 1], [0, 1]]" % number,
                          "--tangent", "[[0, 0], [1, 0]]")
     assert code == 2 and out == ""
-    assert "inexact number %s" % number in err
+    assert err.startswith("error: --point holds the inexact number %s" % number)
+
+
+def test_malformed_json_flag_has_no_position(capsys):
+    code, out, err = run(capsys, "eval", proof("church-2"), "--input", "[1,")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --input is not valid JSON")
+
+
+def exch_chain(tmp_path, n):
+    """A proof file whose '(' nest n + 2 deep: n exchanges over an axiom."""
+    path = tmp_path / "deep.sexp"
+    path.write_text("(exch (0) " * n + "(axiom (pvar A 2))" + ")" * n + "\n")
+    return str(path)
+
+
+def test_nesting_past_the_bound_is_a_located_parse_error(capsys, tmp_path):
+    n = MAX_DEPTH - 1
+    code, out, err = run(capsys, "check", exch_chain(tmp_path, n))
+    assert code == 2 and out == ""
+    col = len("(exch (0) ") * n + len("(axiom ")
+    assert err == "error: 1:%d: '(' nested deeper than %d levels\n" % (col, MAX_DEPTH)
+
+
+def test_nesting_at_the_bound_checks_evaluates_and_prints(capsys, tmp_path):
+    path = exch_chain(tmp_path, MAX_DEPTH - 2)
+    assert run(capsys, "check", path) == (0, "valid: A |- A\n", "")
+    assert run(capsys, "eval", path, "--input", '[["1", "2"]]') == (0, "(1, 2)\n", "")
+    with open(path, encoding="utf-8") as fh:
+        lines = print_proof(parse_proof(fh.read())).splitlines()
+    assert len(lines) == MAX_DEPTH - 1
+    assert lines[-1].strip() == "(axiom (pvar A 2))" + ")" * (MAX_DEPTH - 2)
 
 
 def test_proof_file_not_utf8_exits_2(capsys, tmp_path):

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from sweedler import sexpr, syntax
 from sweedler.syntax import (
     Axiom, Bang, Coctr, Coder, Coweak, Ctr, Cut, Der, Exchange, Lolli, LolliL,
     LolliR, Prom, PropVar, ProofError, Sequent, Tensor, TensorL, TensorR, Weak,
@@ -172,3 +175,13 @@ def test_print_proof_is_indented():
     assert lines[0].startswith("(ctr 0")
     assert lines[1].startswith("  (weak")
     assert lines[-1].endswith(")))")
+
+
+def test_shape_table_covers_each_class_once_with_a_kind_per_field():
+    classes = [cls for cls, _ in sexpr._SHAPES.values()]
+    assert len(classes) == len(set(classes)) == 18
+    assert set(classes) == set(syntax.Proof.__args__) | set(syntax.Formula.__args__)
+    for cls, kinds in sexpr._SHAPES.values():
+        assert len(kinds) == len(dataclasses.fields(cls)), cls
+        assert set(kinds) <= {"name", "dimension", "index", "perm", "formula", "proof"}
+        assert list(kinds) == sorted(kinds, key=lambda kind: kind == "proof"), cls
