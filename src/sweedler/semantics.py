@@ -101,7 +101,7 @@ class TensorSpace:
         return [(c, TensorVal(self, {pair: Fraction(1)})) for pair, c in v.sorted_terms()]
 
     def key(self, v):
-        return tuple(sorted(((c, v.pair_key(pair)) for pair, c in v.terms.items()),
+        return tuple(sorted(((c, v._pair_key(pair)) for pair, c in v.terms.items()),
                             key=lambda ck: ck[1]))
 
     def zero(self):
@@ -189,11 +189,11 @@ class TensorVal(bg._TermSum):
                 acc[(ua, ub)] = c if prev is None else prev + c
         return cls(space, {pair: c for pair, c in acc.items() if c != 0})
 
-    def pair_key(self, pair):
+    def _pair_key(self, pair):
         return self.space.left.key(pair[0]), self.space.right.key(pair[1])
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kc: self.pair_key(kc[0]))
+        return sorted(self.terms.items(), key=lambda kc: self._pair_key(kc[0]))
 
     def __hash__(self):
         try:
