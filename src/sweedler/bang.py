@@ -420,13 +420,13 @@ def counit(t: BangElement) -> Fraction:
 
 def dereliction(t: BangElement):
     """d: group-likes fall to their point, single tangents to their vector."""
-    acc = t.space.zero()
+    acc = None
     for k, c in t.terms.items():
-        if k.order == 0:
-            acc = acc + k.point.scale(c)
-        elif k.order == 1:
-            acc = acc + k.tangents[0].scale(c)
-    return acc
+        if k.order > 1:
+            continue
+        v = (k.tangents[0] if k.order else k.point).scale(c)
+        acc = v if acc is None else acc + v
+    return t.space.zero() if acc is None else acc
 
 
 def promote(t: BangElement) -> BangElement:

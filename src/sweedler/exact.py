@@ -4,6 +4,16 @@ Vectors and matrices carry ``fractions.Fraction`` entries, so every identity
 checked downstream holds on the nose: equality is structural equality of
 reduced fractions, never a tolerance.  Dimensions are deliberately small
 (at most ``MAX_DIM``); anything larger is a usage error, not a truncation.
+
+Invariant: every entry of a ``Vec`` or ``Matrix`` is a ``Fraction``.  The
+public constructors validate outside input (ints, 'p/q' strings, shapes and
+dimensions); the private ``_of`` constructors trust the invariant and are
+what the arithmetic uses, since Fraction operations on Fraction entries of
+checked shapes yield Fraction entries of the same shapes.  The arithmetic
+skips every product with a zero factor and every sum with a zero term, so
+sparse operands (elementary matrices, basis vectors) cost only their
+nonzero entries.  Values are immutable, so cached ones (zeros, basis
+vectors) and ``scale(1)`` returning ``self`` are safe to share.
 """
 
 from __future__ import annotations
@@ -53,7 +63,28 @@ def scalar_str(c) -> str:
     return "%d/%d" % (c.numerator, c.denominator)
 
 
+_ZERO = Fraction(0)
 _BASIS_CACHE = {}
+_ZERO_CACHE = {}  # by shape: dim for a Vec, (nrows, ncols) for a Matrix
+
+
+def _add(a, b):
+    """a + b, with no Fraction operation when either side is 0."""
+    if not b:
+        return a
+    if not a:
+        return b
+    return a + b
+
+
+def _dot(row, nonzero):
+    """The sum of row[j] * x over the (j, x) pairs with x != 0, skipping zeros."""
+    acc = None
+    for j, x in nonzero:
+        c = row[j]
+        if c:
+            acc = c * x if acc is None else acc + c * x
+    return _ZERO if acc is None else acc
 
 
 class Vec:
@@ -66,13 +97,23 @@ class Vec:
         check_dim(len(coords))
         object.__setattr__(self, "coords", coords)
 
+    @classmethod
+    def _of(cls, coords):
+        """Trusted constructor: ``coords`` is a tuple of Fractions of valid length."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "coords", coords)
+        return v
+
     def __setattr__(self, name, value):
         raise AttributeError("Vec is immutable")
 
     @classmethod
     def zero(cls, dim):
         check_dim(dim)
-        return cls((0,) * dim)
+        cached = _ZERO_CACHE.get(dim)
+        if cached is None:
+            cached = _ZERO_CACHE[dim] = cls._of((_ZERO,) * dim)
+        return cached
 
     @classmethod
     def basis(cls, dim, i):
@@ -97,17 +138,19 @@ class Vec:
             return NotImplemented
         if other.dim != self.dim:
             raise DimensionError("vector dims %d and %d differ" % (self.dim, other.dim))
-        return Vec(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Vec._of(tuple(map(_add, self.coords, other.coords)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Vec(tuple(-a for a in self.coords))
+        return Vec._of(tuple(-a if a else a for a in self.coords))
 
     def scale(self, c):
         c = as_scalar(c)
-        return Vec(tuple(c * a for a in self.coords))
+        if c == 1:
+            return self
+        return Vec._of(tuple(c * a if a else a for a in self.coords))
 
     def concat(self, other):
         return Vec(self.coords + other.coords)
@@ -153,6 +196,13 @@ class Matrix:
         check_dim(width)
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _of(cls, rows):
+        """Trusted constructor: ``rows`` is a non-ragged tuple of tuples of Fractions."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
@@ -163,7 +213,12 @@ class Matrix:
 
     @classmethod
     def zero(cls, nrows, ncols):
-        return cls(((0,) * ncols,) * nrows)
+        check_dim(nrows)
+        check_dim(ncols)
+        cached = _ZERO_CACHE.get((nrows, ncols))
+        if cached is None:
+            cached = _ZERO_CACHE[(nrows, ncols)] = cls._of(((_ZERO,) * ncols,) * nrows)
+        return cached
 
     @property
     def nrows(self):
@@ -179,24 +234,27 @@ class Matrix:
     def apply(self, v: Vec) -> Vec:
         if v.dim != self.ncols:
             raise DimensionError("matrix is %dx%d, vector has dim %d" % (self.nrows, self.ncols, v.dim))
-        return Vec(tuple(sum((c * x for c, x in zip(row, v.coords)), Fraction(0)) for row in self.rows))
+        nonzero = [(j, x) for j, x in enumerate(v.coords) if x]
+        return Vec._of(tuple(_dot(row, nonzero) for row in self.rows))
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionError("matrix shapes differ")
-        return Matrix(tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)))
+        return Matrix._of(tuple(tuple(map(_add, r, s)) for r, s in zip(self.rows, other.rows)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Matrix(tuple(tuple(-a for a in row) for row in self.rows))
+        return Matrix._of(tuple(tuple(-a if a else a for a in row) for row in self.rows))
 
     def scale(self, c):
         c = as_scalar(c)
-        return Matrix(tuple(tuple(c * a for a in row) for row in self.rows))
+        if c == 1:
+            return self
+        return Matrix._of(tuple(tuple(c * a if a else a for a in row) for row in self.rows))
 
     def __matmul__(self, other):
         """Matrix product self @ other, i.e. the composite self after other."""
@@ -205,10 +263,10 @@ class Matrix:
         if self.ncols != other.nrows:
             raise DimensionError(
                 "cannot compose %dx%d with %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols))
-        return Matrix(tuple(
-            tuple(sum((self.rows[i][k] * other.rows[k][j] for k in range(self.ncols)), Fraction(0))
-                  for j in range(other.ncols))
-            for i in range(self.nrows)))
+        cols = tuple(zip(*other.rows))
+        return Matrix._of(tuple(
+            tuple(_dot(col, nonzero) for col in cols)
+            for nonzero in ([(k, a) for k, a in enumerate(row) if a] for row in self.rows)))
 
     def power(self, n):
         if self.nrows != self.ncols:

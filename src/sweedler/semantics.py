@@ -15,12 +15,20 @@ domain or codomain is not concrete stays a closure (``MapVal``); such values
 are compared extensionally, by probing them with seeded arguments, never
 numerically.  Every value does its own arithmetic: ``+``, unary ``-`` and
 ``scale``.
+
+Denotations are shared per distinct proof, weakly: proofs are frozen
+dataclasses, so a proof rebuilt or parsed again, or a sub-tree repeated
+inside one proof, finds the live ``Denotation`` of an equal proof instead
+of building its closures again.  An entry lasts only as long as its
+denotation does.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -114,6 +122,7 @@ class TensorSpace:
         return "(%s * %s)" % (self.left.label(), self.right.label())
 
 
+@functools.cache
 def _matrix_unit(nrows, ncols, i, j):
     return Matrix(tuple(tuple(1 if (r, c) == (i, j) else 0 for c in range(ncols))
                         for r in range(nrows)))
@@ -221,12 +230,14 @@ def add_values(a, b):
 
 
 def lincomb(space, pairs):
-    acc = space.zero()
+    acc = None
     for c, v in pairs:
         if c == 0:
             continue
-        acc = acc + (v.scale(c) if c != 1 else v)
-    return acc
+        if c != 1:
+            v = v.scale(c)
+        acc = v if acc is None else acc + v
+    return space.zero() if acc is None else acc
 
 
 def apply_hom(h, x):
@@ -248,7 +259,7 @@ def require_value(v, space, what="value"):
 # -- denotations -------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, weakref_slot=True)
 class Denotation:
     source: tuple
     target: object
@@ -272,7 +283,22 @@ def _identity(x):
     return x
 
 
+_denotations = weakref.WeakValueDictionary()
+
+
 def _den(p) -> Denotation:
+    try:
+        d = _denotations.get(p)
+    except TypeError:       # a proof holding a list (say, a perm) is unhashable
+        return _build(p)
+    if d is None:
+        d = _denotations[p] = _build(p)
+    return d
+
+
+def _build(p) -> Denotation:
+    # premises are denoted through the module-global ``_den``, so a wrapper
+    # bound to that name sees every node
     if isinstance(p, syn.Axiom):
         s = denote_formula(p.formula)
         return Denotation((s,), s, _identity)
@@ -284,9 +310,8 @@ def _den(p) -> Denotation:
         hom = HomSpace(dom, cod)
         if hom.concrete:
             def fn(*args):
-                cols = [prem.fn(*args, Vec.basis(dom.dim, j)) for j in range(dom.dim)]
-                return Matrix(tuple(tuple(col.coords[i] for col in cols)
-                                    for i in range(cod.dim)))
+                cols = [prem.fn(*args, Vec.basis(dom.dim, j)).coords for j in range(dom.dim)]
+                return Matrix._of(tuple(zip(*cols)))
         else:
             def fn(*args):
                 return MapVal(hom, lambda x: prem.fn(*args, require_value(x, dom, "argument")))
@@ -394,17 +419,23 @@ def _den(p) -> Denotation:
                 tagged = [(si, x) for si, k in enumerate(kets) for x in k.tangents]
                 point = prem.fn(*(bg.BangElement.ket(spaces[si], k.point)
                                   for si, k in enumerate(kets)))
+                # Bell(s) partitions share at most 2^s - 1 distinct blocks:
+                # one premise call per block, as in bg.promote.
+                block_entries = {}
                 for blocks in bg.set_partitions(range(len(tagged))):
                     entries = []
                     for block in blocks:
-                        picked = {}
-                        for j in block:
-                            si, x = tagged[j]
-                            picked.setdefault(si, []).append(x)
-                        entries.append(prem.fn(*(
-                            bg.BangElement.from_terms(
-                                spaces[si], [(1, kets[si].point, tuple(picked.get(si, ())))])
-                            for si in range(len(kets)))))
+                        entry = block_entries.get(block)
+                        if entry is None:
+                            picked = {}
+                            for j in block:
+                                si, x = tagged[j]
+                                picked.setdefault(si, []).append(x)
+                            entry = block_entries[block] = prem.fn(*(
+                                bg.BangElement.from_terms(
+                                    spaces[si], [(1, kets[si].point, tuple(picked.get(si, ())))])
+                                for si in range(len(kets))))
+                        entries.append(entry)
                     items.append((coeff, point, tuple(entries)))
             return bg.BangElement.from_terms(prem.target, items)
         return Denotation(prem.source, BangSpace(prem.target), fn)

@@ -75,17 +75,37 @@ class Sequent:
 # -- proof trees ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _proof_node(cls):
+    """A frozen dataclass whose structural hash is computed once per node.
+
+    Proofs key the denotation cache of ``semantics`` at every node, and the
+    generated hash recurses through the whole sub-tree: uncached, denoting
+    a proof would hash nodes x depth times.
+    """
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = field_hash(self)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_proof_node
 class Axiom:
     formula: Formula
 
 
-@dataclass(frozen=True)
+@_proof_node
 class LolliR:
     premise: "Proof"
 
 
-@dataclass(frozen=True)
+@_proof_node
 class LolliL:
     index: int          # position of the consumed B inside the right premise
     arg: "Proof"        # proves  Gamma |- A
@@ -93,68 +113,68 @@ class LolliL:
     # concludes Gamma, Delta1, A -o B, Delta2 |- C
 
 
-@dataclass(frozen=True)
+@_proof_node
 class TensorR:
     left: "Proof"
     right: "Proof"
 
 
-@dataclass(frozen=True)
+@_proof_node
 class TensorL:
     index: int
     premise: "Proof"
 
 
-@dataclass(frozen=True)
+@_proof_node
 class Der:
     index: int
     premise: "Proof"
 
 
-@dataclass(frozen=True)
+@_proof_node
 class Ctr:
     index: int          # merges the adjacent pair at index, index+1
     premise: "Proof"
 
 
-@dataclass(frozen=True)
+@_proof_node
 class Weak:
     index: int
     formula: Formula    # the banged formula inserted at index
     premise: "Proof"
 
 
-@dataclass(frozen=True)
+@_proof_node
 class Prom:
     premise: "Proof"
 
 
-@dataclass(frozen=True)
+@_proof_node
 class Cut:
     index: int          # position of the cut formula inside the right premise
     left: "Proof"       # proves  Gamma |- A
     right: "Proof"      # proves  Delta1, A, Delta2 |- C
 
 
-@dataclass(frozen=True)
+@_proof_node
 class Exchange:
     perm: tuple         # conclusion[j] = premise[perm[j]]
     premise: "Proof"
 
 
-@dataclass(frozen=True)
+@_proof_node
 class Coder:
     index: int
     premise: "Proof"
 
 
-@dataclass(frozen=True)
+@_proof_node
 class Coctr:
     index: int
     premise: "Proof"
 
 
-@dataclass(frozen=True)
+@_proof_node
 class Coweak:
     index: int
     formula: Formula

@@ -94,3 +94,98 @@ def test_compose_associative_random():
         assert (a @ b) @ c == a @ (b @ c)
         v = Vec(tuple(rng.randint(-3, 3) for _ in range(3)))
         assert (a @ b).apply(v) == a.apply(b.apply(v))
+
+
+# -- the trusted, zero-skipping kernels against the naive Fraction formulas --
+
+# a matrix or vector is drawn all-zero, sparse (mostly 0) or dense; nonzero
+# entries are negative and non-integer as often as not
+_density = st.sampled_from((
+    st.just(Fraction(0)),
+    st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(0)), _frac),
+    _frac))
+_dims = st.integers(1, 4)
+
+
+def _rows(nrows, ncols):
+    return _density.flatmap(lambda entry: st.lists(
+        st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+
+
+def _all_fractions(x):
+    coords = x.coords if isinstance(x, Vec) else [c for row in x.rows for c in row]
+    return all(type(c) is Fraction for c in coords)
+
+
+@given(st.data(), _dims, _dims, _dims)
+def test_kernels_equal_naive_formulas(data, n, m, k):
+    a = Matrix(data.draw(_rows(n, m)))
+    b = Matrix(data.draw(_rows(n, m)))
+    c = Matrix(data.draw(_rows(m, k)))
+    v = Vec(data.draw(_rows(1, m))[0])
+    w = Vec(data.draw(_rows(1, m))[0])
+    s = data.draw(st.one_of(st.just(Fraction(0)), st.just(Fraction(1)), _frac))
+    zero = Fraction(0)
+
+    results = {
+        "apply": (a.apply(v), [sum((a.rows[i][j] * v.coords[j] for j in range(m)), zero)
+                               for i in range(n)]),
+        "matmul": (a @ c, [[sum((a.rows[i][j] * c.rows[j][l] for j in range(m)), zero)
+                            for l in range(k)] for i in range(n)]),
+        "m+": (a + b, [[x + y for x, y in zip(r, q)] for r, q in zip(a.rows, b.rows)]),
+        "m-": (a - b, [[x - y for x, y in zip(r, q)] for r, q in zip(a.rows, b.rows)]),
+        "-m": (-a, [[-x for x in r] for r in a.rows]),
+        "m.scale": (a.scale(s), [[s * x for x in r] for r in a.rows]),
+        "v+": (v + w, [x + y for x, y in zip(v.coords, w.coords)]),
+        "v-": (v - w, [x - y for x, y in zip(v.coords, w.coords)]),
+        "-v": (-v, [-x for x in v.coords]),
+        "v.scale": (v.scale(s), [s * x for x in v.coords]),
+    }
+    for name, (got, want) in results.items():
+        assert _all_fractions(got), name
+        if isinstance(got, Vec):
+            assert got == Vec(want), name
+        else:
+            assert got == Matrix(want), name
+
+
+def test_scale_by_one_and_cached_zeros_are_shared_immutable_values():
+    v = Vec(("1/2", 0, -3))
+    m = Matrix(((1, "-2/3"), (0, 0)))
+    assert v.scale(1) is v and m.scale(Fraction(1)) is m
+    assert Vec.zero(3) is Vec.zero(3) and Matrix.zero(2, 3) is Matrix.zero(2, 3)
+    assert Matrix.zero(2, 3) is not Matrix.zero(3, 2)
+    for shared in (v.scale(1), m.scale(1), Vec.zero(3), Matrix.zero(2, 3)):
+        with pytest.raises(AttributeError):
+            shared.coords = shared.rows = ()
+    assert v + Vec.zero(3) == v and Vec.zero(3) == Vec((0, 0, 0))
+    assert m + Matrix.zero(2, 2) == m and Matrix.zero(2, 3) == Matrix(((0, 0, 0), (0, 0, 0)))
+    assert all(type(c) is Fraction for row in Matrix.zero(2, 3).rows for c in row)
+    assert (v.scale(0), m.scale(0)) == (Vec.zero(3), Matrix.zero(2, 2))
+
+
+def test_public_constructors_still_validate():
+    with pytest.raises(TypeError):
+        Vec((1.5, 2))
+    with pytest.raises(TypeError):
+        Matrix(((1, 0.5), (0, 1)))
+    with pytest.raises(TypeError):
+        Vec.from_json([1, 2.0])
+    with pytest.raises(TypeError):
+        Matrix.from_json([[1, 0], [0, 1.0]])
+    with pytest.raises(DimensionError):
+        Matrix(((1, 2), (3,)))
+    with pytest.raises(DimensionError):
+        Matrix.from_json([[1, 2], [3]])
+    for bad in (0, 9, 2.0):
+        with pytest.raises(DimensionError):
+            Vec.zero(bad)
+        with pytest.raises(DimensionError):
+            Matrix.zero(bad, 2)
+        with pytest.raises(DimensionError):
+            Matrix.zero(2, bad)
+    with pytest.raises(DimensionError):
+        Vec((1,) * 9)
+    with pytest.raises(DimensionError):
+        Matrix(((1,) * 9,))
+    assert Vec((1, "2/4")).coords == (Fraction(1), Fraction(1, 2))

@@ -1,13 +1,22 @@
-import pytest
+import dataclasses
+import gc
+import itertools
+import random
+import weakref
 from fractions import Fraction
+
+import pytest
 
 from sweedler.exact import Matrix, Vec
 from sweedler import bang as bg
+from sweedler import semantics as sem
+from sweedler.encodings import bint_proof, church_proof, end_formula
+from sweedler.sexpr import parse_proof, print_proof
 from sweedler.syntax import (
     Axiom, Bang, Coctr, Coder, Coweak, Ctr, Cut, Der, Exchange, Lolli, LolliL,
-    LolliR, Prom, PropVar, TensorL, TensorR, Weak, derivative_transform)
+    LolliR, Prom, Proof, PropVar, TensorL, TensorR, Weak, derivative_transform)
 from sweedler.semantics import (
-    BangSpace, Base, HomSpace, MapVal, ProbeConfig, ProbeDepthError,
+    BangSpace, Base, Denotation, HomSpace, MapVal, ProbeConfig, ProbeDepthError,
     SpaceMismatch, TensorSpace, TensorVal, denote_formula,
     denote_proof, derivative_eval, extensional_equal, lincomb, nl_eval,
     parse_value, value_to_json)
@@ -129,6 +138,8 @@ def test_exchange_permutes_arguments():
     d = denote_proof(p)
     b = Vec((1, 0, 0))
     assert d.eval(b, bval((9, 9), coeff=2)) == Vec((2, 0, 0))
+    # a permutation given as a list makes the proof unhashable; it still denotes
+    assert denote_proof(Exchange([1, 0], body)).eval(b, bval((9, 9), coeff=2)) == Vec((2, 0, 0))
 
 
 def test_derivative_transform_semantics():
@@ -231,3 +242,118 @@ def test_parse_value_mismatch():
         parse_value(BangSpace(Base(2)), [{"coeff": "1"}])
     with pytest.raises(SpaceMismatch):
         parse_value(HomSpace(BangSpace(Base(2)), Base(2)), [])
+
+
+# -- one denotation per distinct proof ------------------------------------------
+
+
+def _nodes(p):
+    """Every node of a proof tree, repeated sub-trees once per occurrence."""
+    yield p
+    for f in dataclasses.fields(p):
+        v = getattr(p, f.name)
+        if isinstance(v, Proof):
+            yield from _nodes(v)
+
+
+def test_equal_proofs_share_one_live_denotation():
+    d = denote_proof(bint_proof("0110"))
+    assert denote_proof(bint_proof("0110")) is d
+    assert denote_proof(parse_proof(print_proof(bint_proof("0110")))) is d
+    assert not hasattr(d, "__dict__")
+
+
+def _twin_proof(name):
+    """|- !U -o U * U, built with two equal but distinct copies of Der(0, Axiom(U)).
+
+    ``name`` is a variable no other test uses, so no other live denotation
+    shares a node with the proof.
+    """
+    u = PropVar(name, 3)
+    return LolliR(Ctr(0, TensorR(Der(0, Axiom(u)), Der(0, Axiom(u)))))
+
+
+def test_equal_sub_trees_are_denoted_once(monkeypatch):
+    p = _twin_proof("Twin")
+    nodes = list(_nodes(p))
+    built = []
+    build = sem._build
+    monkeypatch.setattr(sem, "_build", lambda q: built.append(q) or build(q))
+    denote_proof(p)
+    assert len(built) == len(set(built)) == len(set(nodes)) < len(nodes)
+
+
+def test_denotation_cache_holds_no_dead_entries():
+    p = _twin_proof("Dropped")
+    d = denote_proof(p)
+    alive = weakref.ref(d)
+    assert all(sem._denotations.get(q) is not None for q in _nodes(p))
+    del d
+    gc.collect()
+    assert alive() is None
+    assert not any(q in sem._denotations for q in _nodes(p))
+
+
+# -- the promotion rule calls its premise once per distinct block -------------
+
+
+def _prom_by_partitions(prem, vals):
+    """Reference promotion: one premise call per block of every set partition."""
+    spaces = tuple(s.inner for s in prem.source)
+    items = []
+    for combo in itertools.product(*(v.sorted_terms() for v in vals)):
+        coeff = Fraction(1)
+        for _, c in combo:
+            coeff *= c
+        kets = [k for k, _ in combo]
+        tagged = [(si, x) for si, k in enumerate(kets) for x in k.tangents]
+        point = prem.fn(*(bg.BangElement.ket(spaces[si], k.point) for si, k in enumerate(kets)))
+        for blocks in bg.set_partitions(range(len(tagged))):
+            entries = []
+            for block in blocks:
+                picked = {}
+                for j in block:
+                    si, x = tagged[j]
+                    picked.setdefault(si, []).append(x)
+                entries.append(prem.fn(*(
+                    bg.BangElement.from_terms(
+                        spaces[si], [(1, kets[si].point, tuple(picked.get(si, ())))])
+                    for si in range(len(kets)))))
+            items.append((coeff, point, tuple(entries)))
+    return bg.BangElement.from_terms(prem.target, items)
+
+
+def _rand_ket_sum(rng, space, tangents):
+    """One or two kets over End(Q^2) with `tangents` sparse tangents each."""
+    def mat(nonzero):
+        cells = rng.sample(range(4), nonzero)
+        return Matrix(tuple(tuple(sem.rand_fraction(rng) or 1 if 2 * i + j in cells else 0
+                                  for j in range(2)) for i in range(2)))
+    return bg.BangElement.from_terms(space, [
+        (sem.rand_fraction(rng) or 1, mat(4), tuple(mat(rng.randint(1, 2)) for _ in range(tangents)))
+        for _ in range(rng.randint(1, 2))])
+
+
+@pytest.mark.parametrize("premise,profiles", [
+    (church_proof(2), [(s,) for s in range(5)]),
+    (bint_proof("01", arrows=0), [(s, r) for s in range(5) for r in range(5 - s)]),
+], ids=["one slot", "two slots"])
+def test_promotion_calls_the_premise_once_per_distinct_block(premise, profiles, monkeypatch):
+    prem = denote_proof(premise)
+    calls = []
+    counted = Denotation(prem.source, prem.target, lambda *a: calls.append(a) or prem.fn(*a))
+    den = sem._den
+    monkeypatch.setattr(sem, "_den", lambda p: counted if p == premise else den(p))
+    prom = sem._build(Prom(premise))
+    space = denote_formula(end_formula())
+    for seed, profile in enumerate(profiles):
+        rng = random.Random(seed)
+        vals = [_rand_ket_sum(rng, space, s) for s in profile]
+        calls.clear()
+        out = prom.fn(*vals)
+        # 1 call at the point, one per nonempty block: 2^s per combination of kets
+        assert len(calls) == sum(2 ** sum(k.order for k in kets)
+                                 for kets in itertools.product(*(v.terms for v in vals)))
+        ref = _prom_by_partitions(prem, vals)
+        assert list(out.terms.items()) == list(ref.terms.items())
+        assert repr(out) == repr(ref)
