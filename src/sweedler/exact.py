@@ -12,8 +12,8 @@ what the arithmetic uses, since Fraction operations on Fraction entries of
 checked shapes yield Fraction entries of the same shapes.  The arithmetic
 skips every product with a zero factor and every sum with a zero term, so
 sparse operands (elementary matrices, basis vectors) cost only their
-nonzero entries.  Values are immutable, so cached ones (zeros, basis
-vectors) and ``scale(1)`` returning ``self`` are safe to share.
+nonzero entries.  Values are immutable, so cached ones (basis vectors,
+zero matrices) and ``scale(1)`` returning ``self`` are safe to share.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def scalar_str(c) -> str:
 
 _ZERO = Fraction(0)
 _BASIS_CACHE = {}
-_ZERO_CACHE = {}  # by shape: dim for a Vec, (nrows, ncols) for a Matrix
+_ZERO_CACHE = {}  # Matrix.zero by (nrows, ncols)
 
 
 def _add(a, b):
@@ -110,10 +110,7 @@ class Vec:
     @classmethod
     def zero(cls, dim):
         check_dim(dim)
-        cached = _ZERO_CACHE.get(dim)
-        if cached is None:
-            cached = _ZERO_CACHE[dim] = cls._of((_ZERO,) * dim)
-        return cached
+        return cls((0,) * dim)
 
     @classmethod
     def basis(cls, dim, i):
@@ -144,7 +141,7 @@ class Vec:
         return self + (-other)
 
     def __neg__(self):
-        return Vec._of(tuple(-a if a else a for a in self.coords))
+        return Vec._of(tuple(-a for a in self.coords))
 
     def scale(self, c):
         c = as_scalar(c)
@@ -248,7 +245,7 @@ class Matrix:
         return self + (-other)
 
     def __neg__(self):
-        return Matrix._of(tuple(tuple(-a if a else a for a in row) for row in self.rows))
+        return Matrix._of(tuple(tuple(-a for a in row) for row in self.rows))
 
     def scale(self, c):
         c = as_scalar(c)

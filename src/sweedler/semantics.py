@@ -287,10 +287,7 @@ _denotations = weakref.WeakValueDictionary()
 
 
 def _den(p) -> Denotation:
-    try:
-        d = _denotations.get(p)
-    except TypeError:       # a proof holding a list (say, a perm) is unhashable
-        return _build(p)
+    d = _denotations.get(p)
     if d is None:
         d = _denotations[p] = _build(p)
     return d
@@ -311,7 +308,7 @@ def _build(p) -> Denotation:
         if hom.concrete:
             def fn(*args):
                 cols = [prem.fn(*args, Vec.basis(dom.dim, j)).coords for j in range(dom.dim)]
-                return Matrix._of(tuple(zip(*cols)))
+                return Matrix(tuple(zip(*cols)))
         else:
             def fn(*args):
                 return MapVal(hom, lambda x: prem.fn(*args, require_value(x, dom, "argument")))
@@ -453,7 +450,7 @@ def _build(p) -> Denotation:
 
     if isinstance(p, syn.Exchange):
         prem = _den(p.premise)
-        perm = tuple(p.perm)
+        perm = p.perm
         src = tuple(prem.source[j] for j in perm)
 
         def fn(*vals):

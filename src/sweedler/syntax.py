@@ -13,7 +13,7 @@ Context conventions (fixed once, here, and relied on by the encodings):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .exact import check_dim
 
@@ -83,12 +83,14 @@ def _proof_node(cls):
     a proof would hash nodes x depth times.
     """
     cls = dataclass(frozen=True)(cls)
-    field_hash = cls.__hash__
+    names = tuple(f.name for f in fields(cls))
 
     def __hash__(self):
+        # hashing the field tuple here, not through the generated __hash__,
+        # costs one Python frame per proof level instead of two
         h = self.__dict__.get("_hash")
         if h is None:
-            h = self.__dict__["_hash"] = field_hash(self)
+            h = self.__dict__["_hash"] = hash(tuple([getattr(self, n) for n in names]))
         return h
 
     cls.__hash__ = __hash__
@@ -160,6 +162,10 @@ class Cut:
 class Exchange:
     perm: tuple         # conclusion[j] = premise[perm[j]]
     premise: "Proof"
+
+    def __post_init__(self):
+        # a perm given as a list is kept as a tuple, so every proof is hashable
+        object.__setattr__(self, "perm", tuple(self.perm))
 
 
 @_proof_node
@@ -289,11 +295,10 @@ def _check(p, path) -> Sequent:
 
     if isinstance(p, Exchange):
         s = _check(p.premise, path + (0,))
-        perm = tuple(p.perm)
-        if sorted(perm) != list(range(len(s.context))):
+        if sorted(p.perm) != list(range(len(s.context))):
             _fail(path, "exchange %r is not a permutation of a %d-slot context",
-                  perm, len(s.context))
-        ctx = tuple(s.context[j] for j in perm)
+                  p.perm, len(s.context))
+        ctx = tuple(s.context[j] for j in p.perm)
         return Sequent(ctx, s.conclusion)
 
     if isinstance(p, Coder):

@@ -247,6 +247,17 @@ def test_nesting_at_the_bound_checks_evaluates_and_prints(capsys, tmp_path):
         lines = print_proof(parse_proof(fh.read())).splitlines()
     assert len(lines) == MAX_DEPTH - 1
     assert lines[-1].strip() == "(axiom (pvar A 2))" + ")" * (MAX_DEPTH - 2)
+    # promotions nest the most frames per level when evaluated
+    n = MAX_DEPTH - 3
+    prom = tmp_path / "prom.sexp"
+    prom.write_text("(prom " * n + "(axiom (bang (pvar A 2)))" + ")" * n + "\n")
+    bangs = "!" * (n + 1)
+    assert run(capsys, "check", str(prom)) == (0, "valid: !A |- %sA\n" % bangs, "")
+    ket = '[{"point": ["1", "2"]}]'
+    assert run(capsys, "eval", str(prom), "--input", ket) == (
+        0, "|>_(" * (n + 1) + "1, 2" + ")" * (n + 1) + "\n", "")
+    code, out, err = run(capsys, "eval", str(prom), "--input", ket, "--format", "json")
+    assert (code, err, json.loads(out)["space"]) == (0, "", bangs + "2")
 
 
 def test_proof_file_not_utf8_exits_2(capsys, tmp_path):

@@ -138,8 +138,9 @@ def test_exchange_permutes_arguments():
     d = denote_proof(p)
     b = Vec((1, 0, 0))
     assert d.eval(b, bval((9, 9), coeff=2)) == Vec((2, 0, 0))
-    # a permutation given as a list makes the proof unhashable; it still denotes
-    assert denote_proof(Exchange([1, 0], body)).eval(b, bval((9, 9), coeff=2)) == Vec((2, 0, 0))
+    # a permutation given as a list is kept as a tuple: the proof equals p
+    assert Exchange([1, 0], body) == p and Exchange([1, 0], body).perm == (1, 0)
+    assert denote_proof(Exchange([1, 0], body)) is d
 
 
 def test_derivative_transform_semantics():
