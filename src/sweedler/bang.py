@@ -13,6 +13,13 @@ Any space with ``contains``, ``expand`` (into canonical units), ``key``,
 ``BangSpace`` here, the map and tensor spaces of ``semantics``.  Entries do
 their own arithmetic: ``+``, unary ``-`` and ``scale``.
 
+Two splittings serve the exponential rules of the proof semantics.
+``coproduct_pairs`` is Delta grouped by left factor, for contraction: one
+pair (unit ket, sum of right kets) per distinct left factor.
+``promote_blocks`` is delta on several slots at once followed by a map on
+blocks, for promotion: the map sees one canonical ket per slot and runs
+once per distinct block; ``promote`` is the one-slot case with unit kets.
+
 Tangent expansion, subset and partition enumerations are guarded; blowing a
 guard raises ``EnumerationLimitError`` rather than silently truncating.
 """
@@ -23,11 +30,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from operator import itemgetter
 
 from .exact import Vec, as_scalar, check_dim, scalar_str
 
 MAX_SUBSET_TANGENTS = 12
 MAX_PARTITION_TANGENTS = 8
+_KEY = itemgetter(1)
 
 
 class SpaceError(ValueError):
@@ -44,8 +54,8 @@ def index_subsets(n):
         raise EnumerationLimitError(
             "refusing to enumerate 2^%d subsets (limit %d tangents)" % (n, MAX_SUBSET_TANGENTS))
     for mask in range(1 << n):
-        chosen = tuple(i for i in range(n) if mask >> i & 1)
-        rest = tuple(i for i in range(n) if not mask >> i & 1)
+        chosen = tuple([i for i in range(n) if mask >> i & 1])
+        rest = tuple([i for i in range(n) if not mask >> i & 1])
         yield chosen, rest
 
 
@@ -121,6 +131,9 @@ class BangSpace:
         """Canonical units of !W are the single kets with coefficient 1."""
         if not self.contains(entry):
             raise SpaceError("expected an element of !%s" % self.inner.label())
+        if len(entry.terms) == 1:
+            (k, c), = entry.terms.items()
+            return [(c, entry if c == 1 else unit(self.inner, k))]
         return [(c, unit(self.inner, k)) for k, c in entry.sorted_terms()]
 
     def key(self, entry):
@@ -169,6 +182,34 @@ class Ket:
 
 def ket_key(space, k: Ket):
     return (space.key(k.point), tuple(space.key(t) for t in k.tangents))
+
+
+def _keyed(space, entry):
+    """An entry's expansion into canonical units, as (coeff, key, unit); a
+    coefficient of 1 is stored as None, so products skip it cheaply."""
+    return [(None if c == 1 else c, space.key(u), u) for c, u in space.expand(entry)]
+
+
+def _add_kets(acc, space, coeff, point, expansions):
+    """acc += coeff |t1,...,ts>_point, the tangents given by their keyed expansions.
+
+    Multiplies the expansions out, sorts each product's units by key and
+    merges like kets into acc.  More than 2^MAX_SUBSET_TANGENTS products
+    raise EnumerationLimitError.
+    """
+    size = math.prod(map(len, expansions))
+    if size > 1 << MAX_SUBSET_TANGENTS:
+        raise EnumerationLimitError(
+            "refusing to expand a ket into %d tangent products (limit 2^%d)"
+            % (size, MAX_SUBSET_TANGENTS))
+    for combo in itertools.product(*expansions):
+        c = coeff
+        for u, _, _ in combo:
+            if u is not None:
+                c *= u
+        k = Ket(point, tuple([e for _, _, e in sorted(combo, key=_KEY)]))
+        c0 = acc.get(k)
+        acc[k] = c if c0 is None else c0 + c
 
 
 class _TermSum:
@@ -264,20 +305,7 @@ class BangElement(_TermSum):
                 continue
             if not space.contains(point):
                 raise SpaceError("point %r does not lie in %s" % (point, space.label()))
-            expansions = [space.expand(t) for t in tangents]
-            size = math.prod(map(len, expansions))
-            if size > 1 << MAX_SUBSET_TANGENTS:
-                raise EnumerationLimitError(
-                    "refusing to expand a ket into %d tangent products (limit 2^%d)"
-                    % (size, MAX_SUBSET_TANGENTS))
-            for combo in itertools.product(*expansions):
-                c = coeff
-                for u, _ in combo:
-                    c *= u
-                entries = tuple(sorted((e for _, e in combo), key=space.key))
-                k = Ket(point, entries)
-                c0 = acc.get(k)
-                acc[k] = c if c0 is None else c0 + c
+            _add_kets(acc, space, coeff, point, [_keyed(space, t) for t in tangents])
         return cls(space, {k: c for k, c in acc.items() if c != 0})
 
     def sorted_terms(self):
@@ -388,29 +416,42 @@ def map_factor(te: TensorElement, i, fn, out_space) -> TensorElement:
 def coproduct_factor(te: TensorElement, i) -> TensorElement:
     """Apply the coproduct to factor i, splicing in the two new factors."""
     spaces = te.spaces[:i] + (te.spaces[i], te.spaces[i]) + te.spaces[i + 1:]
-    items = []
-    for kets, c in te.terms.items():
-        k = kets[i]
-        for chosen, rest in index_subsets(k.order):
-            k1 = Ket(k.point, tuple(k.tangents[j] for j in chosen))
-            k2 = Ket(k.point, tuple(k.tangents[j] for j in rest))
-            items.append((c, kets[:i] + (k1, k2) + kets[i + 1:]))
-    return TensorElement.from_terms(spaces, items)
+    return TensorElement.from_terms(spaces, (
+        (c, kets[:i] + pair + kets[i + 1:])
+        for kets, c in te.terms.items() for pair in _splits(kets[i])))
 
 
 # ---------------------------------------------------------------------------
 # structural maps
 
 
+def _splits(k: Ket):
+    """The 2^s splittings of a ket's tangents into a (chosen, rest) pair of kets."""
+    point, ts = k.point, k.tangents
+    for chosen, rest in index_subsets(len(ts)):
+        yield Ket(point, tuple([ts[j] for j in chosen])), Ket(point, tuple([ts[j] for j in rest]))
+
+
 def coproduct(t: BangElement) -> TensorElement:
     """Delta: split the tangent multiset over all 2^s subsets, same point."""
-    items = []
+    return TensorElement.from_terms(
+        (t.space, t.space), ((c, pair) for k, c in t.terms.items() for pair in _splits(k)))
+
+
+def coproduct_pairs(t: BangElement):
+    """Delta grouped by left factor: pairs (|k1>, sum c |k2>), one per distinct k1.
+
+    The pure tensors of the pairs sum to ``coproduct(t)``.  Distinct kets of
+    t share no splitting and equal splittings of one ket add up, so no right
+    factor cancels.
+    """
+    rights = {}
     for k, c in t.terms.items():
-        for chosen, rest in index_subsets(k.order):
-            k1 = Ket(k.point, tuple(k.tangents[j] for j in chosen))
-            k2 = Ket(k.point, tuple(k.tangents[j] for j in rest))
-            items.append((c, (k1, k2)))
-    return TensorElement.from_terms((t.space, t.space), items)
+        for k1, k2 in _splits(k):
+            right = rights.setdefault(k1, {})
+            c0 = right.get(k2)
+            right[k2] = c if c0 is None else c0 + c
+    return [(unit(t.space, k1), BangElement(t.space, right)) for k1, right in rights.items()]
 
 
 def counit(t: BangElement) -> Fraction:
@@ -429,34 +470,48 @@ def dereliction(t: BangElement):
     return t.space.zero() if acc is None else acc
 
 
-def promote(t: BangElement) -> BangElement:
-    """delta: !V -> !!V by summing over set partitions of each tangent multiset.
+def promote_blocks(vals, block, space) -> BangElement:
+    """delta on every slot, then a map on blocks: !A1 (x) ... (x) !An -> !B.
 
-    A ket with s tangents has at most 2^s distinct blocks, far fewer than
-    the blocks of all its Bell(s) partitions, so each block's unit ket is
-    built once per ket.  Blocks are subsequences of the sorted canonical
-    tangents, hence canonical units already; outer kets only need sorting
-    and merging, not the expansion of ``from_terms``.
+    For each choice of one ket per slot, the tangents of all the chosen kets
+    are split over their set partitions.  A block is one part, read back as
+    one canonical ket per slot (same point, the block's tangents from that
+    slot); ``block`` maps such kets to an entry of ``space``.  Each partition
+    gives the ket of !B whose point is ``block`` at the tangent-free kets and
+    whose tangents are ``block`` at its parts.  Bell(s) partitions share at
+    most 2^s - 1 distinct parts, so ``block`` is called, and its value
+    expanded, once per distinct part and once at the point.
     """
-    outer = BangSpace(t.space)
     acc = {}
-    for k, c in t.terms.items():
-        c = as_scalar(c)
-        base = unit(t.space, Ket(k.point, ()))
-        blocks_seen = {}
-        for blocks in set_partitions(range(k.order)):
-            entries = []
-            for block in blocks:
-                entry = blocks_seen.get(block)
-                if entry is None:
-                    elt = unit(t.space, Ket(k.point, tuple(k.tangents[j] for j in block)))
-                    entry = blocks_seen[block] = (outer.key(elt), elt)
-                entries.append(entry)
-            entries.sort(key=lambda ke: ke[0])
-            ok = Ket(base, tuple(elt for _, elt in entries))
-            c0 = acc.get(ok)
-            acc[ok] = c if c0 is None else c0 + c
-    return BangElement(outer, {k: c for k, c in acc.items() if c != 0})
+    for combo in itertools.product(*(v.sorted_terms() for v in vals)):
+        coeff = Fraction(1)
+        for _, c in combo:
+            coeff *= c
+        kets = [k for k, _ in combo]
+        tagged = [(si, x) for si, k in enumerate(kets) for x in k.tangents]
+        point = block(*(Ket(k.point, ()) for k in kets))
+        if not space.contains(point):
+            raise SpaceError("point %r does not lie in %s" % (point, space.label()))
+        parts = {}
+        for blocks in set_partitions(range(len(tagged))):
+            expansions = []
+            for part in blocks:
+                keyed = parts.get(part)
+                if keyed is None:
+                    picked = [[] for _ in kets]
+                    for j in part:
+                        si, x = tagged[j]
+                        picked[si].append(x)
+                    keyed = parts[part] = _keyed(space, block(*(
+                        Ket(k.point, tuple(xs)) for k, xs in zip(kets, picked))))
+                expansions.append(keyed)
+            _add_kets(acc, space, coeff, point, expansions)
+    return BangElement(space, {k: c for k, c in acc.items() if c != 0})
+
+
+def promote(t: BangElement) -> BangElement:
+    """delta: !V -> !!V, each block read back as its unit ket."""
+    return promote_blocks((t,), partial(unit, t.space), BangSpace(t.space))
 
 
 def deriving(t: BangElement, v) -> BangElement:

@@ -27,7 +27,6 @@ import random
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional
 
 from . import bang as bg
@@ -472,29 +471,8 @@ def _law_pair_antipode(rng, cfg):
 # semantics laws
 
 
-@lru_cache(maxsize=None)
-def _den_comp(n, dim):
-    return denote_proof(enc.comp_proof(n, dim))
-
-
-@lru_cache(maxsize=None)
-def _den_church_prom(n, dim):
-    return denote_proof(Prom(enc.church_proof(n, dim)))
-
-
-@lru_cache(maxsize=None)
-def _den_bint(s, dim):
-    return denote_proof(enc.bint_proof(s, dim))
-
-
-@lru_cache(maxsize=None)
 def _bint_value(s, dim):
-    return _den_bint(s, dim).eval()
-
-
-@lru_cache(maxsize=None)
-def _den_int(n, dim):
-    return denote_proof(enc.int_proof(n, dim))
+    return denote_proof(enc.bint_proof(s, dim)).eval()
 
 
 def _bend(dim, point, *tangents):
@@ -509,7 +487,7 @@ def _probe_cfg(rng, cfg, max_tangents=2):
 @law("semantics", "denotation-multilinearity", weight=5)
 def _law_multilinearity(rng, cfg):
     """Proof denotations are linear in every sequent slot."""
-    den = _den_comp(3, cfg.dim)
+    den = denote_proof(enc.comp_proof(3, cfg.dim))
     slot = rng.randint(0, 2)
     mats = [rand_matrix(rng, cfg.dim) for _ in range(3)]
     extra = rand_matrix(rng, cfg.dim)
@@ -541,7 +519,7 @@ def _law_promotion_identity(rng, cfg):
 def _law_promotion_group_like(rng, cfg):
     """Promoted proofs send group-like kets to group-like kets at the image."""
     n = rng.randint(0, 3)
-    den = _den_church_prom(n, cfg.dim)
+    den = denote_proof(Prom(enc.church_proof(n, cfg.dim)))
     alpha = rand_matrix(rng, cfg.dim)
     got = den.eval(_bend(cfg.dim, alpha))
     want = _bend(cfg.dim, enc.church_value_oracle(n, alpha))
@@ -553,7 +531,7 @@ def _law_promotion_group_like(rng, cfg):
 def _law_promotion_tangent(rng, cfg):
     """Promoted proofs push one tangent forward along the derivative."""
     n = rng.randint(0, 3)
-    den = _den_church_prom(n, cfg.dim)
+    den = denote_proof(Prom(enc.church_proof(n, cfg.dim)))
     alpha = rand_matrix(rng, cfg.dim)
     nu = rand_matrix(rng, cfg.dim)
     got = den.eval(_bend(cfg.dim, alpha, nu))
@@ -660,8 +638,8 @@ def _law_repeat(rng, cfg):
 def _law_mult(rng, cfg):
     l, m, n = rng.randint(0, 2), rng.randint(0, 2), rng.randint(1, 2)
     dv = derivative_eval(enc.mult_by_numeral(n, cfg.dim),
-                         _den_int(l, cfg.dim).eval(),
-                         _den_int(m, cfg.dim).eval())
+                         denote_proof(enc.int_proof(l, cfg.dim)).eval(),
+                         denote_proof(enc.int_proof(m, cfg.dim)).eval())
     x = rand_matrix(rng, cfg.dim)
     got = apply_hom(dv, _bend(cfg.dim, x))
     closed = enc.mult_derivative_oracle(l, m, n, x)

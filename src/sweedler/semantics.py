@@ -369,21 +369,12 @@ def _build(p) -> Denotation:
         prem = _den(p.premise)
         i = p.index
         bspace = prem.source[i]
-        es = bspace.inner
         src = prem.source[:i] + (bspace,) + prem.source[i + 2:]
 
         def fn(*vals):
-            t = vals[i]
-            # Bilinear premise: sum c*f(k1, k2) = sum_k1 f(k1, sum c*k2), one call per k1.
-            rights = {}
-            for (k1, k2), c in bg.coproduct(t).terms.items():
-                rights.setdefault(k1, {})[k2] = c
-            pairs = []
-            for k1, right in rights.items():
-                v1 = bg.unit(es, k1)
-                v2 = bg.BangElement(es, right)
-                pairs.append((1, prem.fn(*vals[:i], v1, v2, *vals[i + 1:])))
-            return lincomb(prem.target, pairs)
+            # Bilinear premise: one call per distinct left factor of the coproduct.
+            return lincomb(prem.target, [(1, prem.fn(*vals[:i], v1, v2, *vals[i + 1:]))
+                                         for v1, v2 in bg.coproduct_pairs(vals[i])])
         return Denotation(src, prem.target, fn)
 
     if isinstance(p, syn.Weak):
@@ -405,36 +396,11 @@ def _build(p) -> Denotation:
         prem = _den(p.premise)
         spaces = tuple(s.inner for s in prem.source)
 
+        def block(*kets):
+            return prem.fn(*map(bg.unit, spaces, kets))
+
         def fn(*vals):
-            items = []
-            slot_terms = [v.sorted_terms() for v in vals]
-            for combo in itertools.product(*slot_terms):
-                coeff = Fraction(1)
-                for _, c in combo:
-                    coeff *= c
-                kets = [k for k, _ in combo]
-                tagged = [(si, x) for si, k in enumerate(kets) for x in k.tangents]
-                point = prem.fn(*(bg.BangElement.ket(spaces[si], k.point)
-                                  for si, k in enumerate(kets)))
-                # Bell(s) partitions share at most 2^s - 1 distinct blocks:
-                # one premise call per block, as in bg.promote.
-                block_entries = {}
-                for blocks in bg.set_partitions(range(len(tagged))):
-                    entries = []
-                    for block in blocks:
-                        entry = block_entries.get(block)
-                        if entry is None:
-                            picked = {}
-                            for j in block:
-                                si, x = tagged[j]
-                                picked.setdefault(si, []).append(x)
-                            entry = block_entries[block] = prem.fn(*(
-                                bg.BangElement.from_terms(
-                                    spaces[si], [(1, kets[si].point, tuple(picked.get(si, ())))])
-                                for si in range(len(kets))))
-                        entries.append(entry)
-                    items.append((coeff, point, tuple(entries)))
-            return bg.BangElement.from_terms(prem.target, items)
+            return bg.promote_blocks(vals, block, prem.target)
         return Denotation(prem.source, BangSpace(prem.target), fn)
 
     if isinstance(p, syn.Cut):
@@ -504,7 +470,7 @@ def _nl_shape(p):
     s = syn.check_proof(p)
     if len(s.context) != 1 or not isinstance(s.context[0], syn.Bang):
         raise SpaceMismatch("expected a proof of !A |- B, got %s" % s)
-    return denote_proof(p)
+    return _den(p)
 
 
 def nl_eval(p: syn.Proof, point):

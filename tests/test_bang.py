@@ -7,9 +7,9 @@ from sweedler.exact import Vec
 from sweedler.bang import (
     MAX_SUBSET_TANGENTS, BangElement, BangSpace, BaseSpace, EnumerationLimitError, Ket,
     SpaceError, TensorElement, antipode, cocontract, codereliction, coproduct,
-    coproduct_factor, counit, coweaken, dereliction, deriving, deriving_mutated,
-    index_subsets, promote, set_partitions, split_inverse, split_merge, tangent_lift,
-    tensor_pair, unit)
+    coproduct_factor, coproduct_pairs, counit, coweaken, dereliction, deriving,
+    deriving_mutated, index_subsets, promote, promote_blocks, set_partitions,
+    split_inverse, split_merge, tangent_lift, tensor_pair, unit)
 
 V2 = BaseSpace(2)
 E0 = Vec.basis(2, 0)
@@ -110,6 +110,53 @@ def test_promote_merges_partitions_of_repeated_tangents():
     got = promote(ket(p, (1, 0), (1, 0), (0, 1)))
     assert got == expected
     assert repr(got) == repr(expected)
+
+
+def test_coproduct_pairs_sum_to_the_coproduct():
+    rng = random.Random(12)
+    for _ in range(30):
+        t = _random_element(rng, max_tangents=4)
+        pairs = coproduct_pairs(t)
+        lefts = [left for left, _ in pairs]
+        assert all(len(left.terms) == 1 and set(left.terms.values()) == {1} for left in lefts)
+        assert len(set(lefts)) == len(pairs) == len({k1 for k1, _ in coproduct(t).terms})
+        total = TensorElement.from_terms((V2, V2), [])
+        for left, right in pairs:
+            total = total + tensor_pair(left, right)
+        assert total == coproduct(t)
+
+
+def test_coproduct_pairs_merge_equal_right_factors():
+    # |e0,e0>_P splits as |e0> (x) |e0> in two ways: one pair, coefficient 2
+    p = Vec((1, 2))
+    pairs = dict((next(iter(left.terms)), right)
+                 for left, right in coproduct_pairs(ket((1, 2), (1, 0), (1, 0), coeff=3)))
+    assert pairs[Ket(p, (E0,))] == ket((1, 2), (1, 0), coeff=6)
+    assert pairs[Ket(p, ())] == ket((1, 2), (1, 0), (1, 0), coeff=3)
+    assert pairs[Ket(p, (E0, E0))] == ket((1, 2), coeff=3)
+    assert len(pairs) == 3
+
+
+def test_two_slot_promotion_calls_the_block_once_per_distinct_block():
+    calls = []
+
+    def merged(k1, k2):
+        calls.append((k1, k2))
+        return cocontract(unit(V2, k1), unit(V2, k2))
+
+    x, y = ket((1, 0), (1, 0)), ket((0, 2), (0, 1))
+    got = promote_blocks((x, y), merged, BangSpace(V2))
+    # one tangent per slot: Bell(2) = 2 partitions, from the blocks {x}, {y}, {x, y}
+    assert len(got.terms) == 2
+    assert len(calls) == len(set(calls)) == 1 + 3
+    assert got == promote(cocontract(x, y))
+    assert repr(got) == repr(promote(cocontract(x, y)))
+    # three tangents: Bell(3) = 5 partitions hold 10 blocks, 7 of them distinct
+    calls.clear()
+    x = ket((1, 0), (1, 0), (0, 1))
+    got = promote_blocks((x, y), merged, BangSpace(V2))
+    assert len(calls) == len(set(calls)) == 1 + 7
+    assert got == promote(cocontract(x, y))
 
 
 def test_partitions_bell_numbers():

@@ -1,4 +1,10 @@
-from sweedler.laws import LAWS, LawResult, RunConfig, law_groups, run_law, run_laws
+import gc
+import weakref
+
+from sweedler.encodings import bint_proof
+from sweedler.laws import (
+    LAWS, LawResult, RunConfig, _bint_value, law_groups, run_law, run_laws)
+from sweedler.semantics import denote_proof
 
 
 def test_all_laws_pass_at_small_budget():
@@ -61,3 +67,13 @@ def test_weighted_laws_run_fewer_rounds():
     heavy = next(l for l in LAWS if l.weight > 1)
     res = run_law(heavy, RunConfig(trials=40))
     assert res.passed and res.trials == max(1, 40 // heavy.weight)
+
+
+def test_law_runs_keep_no_denotation_alive():
+    run_laws(RunConfig(trials=5), groups=("semantics", "encodings"))
+    _bint_value("0110", 2)
+    d = denote_proof(bint_proof("0110", arrows=1))
+    alive = weakref.ref(d)
+    del d
+    gc.collect()
+    assert alive() is None
