@@ -13,6 +13,11 @@ Any space with ``contains``, ``expand`` (into canonical units), ``key``,
 ``BangSpace`` here, the map and tensor spaces of ``semantics``.  Entries do
 their own arithmetic: ``+``, unary ``-`` and ``scale``.
 
+Every exact sum of terms, ``BangElement`` here as much as ``TensorElement``
+and ``semantics.TensorVal``, is a ``_TermSum``: a space, a dict from terms
+to nonzero coefficients and a cached hash, with the arithmetic on them.  A
+subclass adds only its canonicaliser, its key order and its ``repr``.
+
 Two splittings serve the exponential rules of the proof semantics.
 ``coproduct_pairs`` is Delta grouped by left factor, for contraction: one
 pair (unit ket, sum of right kets) per distinct left factor.
@@ -213,15 +218,21 @@ def _add_kets(acc, space, coeff, point, expansions):
 
 
 class _TermSum:
-    """Exact linear combinations of terms over fixed spaces.
+    """Exact linear combinations of terms over a fixed space.
 
-    The arithmetic shared by ``BangElement`` (terms are kets),
-    ``TensorElement`` (terms are tuples of kets) and ``semantics.TensorVal``
-    (terms are pairs of canonical units).  Subclasses name their
-    spaces through ``_over`` and are rebuilt as ``cls(_over(), terms)``.
+    The representation and arithmetic shared by ``BangElement`` (terms are
+    kets over an entry space), ``TensorElement`` (terms are tuples of kets,
+    its space a tuple of entry spaces) and ``semantics.TensorVal`` (terms are
+    pairs of canonical units over a ``TensorSpace``).  The constructor trusts
+    its term dict; subclasses add only their canonicaliser, key order and
+    ``repr``.
     """
 
-    __slots__ = ()
+    __slots__ = ("space", "terms", "_hash")
+
+    def __init__(self, space, terms):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "terms", dict(terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -229,12 +240,15 @@ class _TermSum:
     def is_zero(self):
         return not self.terms
 
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=self._sort_key)
+
     def _merge(self, other, sign):
         if type(other) is not type(self):
             return NotImplemented
-        if other._over() != self._over():
+        if other.space != self.space:
             raise SpaceError("cannot combine elements over %r and %r"
-                             % (self._over(), other._over()))
+                             % (self.space, other.space))
         acc = dict(self.terms)
         for k, c in other.terms.items():
             c0 = acc.get(k)
@@ -243,7 +257,7 @@ class _TermSum:
                 acc.pop(k, None)
             else:
                 acc[k] = c1
-        return type(self)(self._over(), acc)
+        return type(self)(self.space, acc)
 
     def __add__(self, other):
         return self._merge(other, 1)
@@ -257,29 +271,29 @@ class _TermSum:
     def scale(self, c):
         c = as_scalar(c)
         if c == 0:
-            return type(self)(self._over(), {})
-        return type(self)(self._over(), {k: c * v for k, v in self.terms.items()})
+            return type(self)(self.space, {})
+        return type(self)(self.space, {k: c * v for k, v in self.terms.items()})
 
     def __eq__(self, other):
         return (type(other) is type(self)
-                and other._over() == self._over() and other.terms == self.terms)
+                and other.space == self.space and other.terms == self.terms)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((type(self).__name__, self.space, frozenset(self.terms.items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
 
 class BangElement(_TermSum):
     """A finite linear combination of kets over a fixed entry space.
 
-    The constructor trusts its term dict; use ``ket`` / ``from_terms`` to
-    build canonical sums from raw data.
+    Use ``ket`` / ``from_terms`` to build canonical sums from raw data.
     """
 
-    __slots__ = ("space", "terms", "_hash")
-
-    def __init__(self, space, terms):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "terms", dict(terms))
-
-    def _over(self):
-        return self.space
+    __slots__ = ()
 
     @classmethod
     def zero(cls, space):
@@ -308,21 +322,13 @@ class BangElement(_TermSum):
             _add_kets(acc, space, coeff, point, [_keyed(space, t) for t in tangents])
         return cls(space, {k: c for k, c in acc.items() if c != 0})
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kc: ket_key(self.space, kc[0]))
+    def _sort_key(self, item):
+        return ket_key(self.space, item[0])
 
     def term_key(self):
         # one ket_key per ket: nested !-values would otherwise cost 2^depth
         return tuple(sorted(((ket_key(self.space, k), c) for k, c in self.terms.items()),
                             key=lambda kc: kc[0]))
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(("BangElement", self.space, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def __repr__(self):
         if not self.terms:
@@ -346,20 +352,13 @@ def unit(space, k: Ket) -> BangElement:
 
 
 class TensorElement(_TermSum):
-    """A sum of pure tensors of kets, one factor per listed space.
+    """A sum of pure tensors of kets; ``space`` holds one entry space per factor.
 
     Kets inside tensor terms are always taken from canonical elements, so
     only merging happens here, never re-expansion.
     """
 
-    __slots__ = ("spaces", "terms")
-
-    def __init__(self, spaces, terms):
-        object.__setattr__(self, "spaces", tuple(spaces))
-        object.__setattr__(self, "terms", dict(terms))
-
-    def _over(self):
-        return self.spaces
+    __slots__ = ()
 
     @classmethod
     def from_terms(cls, spaces, items):
@@ -374,14 +373,8 @@ class TensorElement(_TermSum):
             acc[kets] = coeff if c0 is None else c0 + coeff
         return cls(spaces, {k: c for k, c in acc.items() if c != 0})
 
-    def sorted_terms(self):
-        def termkey(item):
-            kets, _ = item
-            return tuple(ket_key(s, k) for s, k in zip(self.spaces, kets))
-        return sorted(self.terms.items(), key=termkey)
-
-    def __hash__(self):
-        return hash(("TensorElement", self.spaces, frozenset(self.terms.items())))
+    def _sort_key(self, item):
+        return tuple(ket_key(s, k) for s, k in zip(self.space, item[0]))
 
     def __repr__(self):
         if not self.terms:
@@ -390,7 +383,7 @@ class TensorElement(_TermSum):
         for kets, c in self.sorted_terms():
             body = " (x) ".join(
                 "|%s>_%s" % (", ".join(s.render(t) for t in k.tangents), s.render(k.point))
-                for s, k in zip(self.spaces, kets))
+                for s, k in zip(self.space, kets))
             bits.append(body if c == 1 else scalar_str(c) + " " + body)
         return " + ".join(bits)
 
@@ -403,7 +396,7 @@ def tensor_pair(a: BangElement, b: BangElement) -> TensorElement:
 
 def map_factor(te: TensorElement, i, fn, out_space) -> TensorElement:
     """Apply a linear map (given on kets, returning BangElement) to factor i."""
-    spaces = list(te.spaces)
+    spaces = list(te.space)
     spaces[i] = out_space
     items = []
     for kets, c in te.terms.items():
@@ -415,7 +408,7 @@ def map_factor(te: TensorElement, i, fn, out_space) -> TensorElement:
 
 def coproduct_factor(te: TensorElement, i) -> TensorElement:
     """Apply the coproduct to factor i, splicing in the two new factors."""
-    spaces = te.spaces[:i] + (te.spaces[i], te.spaces[i]) + te.spaces[i + 1:]
+    spaces = te.space[:i] + (te.space[i], te.space[i]) + te.space[i + 1:]
     return TensorElement.from_terms(spaces, (
         (c, kets[:i] + pair + kets[i + 1:])
         for kets, c in te.terms.items() for pair in _splits(kets[i])))
@@ -518,13 +511,6 @@ def deriving(t: BangElement, v) -> BangElement:
     """D: adjoin one more tangent v to every ket."""
     return BangElement.from_terms(
         t.space, ((c, k.point, k.tangents + (v,)) for k, c in t.terms.items()))
-
-
-def deriving_mutated(t: BangElement, v) -> BangElement:
-    """Deliberately wrong D (tangent appended with flipped sign); used to
-    demonstrate that the law suite can catch a corrupted structural map."""
-    return BangElement.from_terms(
-        t.space, ((-c, k.point, k.tangents + (v,)) for k, c in t.terms.items()))
 
 
 def cocontract(a: BangElement, b: BangElement) -> BangElement:

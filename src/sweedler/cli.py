@@ -29,11 +29,11 @@ from . import encodings as enc
 from . import laws as lw
 from .exact import Matrix, scalar_str
 from .sexpr import ParseError, parse_proof
-from .syntax import Bang, ProofError, check_proof
+from .syntax import ProofError, check_proof, require_nl_shape
 from .semantics import (
     Base, BangSpace, HomSpace, MapVal, ProbeConfig, ProbeDepthError,
-    SpaceMismatch, apply_hom, denote_formula, denote_proof,
-    derivative_eval, extensional_equal, nl_eval, parse_value, probes,
+    SpaceMismatch, apply_hom, denote_formula, denote_proof, denote_sequent,
+    derivative_eval, extensional_equal, ket_eval, nl_eval, parse_value, probes,
     value_to_json)
 
 
@@ -41,26 +41,16 @@ from .semantics import (
 # named JSON values
 
 
-def _is_end(space):
-    return (isinstance(space, HomSpace) and isinstance(space.dom, Base)
-            and space.dom == space.cod)
+def _named_dim(space, formula):
+    """The d with space == denote_formula(formula(d)), else None.
 
-
-def _numeral_dim(space):
-    """Dimension d if space is Hom(!(d -o d), d -o d), else None."""
-    if (isinstance(space, HomSpace) and isinstance(space.dom, BangSpace)
-            and _is_end(space.dom.inner) and space.cod == space.dom.inner):
-        return space.dom.inner.dom.dim
-    return None
-
-
-def _string_numeral_dim(space):
-    """Dimension d if space is Hom(!(d -o d), Hom(!(d -o d), d -o d))."""
-    if (isinstance(space, HomSpace) and isinstance(space.dom, BangSpace)
-            and _is_end(space.dom.inner) and isinstance(space.cod, HomSpace)
-            and space.cod.dom == space.dom and space.cod.cod == space.dom.inner):
-        return space.dom.inner.dom.dim
-    return None
+    Both named forms' spaces start !(d -o d) -o ..., so d is read there.
+    """
+    try:
+        d = space.dom.inner.dom.dim
+    except AttributeError:
+        return None
+    return d if space == denote_formula(formula(d)) else None
 
 
 def named_value(space, data):
@@ -69,18 +59,18 @@ def named_value(space, data):
         n = data["church"]
         if not isinstance(n, int) or n < 0:
             raise SpaceMismatch("church numerals take a non-negative integer")
-        dim = _numeral_dim(space)
+        dim = _named_dim(space, enc.int_formula)
         if dim is None:
             raise SpaceMismatch(
                 "a church numeral does not live in %s" % space.label())
         return denote_proof(enc.int_proof(n, dim)).eval()
     if set(data) == {"bint"}:
         bits = enc.parse_bits(data["bint"])
-        dim = _string_numeral_dim(space)
+        dim = _named_dim(space, enc.bint_formula)
         if dim is None:
             raise SpaceMismatch(
                 "a binary integer does not live in %s" % space.label())
-        return denote_proof(enc.bint_proof(bits, dim)).eval()
+        return lw.bint_value(bits, dim)
     return None
 
 
@@ -93,9 +83,13 @@ def _fmt_matrix(m: Matrix):
         "[%s]" % ", ".join(scalar_str(x) for x in row) for row in m.rows)
 
 
-def _probe_config(args):
-    return ProbeConfig(seed=args.seed, samples=2,
-                       max_tangents=args.max_tangents, depth=args.probe_depth)
+def _probe_rows(v, space, args):
+    """(probe, value) rows of the table that prints a lazy map v of space."""
+    cfg = ProbeConfig(seed=args.seed, samples=2,
+                      max_tangents=args.max_tangents, depth=args.probe_depth)
+    for probe, _ in probes(space.dom, random.Random(args.seed), cfg, cfg.depth,
+                           cfg.max_tangents):
+        yield probe, apply_hom(v, probe)
 
 
 def render_text(v, space, args, indent="") -> list:
@@ -103,11 +97,8 @@ def render_text(v, space, args, indent="") -> list:
     if isinstance(v, Matrix):
         return [indent + _fmt_matrix(v)]
     if isinstance(v, MapVal):
-        cfg = _probe_config(args)
-        rng = random.Random(args.seed)
         lines = [indent + "map %s, sampled on probes:" % space.label()]
-        for probe, _ in probes(space.dom, rng, cfg, cfg.depth, cfg.max_tangents):
-            result = apply_hom(v, probe)
+        for probe, result in _probe_rows(v, space, args):
             arg = render_text(probe, space.dom, args, "")[0]
             sub = render_text(result, space.cod, args, indent + "    ")
             lines.append(indent + "  " + arg + " ->")
@@ -118,13 +109,8 @@ def render_text(v, space, args, indent="") -> list:
 
 def render_json(v, space, args):
     if isinstance(v, MapVal):
-        cfg = _probe_config(args)
-        rng = random.Random(args.seed)
-        table = []
-        for probe, _ in probes(space.dom, rng, cfg, cfg.depth, cfg.max_tangents):
-            result = apply_hom(v, probe)
-            table.append({"arg": value_to_json(probe),
-                          "value": render_json(result, space.cod, args)})
+        table = [{"arg": value_to_json(probe), "value": render_json(result, space.cod, args)}
+                 for probe, result in _probe_rows(v, space, args)]
         return {"space": space.label(), "probes": table}
     return {"space": space.label(), "value": value_to_json(v)}
 
@@ -182,34 +168,29 @@ def _parse_json_arg(text, what):
 
 
 def cmd_eval(args):
-    proof = _load_proof(args.file)
-    seq = check_proof(proof)
+    seq, den = denote_sequent(_load_proof(args.file))
     inputs = _parse_json_arg(args.input, "--input") if args.input else []
     if not isinstance(inputs, list):
         raise SpaceMismatch("--input must be a JSON list, one value per slot")
     if args.derive:
         if args.point is None or args.tangent is None:
             raise SpaceMismatch("--derive needs --point and --tangent")
-        if len(seq.context) != 1 or not isinstance(seq.context[0], Bang):
-            raise SpaceMismatch(
-                "--derive needs a proof of !A |- B, got %s" % seq)
-        inner = denote_formula(seq.context[0].inner)
+        require_nl_shape(seq, "--derive")
+        inner = den.source[0].inner
         point = parse_value(inner, _parse_json_arg(args.point, "--point"), named_value)
         tangent = parse_value(inner, _parse_json_arg(args.tangent, "--tangent"), named_value)
-        result = derivative_eval(proof, point, tangent)
-        space = denote_formula(seq.conclusion)
+        result = ket_eval(den, point, (tangent,))
         extras = inputs
     else:
         if len(inputs) < len(seq.context):
             raise SpaceMismatch(
                 "proof context needs %d values (%s), got %d"
                 % (len(seq.context), ", ".join(map(str, seq.context)), len(inputs)))
-        den = denote_proof(proof)
         ctx_vals = [parse_value(s, d, named_value)
                     for s, d in zip(den.source, inputs)]
         result = den.eval(*ctx_vals)
-        space = den.target
         extras = inputs[len(seq.context):]
+    space = den.target
     for data in extras:
         if not isinstance(space, HomSpace):
             raise SpaceMismatch(
@@ -274,7 +255,7 @@ def cmd_examples(args):
     def bval(point, *tangents):
         return bg.BangElement.ket(end, point, tangents)
 
-    v001 = denote_proof(enc.bint_proof("001", dim)).eval()
+    v001 = lw.bint_value("001", dim)
 
     def run001(a, b):
         return apply_hom(apply_hom(v001, a), b)
@@ -299,15 +280,11 @@ def cmd_examples(args):
     bint_space = HomSpace(BangSpace(end), HomSpace(BangSpace(end), end))
     pcfg = ProbeConfig(seed=args.seed, samples=2, max_tangents=2,
                        depth=args.probe_depth)
-    got = nl_eval(enc.repeat_proof(dim), denote_proof(enc.bint_proof("01", dim)).eval())
-    same = extensional_equal(got, denote_proof(enc.bint_proof("0101", dim)).eval(),
-                             bint_space, pcfg)
+    got = nl_eval(enc.repeat_proof(dim), lw.bint_value("01", dim))
+    same = extensional_equal(got, lw.bint_value("0101", dim), bint_space, pcfg)
     check("repeat at |>_[01] agrees with [0101] on all probes", same, True)
-    got = derivative_eval(enc.repeat_proof(dim),
-                          denote_proof(enc.bint_proof("0", dim)).eval(),
-                          denote_proof(enc.bint_proof("1", dim)).eval())
-    want = (denote_proof(enc.bint_proof("01", dim)).eval()
-            + denote_proof(enc.bint_proof("10", dim)).eval())
+    got = derivative_eval(enc.repeat_proof(dim), lw.bint_value("0", dim), lw.bint_value("1", dim))
+    want = lw.bint_value("01", dim) + lw.bint_value("10", dim)
     same = extensional_equal(got, want, bint_space, pcfg)
     check("repeat derivative at [0] toward [1] agrees with [01] + [10]", same, True)
 

@@ -22,8 +22,6 @@ from fractions import Fraction
 
 MAX_DIM = 8
 
-Scalar = Fraction
-
 
 class DimensionError(ValueError):
     """Raised for dimensions outside 1..MAX_DIM or mismatched shapes."""

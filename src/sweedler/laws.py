@@ -17,8 +17,9 @@ Laws are grouped:
                     oracles.
 
 The ``mutate`` flag swaps the deriving map for a deliberately corrupted
-variant; the suite is expected to catch it (see ``deriving-dereliction`` and
-``deriving-promotion``).
+variant, ``deriving_mutated``; the suite is expected to catch it (see
+``deriving-dereliction``, ``deriving-promotion`` and
+``deriving-via-cocontraction``).
 """
 
 from __future__ import annotations
@@ -157,8 +158,15 @@ def rand_poly(rng, nvars, deg=2):
     return pl.Polynomial(nvars, {e: c for e, c in acc.items() if c != 0})
 
 
+def deriving_mutated(t: bg.BangElement, v) -> bg.BangElement:
+    """Deliberately wrong D (tangent appended with flipped sign); used to
+    demonstrate that the law suite can catch a corrupted structural map."""
+    return bg.BangElement.from_terms(
+        t.space, ((-c, k.point, k.tangents + (v,)) for k, c in t.terms.items()))
+
+
 def _D(cfg):
-    return bg.deriving_mutated if cfg.mutate else bg.deriving
+    return deriving_mutated if cfg.mutate else bg.deriving
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +245,7 @@ def _law_cocomm(rng, cfg):
     x = rand_bang(rng, space, cfg.max_tangents)
     dx = bg.coproduct(x)
     swapped = bg.TensorElement.from_terms(
-        dx.spaces, ((c, (k2, k1)) for (k1, k2), c in dx.terms.items()))
+        dx.space, ((c, (k2, k1)) for (k1, k2), c in dx.terms.items()))
     if swapped != dx:
         return _witness([("x", x), ("coproduct", dx)])
 
@@ -471,7 +479,8 @@ def _law_pair_antipode(rng, cfg):
 # semantics laws
 
 
-def _bint_value(s, dim):
+def bint_value(s, dim):
+    """The value of the closed string numeral for s: a map of bint."""
     return denote_proof(enc.bint_proof(s, dim)).eval()
 
 
@@ -580,7 +589,7 @@ def _law_cut_promotion(rng, cfg):
     s = "".join(rng.choice("01") for _ in range(rng.randint(0, 2)))
     p = Cut(0, Prom(enc.bint_proof(s, cfg.dim)), enc.repeat_proof(cfg.dim))
     got = denote_proof(p).eval()
-    want = _bint_value(s + s, cfg.dim)
+    want = bint_value(s + s, cfg.dim)
     end = HomSpace(Base(cfg.dim), Base(cfg.dim))
     target = HomSpace(BangSpace(end), HomSpace(BangSpace(end), end))
     if not extensional_equal(got, want, target, _probe_cfg(rng, cfg)):
@@ -613,7 +622,7 @@ def _law_bint_oracle(rng, cfg):
     delta = rand_matrix(rng, cfg.dim)
     alphas = tuple(rand_matrix(rng, cfg.dim) for _ in range(stang))
     betas = tuple(rand_matrix(rng, cfg.dim) for _ in range(rtang))
-    v = _bint_value(s, cfg.dim)
+    v = bint_value(s, cfg.dim)
     got = apply_hom(apply_hom(v, _bend(cfg.dim, gamma, *alphas)),
                     _bend(cfg.dim, delta, *betas))
     want = enc.bint_oracle(s, gamma, delta, alphas, betas)
@@ -626,8 +635,8 @@ def _law_bint_oracle(rng, cfg):
 @law("encodings", "doubling-concatenates", weight=100)
 def _law_repeat(rng, cfg):
     s = "".join(rng.choice("01") for _ in range(rng.randint(0, 2)))
-    got = nl_eval(enc.repeat_proof(cfg.dim), _bint_value(s, cfg.dim))
-    want = _bint_value(s + s, cfg.dim)
+    got = nl_eval(enc.repeat_proof(cfg.dim), bint_value(s, cfg.dim))
+    want = bint_value(s + s, cfg.dim)
     end = HomSpace(Base(cfg.dim), Base(cfg.dim))
     target = HomSpace(BangSpace(end), HomSpace(BangSpace(end), end))
     if not extensional_equal(got, want, target, _probe_cfg(rng, cfg)):

@@ -181,7 +181,7 @@ def shift_doubling(f: Polynomial) -> Polynomial:
 # residue pairing
 
 
-def _ket_pair(space: BaseSpace, k: Ket, f: Polynomial) -> Fraction:
+def _ket_pair(k: Ket, f: Polynomial) -> Fraction:
     g = f
     for v in k.tangents:
         g = g.directional(v)
@@ -196,23 +196,23 @@ def residue_pairing(t: BangElement, f: Polynomial) -> Fraction:
         raise DimensionError("polynomial has %d vars, space has dim %d" % (f.nvars, t.space.dim))
     total = Fraction(0)
     for k, c in t.terms.items():
-        total += c * _ket_pair(t.space, k, f)
+        total += c * _ket_pair(k, f)
     return total
 
 
 def residue_pairing_tensor(te: TensorElement, fs) -> Fraction:
     """<t1 (x) ... (x) tk, f1 (x) ... (x) fk> = product of factor pairings."""
     fs = tuple(fs)
-    if len(fs) != len(te.spaces):
+    if len(fs) != len(te.space):
         raise DimensionError("need one polynomial per tensor factor")
-    for s, f in zip(te.spaces, fs):
+    for s, f in zip(te.space, fs):
         if not isinstance(s, BaseSpace) or f.nvars != s.dim:
             raise SpaceError("tensor factor/polynomial mismatch")
     total = Fraction(0)
     for kets, c in te.terms.items():
         val = c
-        for s, k, f in zip(te.spaces, kets, fs):
-            val *= _ket_pair(s, k, f)
+        for k, f in zip(kets, fs):
+            val *= _ket_pair(k, f)
             if val == 0:
                 break
         total += val

@@ -10,7 +10,8 @@ context formula.
 Every formula space is an entry space of ``bang``, so elements of !A are
 canonical ket sums over the space of A itself.  Values are plain objects:
 a ``Vec`` for a base space, a ``Matrix`` for a map between base spaces, a
-``BangElement`` for !A, a ``TensorVal`` for A * B.  A linear map whose
+``BangElement`` for !A, a ``TensorVal`` for A * B; the last two share their
+representation and arithmetic, ``bang._TermSum``.  A linear map whose
 domain or codomain is not concrete stays a closure (``MapVal``); such values
 are compared extensionally, by probing them with seeded arguments, never
 numerically.  Every value does its own arithmetic: ``+``, unary ``-`` and
@@ -109,8 +110,7 @@ class TensorSpace:
         return [(c, TensorVal(self, {pair: Fraction(1)})) for pair, c in v.sorted_terms()]
 
     def key(self, v):
-        return tuple(sorted(((c, v._pair_key(pair)) for pair, c in v.terms.items()),
-                            key=lambda ck: ck[1]))
+        return tuple([(item[1], v._sort_key(item)) for item in v.sorted_terms()])
 
     def zero(self):
         return TensorVal(self, {})
@@ -173,16 +173,10 @@ class MapVal:
 
 
 class TensorVal(bg._TermSum):
-    """A sum of pure tensors, keyed by their pair of canonical units."""
+    """A sum of pure tensors over a ``TensorSpace``, keyed by their pair of
+    canonical units; ``bang._TermSum`` holds the terms and does the arithmetic."""
 
-    __slots__ = ("space", "terms", "_hash")
-
-    def __init__(self, space, terms):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "terms", dict(terms))
-
-    def _over(self):
-        return self.space
+    __slots__ = ()
 
     @classmethod
     def make(cls, space, items):
@@ -198,19 +192,9 @@ class TensorVal(bg._TermSum):
                 acc[(ua, ub)] = c if prev is None else prev + c
         return cls(space, {pair: c for pair, c in acc.items() if c != 0})
 
-    def _pair_key(self, pair):
-        return self.space.left.key(pair[0]), self.space.right.key(pair[1])
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kc: self._pair_key(kc[0]))
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(("TensorVal", self.space, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-            return h
+    def _sort_key(self, item):
+        a, b = item[0]
+        return self.space.left.key(a), self.space.right.key(b)
 
     def __repr__(self):
         if not self.terms:
@@ -275,8 +259,12 @@ class Denotation:
 
 
 def denote_proof(p: syn.Proof) -> Denotation:
-    syn.check_proof(p)
-    return _den(p)
+    return denote_sequent(p)[1]
+
+
+def denote_sequent(p: syn.Proof):
+    """The proof's sequent and its denotation, from one walk of the checker."""
+    return syn.check_proof(p), _den(p)
 
 
 def _identity(x):
@@ -463,26 +451,28 @@ def _build(p) -> Denotation:
     raise TypeError("unknown proof node %r" % (p,))
 
 
-# -- the two evaluation entry points used everywhere -------------------------
+# -- evaluation at a ket, the entry points used everywhere --------------------
 
 
-def _nl_shape(p):
-    s = syn.check_proof(p)
-    if len(s.context) != 1 or not isinstance(s.context[0], syn.Bang):
-        raise SpaceMismatch("expected a proof of !A |- B, got %s" % s)
-    return _den(p)
+def ket_eval(d: Denotation, point, tangents):
+    """The denotation of a proof of !A |- B at the ket |tangents>_point."""
+    return d.fn(bg.BangElement.from_terms(d.source[0].inner, [(1, point, tangents)]))
 
 
 def nl_eval(p: syn.Proof, point):
     """Evaluate a proof of !A |- B at the group-like ket over the given point."""
-    d = _nl_shape(p)
-    return d.fn(bg.BangElement.ket(d.source[0].inner, point))
+    return ket_eval(_nl_denotation(p), point, ())
 
 
 def derivative_eval(p: syn.Proof, point, tangent):
     """Evaluate a proof of !A |- B at the single-tangent ket |tangent>_point."""
-    d = _nl_shape(p)
-    return d.fn(bg.BangElement.from_terms(d.source[0].inner, [(1, point, (tangent,))]))
+    return ket_eval(_nl_denotation(p), point, (tangent,))
+
+
+def _nl_denotation(p):
+    s, d = denote_sequent(p)
+    syn.require_nl_shape(s, "evaluation at a ket")
+    return d
 
 
 # -- extensional comparison ---------------------------------------------------

@@ -333,6 +333,12 @@ def _check(p, path) -> Sequent:
     raise ProofError(path, "unknown proof node %r" % (p,))
 
 
+def require_nl_shape(s: Sequent, what):
+    """Raise ProofError unless s has the shape !A |- B, which ``what`` needs."""
+    if len(s.context) != 1 or not isinstance(s.context[0], Bang):
+        raise ProofError((), "%s needs a proof of !A |- B, got %s" % (what, s))
+
+
 def derivative_transform(p: Proof) -> Proof:
     """The syntactic derivative: turn a proof of !A |- B into one of !A, A |- B.
 
@@ -340,7 +346,5 @@ def derivative_transform(p: Proof) -> Proof:
     turns the fresh copy into a bare A; semantically this is precomposition
     with the deriving map.
     """
-    s = check_proof(p)
-    if len(s.context) != 1 or not isinstance(s.context[0], Bang):
-        raise ProofError((), "derivative transform needs a proof of !A |- B, got %s" % s)
+    require_nl_shape(check_proof(p), "derivative transform")
     return Coder(1, Coctr(0, p))

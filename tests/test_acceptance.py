@@ -12,7 +12,7 @@ import time
 
 from sweedler import bang as bg
 from sweedler.laws import (
-    RunConfig, _bend, _bint_value, rand_matrix, run_laws)
+    RunConfig, _bend, bint_value, rand_matrix, run_laws)
 from sweedler.semantics import (
     BangSpace, Base, HomSpace, ProbeConfig, add_values, apply_hom,
     denote_formula, denote_proof, derivative_eval, extensional_equal, nl_eval)
@@ -131,12 +131,12 @@ def test_criterion_06_repeat_is_concatenation():
     cfg = ProbeConfig(seed=6, samples=2, max_tangents=3, depth=4)
     rp = repeat_proof()
     for s in _strings(2):
-        got = nl_eval(rp, _bint_value(s, 2))
-        assert extensional_equal(got, _bint_value(s + s, 2), BINT_SPACE, cfg), s
+        got = nl_eval(rp, bint_value(s, 2))
+        assert extensional_equal(got, bint_value(s + s, 2), BINT_SPACE, cfg), s
     for s in _strings(2):
         for t in _strings(2):
-            got = derivative_eval(rp, _bint_value(s, 2), _bint_value(t, 2))
-            want = add_values(_bint_value(s + t, 2), _bint_value(t + s, 2))
+            got = derivative_eval(rp, bint_value(s, 2), bint_value(t, 2))
+            want = add_values(bint_value(s + t, 2), bint_value(t + s, 2))
             assert extensional_equal(got, want, BINT_SPACE, cfg), (s, t)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60, "took %.1fs" % elapsed
@@ -175,7 +175,7 @@ def test_criterion_08_promotion_and_comonad():
     for s in ("", "0", "01"):
         p = Cut(0, Prom(bint_proof(s)), repeat_proof())
         got = denote_proof(p).eval()
-        assert extensional_equal(got, _bint_value(s + s, 2), BINT_SPACE, cfg), s
+        assert extensional_equal(got, bint_value(s + s, 2), BINT_SPACE, cfg), s
     _report(8, "comonad counit/morphism laws, promoted-proof totem values, "
                "and cut-vs-concatenation agreement")
 
@@ -205,7 +205,7 @@ def test_criterion_09_derivative_path_coherence():
     dpi = denote_proof(derivative_transform(rp))
     bsp = denote_formula(bint_formula())
     for s, t in (("0", "1"), ("", "01")):
-        sv, tv = _bint_value(s, 2), _bint_value(t, 2)
+        sv, tv = bint_value(s, 2), bint_value(t, 2)
         arg = bg.BangElement.ket(bsp, sv)
         got = dpi.eval(arg, tv)
         want = derivative_eval(rp, sv, tv)

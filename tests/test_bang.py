@@ -8,8 +8,9 @@ from sweedler.bang import (
     MAX_SUBSET_TANGENTS, BangElement, BangSpace, BaseSpace, EnumerationLimitError, Ket,
     SpaceError, TensorElement, antipode, cocontract, codereliction, coproduct,
     coproduct_factor, coproduct_pairs, counit, coweaken, dereliction, deriving,
-    deriving_mutated, index_subsets, promote, promote_blocks, set_partitions,
+    index_subsets, promote, promote_blocks, set_partitions,
     split_inverse, split_merge, tangent_lift, tensor_pair, unit)
+from sweedler.laws import deriving_mutated
 
 V2 = BaseSpace(2)
 E0 = Vec.basis(2, 0)

@@ -4,7 +4,10 @@ import time
 
 import pytest
 
+from sweedler import syntax
 from sweedler.cli import main
+from sweedler.encodings import mult_by_numeral, mult_derivative_oracle, repeat_proof
+from sweedler.exact import Matrix
 from sweedler.sexpr import MAX_DEPTH, parse_proof, print_proof
 
 PROOFS = os.path.join(os.path.dirname(__file__), "..", "proofs")
@@ -275,3 +278,64 @@ def test_non_positive_counts_rejected(capsys, flag, value):
         main(["axioms", "--group", "poly", flag, value])
     assert exc.value.code == 2
     assert "expected a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--input", '[[{"point": [[1,1],[0,1]]}]]'),
+    ("derive", "--point", "[[1,1],[0,1]]", "--tangent", "[[0,0],[1,0]]")])
+def test_eval_and_derive_check_the_proof_once(capsys, monkeypatch, argv):
+    roots = []
+    check = syntax._check
+
+    def counting(p, path):
+        if path == ():
+            roots.append(p)
+        return check(p, path)
+
+    monkeypatch.setattr(syntax, "_check", counting)
+    code, _, _ = run(capsys, argv[0], proof("church-2"), *argv[1:], "--format", "json")
+    assert code == 0
+    assert len(roots) == 1
+
+
+def _write(tmp_path, name, p):
+    path = tmp_path / (name + ".sexp")
+    path.write_text(print_proof(p))
+    return str(path)
+
+
+def _square(dim, first):
+    return [[first + r + 2 * c for c in range(dim)] for r in range(dim)]
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_named_values_parse_at_their_dimension(capsys, tmp_path, dim):
+    x = _square(dim, 1)
+    code, out, _ = run(capsys, "derive", _write(tmp_path, "mult", mult_by_numeral(2, dim)),
+                       "--point", '{"church": 1}', "--tangent", '{"church": 1}',
+                       "--input", json.dumps([[{"point": x}]]), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["value"] == mult_derivative_oracle(1, 1, 2, Matrix(x)).to_json()
+    g, d = Matrix(_square(dim, 2)), Matrix(_square(dim, -1))
+    code, out, _ = run(capsys, "derive", _write(tmp_path, "repeat", repeat_proof(dim)),
+                       "--point", '{"bint": "0"}', "--tangent", '{"bint": "1"}',
+                       "--input", json.dumps([[{"point": g.to_json()}], [{"point": d.to_json()}]]),
+                       "--format", "json")
+    assert code == 0
+    # [01] + [10] at the group-likes over g and d
+    assert json.loads(out)["value"] == (d @ g + g @ d).to_json()
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_named_values_outside_their_space_exit_1(capsys, tmp_path, dim):
+    mult = _write(tmp_path, "mult", mult_by_numeral(2, dim))
+    repeat = _write(tmp_path, "repeat", repeat_proof(dim))
+    end = "(%d -o %d)" % (dim, dim)
+    church = "(!%s -o %s)" % (end, end)
+    bint = "(!%s -o (!%s -o %s))" % (end, end, end)
+    cases = [(mult, '{"bint": "0"}', "a binary integer does not live in " + church),
+             (repeat, '{"church": 0}', "a church numeral does not live in " + bint),
+             (proof("church-2"), '{"church": 0}', "a church numeral does not live in (2 -o 2)")]
+    for path, named, message in cases:
+        code, out, err = run(capsys, "derive", path, "--point", named, "--tangent", named)
+        assert (code, out, err) == (1, "", "error: %s\n" % message)

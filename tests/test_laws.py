@@ -3,7 +3,7 @@ import weakref
 
 from sweedler.encodings import bint_proof
 from sweedler.laws import (
-    LAWS, LawResult, RunConfig, _bint_value, law_groups, run_law, run_laws)
+    LAWS, LawResult, RunConfig, bint_value, law_groups, run_law, run_laws)
 from sweedler.semantics import denote_proof
 
 
@@ -71,7 +71,7 @@ def test_weighted_laws_run_fewer_rounds():
 
 def test_law_runs_keep_no_denotation_alive():
     run_laws(RunConfig(trials=5), groups=("semantics", "encodings"))
-    _bint_value("0110", 2)
+    bint_value("0110", 2)
     d = denote_proof(bint_proof("0110", arrows=1))
     alive = weakref.ref(d)
     del d
