@@ -33,12 +33,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
 
 from .exact import Vec, as_scalar, check_dim, scalar_str
+from .record import Immutable, record
 
 MAX_SUBSET_TANGENTS = 12
 MAX_PARTITION_TANGENTS = 8
@@ -92,14 +92,14 @@ def set_partitions(items):
     yield from rec(items, [])
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BaseSpace:
     """The base space V = Q^dim; entries are Vec values."""
 
     dim: int
 
-    def __post_init__(self):
-        check_dim(self.dim)
+    def __init__(self, dim):
+        self._fill(check_dim(dim))
 
     def contains(self, entry):
         return isinstance(entry, Vec) and entry.dim == self.dim
@@ -123,7 +123,7 @@ class BaseSpace:
         return str(self.dim)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BangSpace:
     """!W for an inner space W; entries are BangElement values over W."""
 
@@ -154,7 +154,7 @@ class BangSpace:
         return "!%s" % self.inner.label()
 
 
-class Ket:
+class Ket(Immutable):
     """One ket |t1,...,ts>_P.  Tangents are kept sorted by the space key."""
 
     __slots__ = ("point", "tangents", "_hash")
@@ -162,9 +162,6 @@ class Ket:
     def __init__(self, point, tangents):
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "tangents", tuple(tangents))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ket is immutable")
 
     @property
     def order(self):
@@ -217,7 +214,7 @@ def _add_kets(acc, space, coeff, point, expansions):
         acc[k] = c if c0 is None else c0 + c
 
 
-class _TermSum:
+class _TermSum(Immutable):
     """Exact linear combinations of terms over a fixed space.
 
     The representation and arithmetic shared by ``BangElement`` (terms are
@@ -233,9 +230,6 @@ class _TermSum:
     def __init__(self, space, terms):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "terms", dict(terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
 
     def is_zero(self):
         return not self.terms

@@ -23,6 +23,7 @@ import json
 import os
 import random
 import sys
+from functools import partial
 
 from . import bang as bg
 from . import encodings as enc
@@ -31,10 +32,9 @@ from .exact import Matrix, scalar_str
 from .sexpr import ParseError, parse_proof
 from .syntax import ProofError, check_proof, require_nl_shape
 from .semantics import (
-    Base, BangSpace, HomSpace, MapVal, ProbeConfig, ProbeDepthError,
-    SpaceMismatch, apply_hom, denote_formula, denote_proof, denote_sequent,
-    derivative_eval, extensional_equal, ket_eval, nl_eval, parse_value, probes,
-    value_to_json)
+    HomSpace, MapVal, ProbeConfig, ProbeDepthError, SpaceMismatch, apply_hom, denote_formula,
+    denote_proof, denote_sequent, derivative_eval, extensional_equal, ket_eval, nl_eval,
+    parse_value, probes, value_to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def cmd_check(args):
         if args.format == "json":
             print(json.dumps({"valid": False, "path": e.path, "error": e.message}))
         else:
-            print("invalid at %s: %s" % (e.path, e.message))
+            print("invalid %s" % e)
         return 1
     if args.format == "json":
         print(json.dumps({"valid": True, "sequent": str(seq)}))
@@ -175,7 +175,10 @@ def cmd_eval(args):
     if args.derive:
         if args.point is None or args.tangent is None:
             raise SpaceMismatch("--derive needs --point and --tangent")
-        require_nl_shape(seq, "--derive")
+        try:
+            require_nl_shape(seq, "--derive")
+        except ProofError as e:  # the proof is valid; --derive cannot use its shape
+            raise SpaceMismatch(e.message) from None
         inner = den.source[0].inner
         point = parse_value(inner, _parse_json_arg(args.point, "--point"), named_value)
         tangent = parse_value(inner, _parse_json_arg(args.tangent, "--tangent"), named_value)
@@ -250,34 +253,30 @@ def cmd_examples(args):
     alpha2 = Matrix(((1, 0), (1, 1)))
     beta = Matrix(((1, 0), (1, 1)))
 
-    end = HomSpace(Base(dim), Base(dim))
-
-    def bval(point, *tangents):
-        return bg.BangElement.ket(end, point, tangents)
-
+    ket = partial(lw.end_ket, dim)
     v001 = lw.bint_value("001", dim)
 
     def run001(a, b):
         return apply_hom(apply_hom(v001, a), b)
 
-    check("001 at (|>_g, |>_d)", _fmt_matrix(run001(bval(gamma), bval(delta))),
+    check("001 at (|>_g, |>_d)", _fmt_matrix(run001(ket(gamma), ket(delta))),
           _fmt_matrix(delta @ gamma @ gamma))
-    check("001 at (|a>_g, |>_d)", _fmt_matrix(run001(bval(gamma, alpha), bval(delta))),
+    check("001 at (|a>_g, |>_d)", _fmt_matrix(run001(ket(gamma, alpha), ket(delta))),
           _fmt_matrix(delta @ alpha @ gamma + delta @ gamma @ alpha))
     check("001 at (|a1,a2>_g, |>_d)",
-          _fmt_matrix(run001(bval(gamma, alpha, alpha2), bval(delta))),
+          _fmt_matrix(run001(ket(gamma, alpha, alpha2), ket(delta))),
           _fmt_matrix(delta @ alpha @ alpha2 + delta @ alpha2 @ alpha))
-    check("001 at (|>_g, |b>_d)", _fmt_matrix(run001(bval(gamma), bval(delta, beta))),
+    check("001 at (|>_g, |b>_d)", _fmt_matrix(run001(ket(gamma), ket(delta, beta))),
           _fmt_matrix(beta @ gamma @ gamma))
     check("001 at (|a>_g, |b>_d)",
-          _fmt_matrix(run001(bval(gamma, alpha), bval(delta, beta))),
+          _fmt_matrix(run001(ket(gamma, alpha), ket(delta, beta))),
           _fmt_matrix(beta @ alpha @ gamma + beta @ gamma @ alpha))
     check("001 with three tangents on the first slot",
-          _fmt_matrix(run001(bval(gamma, alpha, alpha2, alpha), bval(delta))),
+          _fmt_matrix(run001(ket(gamma, alpha, alpha2, alpha), ket(delta))),
           _fmt_matrix(Matrix.zero(dim, dim)))
 
     out.append("doubling a promoted string concatenates it with itself:")
-    bint_space = HomSpace(BangSpace(end), HomSpace(BangSpace(end), end))
+    bint_space = denote_formula(enc.bint_formula(dim))
     pcfg = ProbeConfig(seed=args.seed, samples=2, max_tangents=2,
                        depth=args.probe_depth)
     got = nl_eval(enc.repeat_proof(dim), lw.bint_value("01", dim))
@@ -294,7 +293,7 @@ def cmd_examples(args):
     dv = derivative_eval(enc.mult_by_numeral(n, dim),
                          denote_proof(enc.int_proof(l, dim)).eval(),
                          denote_proof(enc.int_proof(m, dim)).eval())
-    got = apply_hom(dv, bval(x))
+    got = apply_hom(dv, ket(x))
     check("mult(-, 2) derivative at 1 toward 1, on |>_x",
           _fmt_matrix(got), _fmt_matrix((x @ x).scale(2)))
     check("difference-quotient interpolation gives the same matrix",
@@ -390,11 +389,9 @@ def main(argv=None):
     except (OSError, ParseError, FlagError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    except ProofError as e:
-        print("invalid proof at %s: %s" % (e.path, e.message), file=sys.stderr)
-        return 1
-    except (SpaceMismatch, ValueError, bg.EnumerationLimitError, ProbeDepthError) as e:
-        print("error: %s" % e, file=sys.stderr)
+    except (ValueError, bg.EnumerationLimitError, ProbeDepthError) as e:
+        kind = "invalid proof " if isinstance(e, ProofError) else ""  # e: "at 0/1: ..."
+        print("error: %s%s" % (kind, e), file=sys.stderr)
         return 1
 
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .record import Immutable
+
 MAX_DIM = 8
 
 
@@ -85,7 +87,7 @@ def _dot(row, nonzero):
     return _ZERO if acc is None else acc
 
 
-class Vec:
+class Vec(Immutable):
     """Immutable vector in Q^dim."""
 
     __slots__ = ("coords", "_hash")
@@ -101,9 +103,6 @@ class Vec:
         v = object.__new__(cls)
         object.__setattr__(v, "coords", coords)
         return v
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Vec is immutable")
 
     @classmethod
     def zero(cls, dim):
@@ -175,7 +174,7 @@ class Vec:
         return cls(tuple(as_scalar(c) for c in data))
 
 
-class Matrix:
+class Matrix(Immutable):
     """Immutable rational matrix; composition is ordinary matrix product."""
 
     __slots__ = ("rows", "_hash")
@@ -197,9 +196,6 @@ class Matrix:
         m = object.__new__(cls)
         object.__setattr__(m, "rows", rows)
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, n):

@@ -26,16 +26,15 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
 
 from . import bang as bg
 from . import poly as pl
 from .exact import Matrix, Vec
+from .record import record
 from . import encodings as enc
 from .semantics import (
-    SPAN, BangSpace, Base, HomSpace, ProbeConfig, apply_hom, denote_proof,
+    SPAN, Base, HomSpace, ProbeConfig, apply_hom, denote_formula, denote_proof,
     derivative_eval, extensional_equal, nl_eval, rand_fraction)
 from .syntax import Axiom, Bang, Cut, Prom, PropVar, derivative_transform
 
@@ -44,7 +43,7 @@ from .syntax import Axiom, Bang, Cut, Prom, PropVar, derivative_transform
 # configuration and results
 
 
-@dataclass(frozen=True)
+@record
 class RunConfig:
     """Settings for a law run.  Identical configs give identical runs."""
 
@@ -56,13 +55,13 @@ class RunConfig:
     mutate: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class LawResult:
     group: str
     name: str
     passed: bool
     trials: int
-    witness: Optional[str] = None
+    witness: str | None = None
 
     def line(self) -> str:
         if self.passed:
@@ -70,11 +69,11 @@ class LawResult:
         return "FAIL %s/%s (trial %d): %s" % (self.group, self.name, self.trials, self.witness)
 
 
-@dataclass(frozen=True)
+@record
 class Law:
     group: str
     name: str
-    fn: Callable
+    fn: object
     weight: int = 1  # divides cfg.trials; expensive laws get fewer rounds
 
 
@@ -484,7 +483,8 @@ def bint_value(s, dim):
     return denote_proof(enc.bint_proof(s, dim)).eval()
 
 
-def _bend(dim, point, *tangents):
+def end_ket(dim, point, *tangents):
+    """The ket |tangents>_point over End(dim), where numerals take their inputs."""
     return bg.BangElement.ket(HomSpace(Base(dim), Base(dim)), point, tangents)
 
 
@@ -530,8 +530,8 @@ def _law_promotion_group_like(rng, cfg):
     n = rng.randint(0, 3)
     den = denote_proof(Prom(enc.church_proof(n, cfg.dim)))
     alpha = rand_matrix(rng, cfg.dim)
-    got = den.eval(_bend(cfg.dim, alpha))
-    want = _bend(cfg.dim, enc.church_value_oracle(n, alpha))
+    got = den.eval(end_ket(cfg.dim, alpha))
+    want = end_ket(cfg.dim, enc.church_value_oracle(n, alpha))
     if got != want:
         return _witness([("n", n), ("alpha", alpha), ("got", got), ("want", want)])
 
@@ -543,8 +543,8 @@ def _law_promotion_tangent(rng, cfg):
     den = denote_proof(Prom(enc.church_proof(n, cfg.dim)))
     alpha = rand_matrix(rng, cfg.dim)
     nu = rand_matrix(rng, cfg.dim)
-    got = den.eval(_bend(cfg.dim, alpha, nu))
-    want = _bend(cfg.dim, enc.church_value_oracle(n, alpha),
+    got = den.eval(end_ket(cfg.dim, alpha, nu))
+    want = end_ket(cfg.dim, enc.church_value_oracle(n, alpha),
                  enc.church_derivative_oracle(n, alpha, nu))
     if got != want:
         return _witness([("n", n), ("alpha", alpha), ("nu", nu),
@@ -559,7 +559,7 @@ def _law_derivative_path(rng, cfg):
     dpi = denote_proof(derivative_transform(p))
     alpha = rand_matrix(rng, cfg.dim)
     nu = rand_matrix(rng, cfg.dim)
-    got = dpi.eval(_bend(cfg.dim, alpha), nu)
+    got = dpi.eval(end_ket(cfg.dim, alpha), nu)
     want = derivative_eval(p, alpha, nu)
     oracle = enc.church_derivative_oracle(n, alpha, nu)
     if not (got == want == oracle):
@@ -575,10 +575,9 @@ def _law_derivative_path_bint(rng, cfg):
     dpi = denote_proof(derivative_transform(p))
     gamma = rand_matrix(rng, cfg.dim)
     nu = rand_matrix(rng, cfg.dim)
-    got = dpi.eval(_bend(cfg.dim, gamma), nu)
+    got = dpi.eval(end_ket(cfg.dim, gamma), nu)
     want = derivative_eval(p, gamma, nu)
-    end = HomSpace(Base(cfg.dim), Base(cfg.dim))
-    target = HomSpace(BangSpace(end), end)
+    target = denote_formula(enc.int_formula(cfg.dim))
     if not extensional_equal(got, want, target, _probe_cfg(rng, cfg)):
         return _witness([("s", repr(s)), ("gamma", gamma), ("nu", nu)])
 
@@ -590,8 +589,7 @@ def _law_cut_promotion(rng, cfg):
     p = Cut(0, Prom(enc.bint_proof(s, cfg.dim)), enc.repeat_proof(cfg.dim))
     got = denote_proof(p).eval()
     want = bint_value(s + s, cfg.dim)
-    end = HomSpace(Base(cfg.dim), Base(cfg.dim))
-    target = HomSpace(BangSpace(end), HomSpace(BangSpace(end), end))
+    target = denote_formula(enc.bint_formula(cfg.dim))
     if not extensional_equal(got, want, target, _probe_cfg(rng, cfg)):
         return _witness([("s", repr(s))])
 
@@ -623,8 +621,8 @@ def _law_bint_oracle(rng, cfg):
     alphas = tuple(rand_matrix(rng, cfg.dim) for _ in range(stang))
     betas = tuple(rand_matrix(rng, cfg.dim) for _ in range(rtang))
     v = bint_value(s, cfg.dim)
-    got = apply_hom(apply_hom(v, _bend(cfg.dim, gamma, *alphas)),
-                    _bend(cfg.dim, delta, *betas))
+    got = apply_hom(apply_hom(v, end_ket(cfg.dim, gamma, *alphas)),
+                    end_ket(cfg.dim, delta, *betas))
     want = enc.bint_oracle(s, gamma, delta, alphas, betas)
     if got != want:
         return _witness([("s", repr(s)), ("gamma", gamma), ("delta", delta),
@@ -637,8 +635,7 @@ def _law_repeat(rng, cfg):
     s = "".join(rng.choice("01") for _ in range(rng.randint(0, 2)))
     got = nl_eval(enc.repeat_proof(cfg.dim), bint_value(s, cfg.dim))
     want = bint_value(s + s, cfg.dim)
-    end = HomSpace(Base(cfg.dim), Base(cfg.dim))
-    target = HomSpace(BangSpace(end), HomSpace(BangSpace(end), end))
+    target = denote_formula(enc.bint_formula(cfg.dim))
     if not extensional_equal(got, want, target, _probe_cfg(rng, cfg)):
         return _witness([("s", repr(s))])
 
@@ -650,7 +647,7 @@ def _law_mult(rng, cfg):
                          denote_proof(enc.int_proof(l, cfg.dim)).eval(),
                          denote_proof(enc.int_proof(m, cfg.dim)).eval())
     x = rand_matrix(rng, cfg.dim)
-    got = apply_hom(dv, _bend(cfg.dim, x))
+    got = apply_hom(dv, end_ket(cfg.dim, x))
     closed = enc.mult_derivative_oracle(l, m, n, x)
     interp = enc.mult_difference_quotient(l, m, n, x)
     if not (got == closed == interp):

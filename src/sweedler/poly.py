@@ -16,9 +16,10 @@ from fractions import Fraction
 
 from .exact import DimensionError, Vec, as_scalar, scalar_str
 from .bang import BangElement, BaseSpace, Ket, SpaceError, TensorElement
+from .record import Immutable
 
 
-class Polynomial:
+class Polynomial(Immutable):
     """Polynomial over Q in variables x1..xn, stored as exponent -> coeff."""
 
     __slots__ = ("nvars", "terms")
@@ -36,9 +37,6 @@ class Polynomial:
                 clean[expo] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def zero(cls, nvars):

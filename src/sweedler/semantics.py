@@ -17,10 +17,10 @@ are compared extensionally, by probing them with seeded arguments, never
 numerically.  Every value does its own arithmetic: ``+``, unary ``-`` and
 ``scale``.
 
-Denotations are shared per distinct proof, weakly: proofs are frozen
-dataclasses, so a proof rebuilt or parsed again, or a sub-tree repeated
-inside one proof, finds the live ``Denotation`` of an equal proof instead
-of building its closures again.  An entry lasts only as long as its
+Denotations are shared per distinct proof, weakly: proofs are records that
+compare and hash by value, so a proof rebuilt or parsed again, or a sub-tree
+repeated inside one proof, finds the live ``Denotation`` of an equal proof
+instead of building its closures again.  An entry lasts only as long as its
 denotation does.
 """
 
@@ -30,13 +30,13 @@ import functools
 import itertools
 import random
 import weakref
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import bang as bg
 from . import syntax as syn
 from .bang import BangSpace, BaseSpace as Base
 from .exact import Matrix, Vec, as_scalar, scalar_str
+from .record import record
 
 
 class SpaceMismatch(ValueError):
@@ -50,7 +50,7 @@ class ProbeDepthError(RuntimeError):
 # -- spaces -----------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class HomSpace:
     """Linear maps dom -> cod: a Matrix between base spaces, else a MapVal.
 
@@ -94,7 +94,7 @@ class HomSpace:
         return "(%s -o %s)" % (self.dom.label(), self.cod.label())
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TensorSpace:
     """A * B; as an entry space, each pure tensor of a TensorVal is one unit."""
 
@@ -146,13 +146,18 @@ def denote_formula(f: syn.Formula):
 _serials = itertools.count()
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@record(eq=False)
 class MapVal:
     """A lazy linear map; ``serial`` counts creations and orders closures."""
 
     space: HomSpace
     fn: object
-    serial: int = field(default_factory=_serials.__next__, init=False)
+    serial: int
+
+    def __init__(self, space, fn):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "serial", next(_serials))
 
     def __add__(self, other):
         if not self.space.contains(other):
@@ -243,7 +248,7 @@ def require_value(v, space, what="value"):
 # -- denotations -------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, slots=True, weakref_slot=True)
+@record(eq=False, weakref=True)
 class Denotation:
     source: tuple
     target: object
@@ -478,7 +483,7 @@ def _nl_denotation(p):
 # -- extensional comparison ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ProbeConfig:
     seed: int = 0
     samples: int = 2

@@ -13,9 +13,8 @@ Parser and printer both read the grammar from ``_SHAPES``, so they round-trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 from . import syntax as syn
+from .record import record
 
 # Deepest '(' nesting the reader accepts.  At this depth the costliest later
 # stage, printing the value of 197 nested proms, needs a recursion limit of ~820.
@@ -28,14 +27,14 @@ class ParseError(ValueError):
         super().__init__("%d:%d: %s" % (line, col, message))
 
 
-@dataclass(frozen=True)
+@record
 class _Atom:
     text: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
+@record
 class _List:
     items: tuple
     line: int
@@ -127,7 +126,7 @@ _SHAPES = {
 }
 _SORTS = {"formula": syn.Formula.__args__, "proof": syn.Proof.__args__}
 # class -> (sort, head, ((field name, kind), ...)), for the printer
-_PRINTED = {cls: (sort, head, tuple(zip((f.name for f in fields(cls)), kinds)))
+_PRINTED = {cls: (sort, head, tuple(zip(cls._fields, kinds)))
             for head, (cls, kinds) in _SHAPES.items() for sort in _SORTS if cls in _SORTS[sort]}
 
 

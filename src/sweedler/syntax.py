@@ -13,27 +13,26 @@ Context conventions (fixed once, here, and relied on by the encodings):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 from .exact import check_dim
+from .record import record
 
 
 # -- formulas ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PropVar:
     name: str
     dim: int
 
-    def __post_init__(self):
-        check_dim(self.dim)
+    def __init__(self, name, dim):
+        self._fill(name, check_dim(dim))
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
+@record
 class Tensor:
     left: "Formula"
     right: "Formula"
@@ -42,7 +41,7 @@ class Tensor:
         return "(%s * %s)" % (self.left, self.right)
 
 
-@dataclass(frozen=True)
+@record
 class Lolli:
     left: "Formula"
     right: "Formula"
@@ -51,7 +50,7 @@ class Lolli:
         return "(%s -o %s)" % (self.left, self.right)
 
 
-@dataclass(frozen=True)
+@record
 class Bang:
     inner: "Formula"
 
@@ -62,7 +61,7 @@ class Bang:
 Formula = PropVar | Tensor | Lolli | Bang
 
 
-@dataclass(frozen=True)
+@record
 class Sequent:
     context: tuple
     conclusion: Formula
@@ -75,39 +74,17 @@ class Sequent:
 # -- proof trees ------------------------------------------------------------
 
 
-def _proof_node(cls):
-    """A frozen dataclass whose structural hash is computed once per node.
-
-    Proofs key the denotation cache of ``semantics`` at every node, and the
-    generated hash recurses through the whole sub-tree: uncached, denoting
-    a proof would hash nodes x depth times.
-    """
-    cls = dataclass(frozen=True)(cls)
-    names = tuple(f.name for f in fields(cls))
-
-    def __hash__(self):
-        # hashing the field tuple here, not through the generated __hash__,
-        # costs one Python frame per proof level instead of two
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash(tuple([getattr(self, n) for n in names]))
-        return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_proof_node
+@record
 class Axiom:
     formula: Formula
 
 
-@_proof_node
+@record
 class LolliR:
     premise: "Proof"
 
 
-@_proof_node
+@record
 class LolliL:
     index: int          # position of the consumed B inside the right premise
     arg: "Proof"        # proves  Gamma |- A
@@ -115,72 +92,72 @@ class LolliL:
     # concludes Gamma, Delta1, A -o B, Delta2 |- C
 
 
-@_proof_node
+@record
 class TensorR:
     left: "Proof"
     right: "Proof"
 
 
-@_proof_node
+@record
 class TensorL:
     index: int
     premise: "Proof"
 
 
-@_proof_node
+@record
 class Der:
     index: int
     premise: "Proof"
 
 
-@_proof_node
+@record
 class Ctr:
     index: int          # merges the adjacent pair at index, index+1
     premise: "Proof"
 
 
-@_proof_node
+@record
 class Weak:
     index: int
     formula: Formula    # the banged formula inserted at index
     premise: "Proof"
 
 
-@_proof_node
+@record
 class Prom:
     premise: "Proof"
 
 
-@_proof_node
+@record
 class Cut:
     index: int          # position of the cut formula inside the right premise
     left: "Proof"       # proves  Gamma |- A
     right: "Proof"      # proves  Delta1, A, Delta2 |- C
 
 
-@_proof_node
+@record
 class Exchange:
     perm: tuple         # conclusion[j] = premise[perm[j]]
     premise: "Proof"
 
-    def __post_init__(self):
+    def __init__(self, perm, premise):
         # a perm given as a list is kept as a tuple, so every proof is hashable
-        object.__setattr__(self, "perm", tuple(self.perm))
+        self._fill(tuple(perm), premise)
 
 
-@_proof_node
+@record
 class Coder:
     index: int
     premise: "Proof"
 
 
-@_proof_node
+@record
 class Coctr:
     index: int
     premise: "Proof"
 
 
-@_proof_node
+@record
 class Coweak:
     index: int
     formula: Formula

@@ -12,7 +12,7 @@ import time
 
 from sweedler import bang as bg
 from sweedler.laws import (
-    RunConfig, _bend, bint_value, rand_matrix, run_laws)
+    RunConfig, bint_value, end_ket, rand_matrix, run_laws)
 from sweedler.semantics import (
     BangSpace, Base, HomSpace, ProbeConfig, add_values, apply_hom,
     denote_formula, denote_proof, derivative_eval, extensional_equal, nl_eval)
@@ -101,7 +101,7 @@ def test_criterion_05_binary_integers_exhaustive():
                 g, d = rand_matrix(rng, 2), rand_matrix(rng, 2)
                 alphas = tuple(rand_matrix(rng, 2) for _ in range(stang))
                 betas = tuple(rand_matrix(rng, 2) for _ in range(rtang))
-                got = run(s, _bend(2, g, *alphas), _bend(2, d, *betas))
+                got = run(s, end_ket(2, g, *alphas), end_ket(2, d, *betas))
                 assert got == bint_oracle(s, g, d, alphas, betas), \
                     (s, stang, rtang)
                 checks += 1
@@ -110,18 +110,18 @@ def test_criterion_05_binary_integers_exhaustive():
     # the five displayed values for the string 001, plus vanishing
     g, d = rand_matrix(rng, 2), rand_matrix(rng, 2)
     a, a2, b = (rand_matrix(rng, 2) for _ in range(3))
-    assert run("001", _bend(2, g), _bend(2, d)) == d @ g @ g
-    assert run("001", _bend(2, g, a), _bend(2, d)) \
+    assert run("001", end_ket(2, g), end_ket(2, d)) == d @ g @ g
+    assert run("001", end_ket(2, g, a), end_ket(2, d)) \
         == d @ a @ g + d @ g @ a
-    assert run("001", _bend(2, g, a, a2), _bend(2, d)) \
+    assert run("001", end_ket(2, g, a, a2), end_ket(2, d)) \
         == d @ a @ a2 + d @ a2 @ a
-    assert run("001", _bend(2, g), _bend(2, d, b)) == b @ g @ g
-    assert run("001", _bend(2, g, a), _bend(2, d, b)) \
+    assert run("001", end_ket(2, g), end_ket(2, d, b)) == b @ g @ g
+    assert run("001", end_ket(2, g, a), end_ket(2, d, b)) \
         == b @ a @ g + b @ g @ a
     zero = Matrix.zero(2, 2)
-    assert run("001", _bend(2, g, a, a2, a), _bend(2, d)) == zero
-    assert run("001", _bend(2, g), _bend(2, d, b, b)) == zero
-    assert run("", _bend(2, g, a), _bend(2, d)) == zero
+    assert run("001", end_ket(2, g, a, a2, a), end_ket(2, d)) == zero
+    assert run("001", end_ket(2, g), end_ket(2, d, b, b)) == zero
+    assert run("", end_ket(2, g, a), end_ket(2, d)) == zero
     _report(5, "evaluator equals closed form for all |S| <= 3, "
                "all tangent profiles s+r <= 3, plus displayed 001 values")
 
@@ -154,7 +154,7 @@ def test_criterion_07_mult_derivative_closed_form():
                                      denote_proof(int_proof(m)).eval())
                 for _ in range(2):
                     x = rand_matrix(rng, 2)
-                    got = apply_hom(dv, _bend(2, x))
+                    got = apply_hom(dv, end_ket(2, x))
                     assert got == mult_derivative_oracle(l, m, n, x)
                     assert got == mult_difference_quotient(l, m, n, x)
     _report(7, "multiplication derivative equals n*x^(l(n-1)+m) and its "
@@ -188,7 +188,7 @@ def test_criterion_09_derivative_path_coherence():
         dpi = denote_proof(derivative_transform(p))
         for _ in range(5):
             a, v = rand_matrix(rng, 2), rand_matrix(rng, 2)
-            got = dpi.eval(_bend(2, a), v)
+            got = dpi.eval(end_ket(2, a), v)
             want = derivative_eval(p, a, v)
             assert got == want == church_derivative_oracle(n, a, v)
     # string numerals: extensional agreement on the curried form
@@ -197,7 +197,7 @@ def test_criterion_09_derivative_path_coherence():
         p = bint_proof(s, arrows=1)
         dpi = denote_proof(derivative_transform(p))
         g, v = rand_matrix(rng, 2), rand_matrix(rng, 2)
-        got = dpi.eval(_bend(2, g), v)
+        got = dpi.eval(end_ket(2, g), v)
         want = derivative_eval(p, g, v)
         assert extensional_equal(got, want, HomSpace(BangSpace(END), END), cfg), s
     # doubling proof: the bang argument carries higher-order entries

@@ -339,3 +339,23 @@ def test_named_values_outside_their_space_exit_1(capsys, tmp_path, dim):
     for path, named, message in cases:
         code, out, err = run(capsys, "derive", path, "--point", named, "--tangent", named)
         assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+def test_invalid_proof_paths_read_as_in_proof_error(capsys, tmp_path):
+    bad = tmp_path / "bad.sexp"
+    bad.write_text("(lolli-r (ctr 0 (axiom (pvar A 2))))")
+    message = "ctr needs an adjacent pair at index 0 in A |- A"
+    assert run(capsys, "check", str(bad)) == (1, "invalid at 0: %s\n" % message, "")
+    code, out, _ = run(capsys, "check", str(bad), "--format", "json")
+    assert (code, json.loads(out)["path"]) == (1, [0])
+    assert run(capsys, "eval", str(bad)) == (1, "", "error: invalid proof at 0: %s\n" % message)
+    bad.write_text("(prom (axiom (pvar A 2)))")
+    code, out, err = run(capsys, "eval", str(bad))
+    assert (code, out) == (1, "") and err.startswith("error: invalid proof at root: prom needs")
+
+
+def test_derive_of_a_proof_not_shaped_bang_a_to_b_is_one_error_line(capsys):
+    code, out, err = run(capsys, "derive", proof("int-2"), "--point", "[[1,0],[0,1]]",
+                         "--tangent", "[[1,0],[0,1]]")
+    assert (code, out) == (1, "")
+    assert err == "error: --derive needs a proof of !A |- B, got · |- (!(A -o A) -o (A -o A))\n"

@@ -1,0 +1,82 @@
+"""The record contract shared by proofs, formulas, spaces and configs."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from sweedler.encodings import church_proof, repeat_proof
+from sweedler.laws import RunConfig
+from sweedler.semantics import Base, Denotation, HomSpace, ProbeConfig, denote_proof
+from sweedler.sexpr import parse_proof, print_proof
+from sweedler.syntax import (
+    Axiom, Bang, Ctr, Der, Exchange, Lolli, PropVar, Sequent, Tensor, TensorR, Weak)
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+A = PropVar("A", 2)
+B = PropVar("B", 3)
+
+
+def test_importing_the_cli_loads_no_code_generation_modules():
+    code = ("import sys, sweedler.cli, sweedler.laws, sweedler.encodings; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_rebuilt_equal_proofs_are_equal_and_hash_equal():
+    for build in (lambda: church_proof(3), lambda: repeat_proof(2)):
+        p, q = build(), build()
+        assert p is not q and p == q and hash(p) == hash(q)
+        r = parse_proof(print_proof(p))
+        assert r == p and hash(r) == hash(p)
+    assert Exchange([1, 0], Axiom(A)) == Exchange((1, 0), Axiom(A))
+    assert hash(Exchange([1, 0], Axiom(A))) == hash(Exchange((1, 0), Axiom(A)))
+
+
+def test_equality_holds_only_within_one_class():
+    p = Axiom(Bang(A))
+    assert Der(0, p) != Ctr(0, p)
+    assert Tensor(A, B) != Lolli(A, B)
+    assert Sequent((A,), B) != ((A,), B)
+    d = denote_proof(Der(0, Axiom(A)))
+    assert d == d and d != Denotation(d.source, d.target, d.fn)
+
+
+@pytest.mark.parametrize("value, field", [
+    (A, "dim"), (Ctr(0, Axiom(Bang(A))), "index"), (Sequent((A,), A), "context"),
+    (HomSpace(Base(1), Base(2)), "dom"), (ProbeConfig(), "seed"), (RunConfig(), "dim"),
+])
+def test_fields_cannot_be_assigned_or_deleted(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, 1)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_keyword_and_default_construction():
+    assert ProbeConfig() == ProbeConfig(0, 2, 3, 4)
+    assert ProbeConfig(seed=5, depth=2) == ProbeConfig(5, 2, 3, 2)
+    assert RunConfig(dim=3, mutate=True) == RunConfig(0, 3, 200, 3, 4, True)
+    assert Ctr(premise=Axiom(A), index=0) == Ctr(0, Axiom(A))
+    for bad in (lambda: ProbeConfig(1, seed=2), lambda: ProbeConfig(depth_=1),
+                lambda: RunConfig(1, 2, 3, 4, 5, 6, 7), lambda: Ctr(0)):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_repr_is_unchanged():
+    assert repr(Ctr(0, Weak(0, Bang(A), Der(0, Axiom(A))))) == (
+        "Ctr(index=0, premise=Weak(index=0, formula=Bang(inner=PropVar(name='A', dim=2)), "
+        "premise=Der(index=0, premise=Axiom(formula=PropVar(name='A', dim=2)))))")
+    assert repr(Exchange([1, 0], TensorR(Axiom(A), Axiom(A)))) == (
+        "Exchange(perm=(1, 0), premise=TensorR(left=Axiom(formula=PropVar(name='A', dim=2)), "
+        "right=Axiom(formula=PropVar(name='A', dim=2))))")
+    assert repr(ProbeConfig(seed=3, depth=2)) == (
+        "ProbeConfig(seed=3, samples=2, max_tangents=3, depth=2)")
+    assert repr(HomSpace(Base(1), Base(2))) == "HomSpace(dom=BaseSpace(dim=1), cod=BaseSpace(dim=2))"

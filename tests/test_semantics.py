@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import itertools
 import random
@@ -251,8 +250,8 @@ def test_parse_value_mismatch():
 def _nodes(p):
     """Every node of a proof tree, repeated sub-trees once per occurrence."""
     yield p
-    for f in dataclasses.fields(p):
-        v = getattr(p, f.name)
+    for name in p._fields:
+        v = getattr(p, name)
         if isinstance(v, Proof):
             yield from _nodes(v)
 

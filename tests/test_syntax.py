@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from sweedler import sexpr, syntax
@@ -182,6 +180,6 @@ def test_shape_table_covers_each_class_once_with_a_kind_per_field():
     assert len(classes) == len(set(classes)) == 18
     assert set(classes) == set(syntax.Proof.__args__) | set(syntax.Formula.__args__)
     for cls, kinds in sexpr._SHAPES.values():
-        assert len(kinds) == len(dataclasses.fields(cls)), cls
+        assert len(kinds) == len(cls._fields), cls
         assert set(kinds) <= {"name", "dimension", "index", "perm", "formula", "proof"}
         assert list(kinds) == sorted(kinds, key=lambda kind: kind == "proof"), cls
