@@ -154,36 +154,35 @@ class BangSpace:
         return "!%s" % self.inner.label()
 
 
-class Ket(Immutable):
-    """One ket |t1,...,ts>_P.  Tangents are kept sorted by the space key."""
+@record
+class Ket:
+    """One ket |t1,...,ts>_P: a tuple of tangents, sorted by the space key."""
 
-    __slots__ = ("point", "tangents", "_hash")
-
-    def __init__(self, point, tangents):
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "tangents", tuple(tangents))
+    point: object
+    tangents: tuple
 
     @property
     def order(self):
         return len(self.tangents)
 
-    def __eq__(self, other):
-        return isinstance(other, Ket) and self.point == other.point and self.tangents == other.tangents
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(("Ket", self.point, self.tangents))
-            object.__setattr__(self, "_hash", h)
-            return h
-
     def __repr__(self):
         return "|%s>_%r" % (",".join(repr(t) for t in self.tangents), self.point)
 
 
+# loops, not generators or map: nested !-values recurse here once per level
 def ket_key(space, k: Ket):
-    return (space.key(k.point), tuple(space.key(t) for t in k.tangents))
+    keys = []
+    for t in k.tangents:
+        keys.append(space.key(t))
+    return (space.key(k.point), tuple(keys))
+
+
+def ket_str(space, k: Ket):
+    """|t1, ..., ts>_P, each entry rendered by the space."""
+    entries = []
+    for t in k.tangents:
+        entries.append(space.render(t))
+    return "|%s>_%s" % (", ".join(entries), space.render(k.point))
 
 
 def _keyed(space, entry):
@@ -235,7 +234,8 @@ class _TermSum(Immutable):
         return not self.terms
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=self._sort_key)
+        items = list(self.terms.items())
+        return items if len(items) == 1 else sorted(items, key=self._sort_key)
 
     def _merge(self, other, sign):
         if type(other) is not type(self):
@@ -321,22 +321,19 @@ class BangElement(_TermSum):
 
     def term_key(self):
         # one ket_key per ket: nested !-values would otherwise cost 2^depth
-        return tuple(sorted(((ket_key(self.space, k), c) for k, c in self.terms.items()),
-                            key=lambda kc: kc[0]))
+        keyed = []
+        for k, c in self.terms.items():
+            keyed.append((ket_key(self.space, k), c))
+        keyed.sort()  # keys differ for distinct kets: coefficients never compared
+        return tuple(keyed)
 
     def __repr__(self):
         if not self.terms:
             return "0"
         bits = []
         for k, c in self.sorted_terms():
-            body = "|%s>_%s" % (", ".join(self.space.render(t) for t in k.tangents),
-                                self.space.render(k.point))
-            if c == 1:
-                bits.append(body)
-            elif c == -1:
-                bits.append("-" + body)
-            else:
-                bits.append(scalar_str(c) + " " + body)
+            coeff = "" if c == 1 else "-" if c == -1 else scalar_str(c) + " "
+            bits.append(coeff + ket_str(self.space, k))
         return " + ".join(bits).replace("+ -", "- ")
 
 
@@ -375,10 +372,8 @@ class TensorElement(_TermSum):
             return "0"
         bits = []
         for kets, c in self.sorted_terms():
-            body = " (x) ".join(
-                "|%s>_%s" % (", ".join(s.render(t) for t in k.tangents), s.render(k.point))
-                for s, k in zip(self.space, kets))
-            bits.append(body if c == 1 else scalar_str(c) + " " + body)
+            coeff = "" if c == 1 else scalar_str(c) + " "
+            bits.append(coeff + " (x) ".join(map(ket_str, self.space, kets)))
         return " + ".join(bits)
 
 

@@ -5,22 +5,24 @@ checked downstream holds on the nose: equality is structural equality of
 reduced fractions, never a tolerance.  Dimensions are deliberately small
 (at most ``MAX_DIM``); anything larger is a usage error, not a truncation.
 
-Invariant: every entry of a ``Vec`` or ``Matrix`` is a ``Fraction``.  The
-public constructors validate outside input (ints, 'p/q' strings, shapes and
-dimensions); the private ``_of`` constructors trust the invariant and are
-what the arithmetic uses, since Fraction operations on Fraction entries of
-checked shapes yield Fraction entries of the same shapes.  The arithmetic
-skips every product with a zero factor and every sum with a zero term, so
-sparse operands (elementary matrices, basis vectors) cost only their
-nonzero entries.  Values are immutable, so cached ones (basis vectors,
-zero matrices) and ``scale(1)`` returning ``self`` are safe to share.
+Invariant: every entry of a ``Vec`` or ``Matrix`` is a ``Fraction``.  Both
+are ``record`` classes.  The public constructors validate outside input
+(ints, 'p/q' strings, shapes and dimensions) before ``_fill`` stores it; the
+private ``_of`` constructors skip ``__init__`` (``object.__new__``, then
+``_fill``), trust the invariant and are what the arithmetic uses, since
+Fraction operations on Fraction entries of checked shapes yield Fraction
+entries of the same shapes.  The arithmetic skips every product with a zero
+factor and every sum with a zero term, so sparse operands (elementary
+matrices, basis vectors) cost only their nonzero entries.  Values are
+immutable, so cached ones (basis vectors, zero matrices) and ``scale(1)``
+returning ``self`` are safe to share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .record import Immutable
+from .record import record
 
 MAX_DIM = 8
 
@@ -87,21 +89,22 @@ def _dot(row, nonzero):
     return _ZERO if acc is None else acc
 
 
-class Vec(Immutable):
+@record
+class Vec:
     """Immutable vector in Q^dim."""
 
-    __slots__ = ("coords", "_hash")
+    coords: tuple
 
     def __init__(self, coords):
         coords = tuple(as_scalar(c) for c in coords)
         check_dim(len(coords))
-        object.__setattr__(self, "coords", coords)
+        self._fill(coords)
 
     @classmethod
     def _of(cls, coords):
         """Trusted constructor: ``coords`` is a tuple of Fractions of valid length."""
         v = object.__new__(cls)
-        object.__setattr__(v, "coords", coords)
+        v._fill(coords)
         return v
 
     @classmethod
@@ -116,8 +119,7 @@ class Vec(Immutable):
             raise DimensionError("basis index %d out of range for dim %d" % (i, dim))
         cached = _BASIS_CACHE.get((dim, i))
         if cached is None:
-            cached = cls(tuple(1 if j == i else 0 for j in range(dim)))
-            _BASIS_CACHE[(dim, i)] = cached
+            cached = _BASIS_CACHE[(dim, i)] = cls(tuple(1 if j == i else 0 for j in range(dim)))
         return cached
 
     @property
@@ -149,18 +151,6 @@ class Vec(Immutable):
     def concat(self, other):
         return Vec(self.coords + other.coords)
 
-    def __eq__(self, other):
-        return isinstance(other, Vec) and self.coords == other.coords
-
-    def __hash__(self):
-        # rational hashes are costly and kets live in dicts; cache lazily
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(("Vec", self.coords))
-            object.__setattr__(self, "_hash", h)
-            return h
-
     def __repr__(self):
         return "(%s)" % ", ".join(scalar_str(c) for c in self.coords)
 
@@ -171,13 +161,14 @@ class Vec(Immutable):
     def from_json(cls, data):
         if not isinstance(data, list):
             raise ValueError("vector JSON must be an array, got %r" % (data,))
-        return cls(tuple(as_scalar(c) for c in data))
+        return cls(data)
 
 
-class Matrix(Immutable):
+@record
+class Matrix:
     """Immutable rational matrix; composition is ordinary matrix product."""
 
-    __slots__ = ("rows", "_hash")
+    rows: tuple
 
     def __init__(self, rows):
         rows = tuple(tuple(as_scalar(c) for c in row) for row in rows)
@@ -188,13 +179,13 @@ class Matrix(Immutable):
             raise DimensionError("ragged matrix rows")
         check_dim(len(rows))
         check_dim(width)
-        object.__setattr__(self, "rows", rows)
+        self._fill(rows)
 
     @classmethod
     def _of(cls, rows):
         """Trusted constructor: ``rows`` is a non-ragged tuple of tuples of Fractions."""
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
+        m._fill(rows)
         return m
 
     @classmethod
@@ -269,17 +260,6 @@ class Matrix(Immutable):
             acc = acc @ self
         return acc
 
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(("Matrix", self.rows))
-            object.__setattr__(self, "_hash", h)
-            return h
-
     def __repr__(self):
         return "[%s]" % "; ".join(" ".join(scalar_str(c) for c in row) for row in self.rows)
 
@@ -290,4 +270,4 @@ class Matrix(Immutable):
     def from_json(cls, data):
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ValueError("matrix JSON must be an array of arrays, got %r" % (data,))
-        return cls(tuple(tuple(as_scalar(c) for c in row) for row in data))
+        return cls(data)

@@ -6,8 +6,10 @@ position or keyword, ``==`` holds within one class and ``hash`` of the field
 tuple is computed once per instance (both by identity with ``eq=False``), the
 repr is ``Name(field=value, ...)`` and ``_fields`` names the fields.  A body
 that checks or converts its fields writes its own ``__init__`` and stores them
-with ``self._fill(*values)``.  The field tuple also sits in a ``_values`` slot,
-so ``==`` and ``hash`` build none; ``weakref=True`` adds a weakref slot.
+with ``self._fill(*values)``; a trusted constructor skips the checks with
+``object.__new__(cls)`` and then ``_fill``.  The field tuple also sits in a
+``_values`` slot, so ``==`` and ``hash`` build none; ``weakref=True`` adds a
+weakref slot.
 """
 
 from itertools import repeat
@@ -16,7 +18,7 @@ _MISSING = object()
 
 
 class Immutable:
-    """Assignment and deletion raise; constructors use ``object.__setattr__``."""
+    """Assignment and deletion raise; record constructors store through ``_fill``."""
 
     __slots__ = ()
 

@@ -155,9 +155,7 @@ class MapVal:
     serial: int
 
     def __init__(self, space, fn):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "serial", next(_serials))
+        self._fill(space, fn, next(_serials))
 
     def __add__(self, other):
         if not self.space.contains(other):

@@ -16,8 +16,8 @@ from __future__ import annotations
 from . import syntax as syn
 from .record import record
 
-# Deepest '(' nesting the reader accepts.  At this depth the costliest later
-# stage, printing the value of 197 nested proms, needs a recursion limit of ~820.
+# Deepest '(' nesting the reader accepts.  Evaluating and printing 197 nested
+# proms at a one-tangent ket, the costliest case, needs a recursion limit of 806.
 MAX_DEPTH = 200
 
 

@@ -261,6 +261,13 @@ def test_nesting_at_the_bound_checks_evaluates_and_prints(capsys, tmp_path):
         0, "|>_(" * (n + 1) + "1, 2" + ")" * (n + 1) + "\n", "")
     code, out, err = run(capsys, "eval", str(prom), "--input", ket, "--format", "json")
     assert (code, err, json.loads(out)["space"]) == (0, "", bangs + "2")
+    # a tangent nests kets in kets: the deepest value to print (text only, its
+    # indented JSON runs to about 80 MB)
+    value, point = "|(0, 1)>_(1, 0)", "|>_(1, 0)"
+    for _ in range(n):
+        value, point = "|(%s)>_(%s)" % (value, point), "|>_(%s)" % point
+    tangent = '[[{"point": [1, 0], "tangents": [[0, 1]]}]]'
+    assert run(capsys, "eval", str(prom), "--input", tangent) == (0, value + "\n", "")
 
 
 def test_proof_file_not_utf8_exits_2(capsys, tmp_path):

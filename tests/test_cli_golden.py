@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -67,6 +68,19 @@ def test_cli_output_matches_golden(name, monkeypatch):
         want = fh.read()
     assert code == _exit_codes()[name]
     assert out == want
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("name", ["axioms-bang-poly", "derive-repeat-named-json",
+                                  "eval-int-2-probes"])
+def test_output_does_not_depend_on_hash_seed(name, seed):
+    env = {k: v for k, v in os.environ.items() if k != "SWEEDLER_SEED"}
+    env.update(PYTHONPATH=os.path.join(ROOT, "src"), PYTHONHASHSEED=seed)
+    proc = subprocess.run([sys.executable, "-m", "sweedler.cli", *CASES[name]], cwd=ROOT,
+                          env=env, capture_output=True, check=False)
+    with open(os.path.join(GOLDEN, name + ".out"), "rb") as fh:
+        want = fh.read()
+    assert (proc.returncode, proc.stdout) == (_exit_codes()[name], want)
 
 
 def capture():

@@ -3,10 +3,13 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from sweedler.bang import Ket
 from sweedler.encodings import church_proof, repeat_proof
+from sweedler.exact import Matrix, Vec
 from sweedler.laws import RunConfig
 from sweedler.semantics import Base, Denotation, HomSpace, ProbeConfig, denote_proof
 from sweedler.sexpr import parse_proof, print_proof
@@ -44,11 +47,24 @@ def test_equality_holds_only_within_one_class():
     assert Sequent((A,), B) != ((A,), B)
     d = denote_proof(Der(0, Axiom(A)))
     assert d == d and d != Denotation(d.source, d.target, d.fn)
+    assert Vec((1,)) != Matrix(((1,),)) and Matrix(((1,),)) != Vec((1,))
+    assert Vec((1, 2)) != (Fraction(1), Fraction(2))
+    k = Ket(Vec((1, 2)), (Vec((0, 1)),))
+    assert k == Ket(Vec((1, 2)), (Vec((0, 1)),)) and k != (k.point, k.tangents)
+
+
+def test_trusted_constructors_build_equal_values():
+    pairs = [(Vec._of((Fraction(1, 2), Fraction(3))), Vec(("1/2", 3))),
+             (Matrix._of(((Fraction(1), Fraction(-2, 3)), (Fraction(0), Fraction(4)))),
+              Matrix(((1, "-2/3"), (0, 4))))]
+    for trusted, checked in pairs:
+        assert trusted == checked and hash(trusted) == hash(checked)
 
 
 @pytest.mark.parametrize("value, field", [
     (A, "dim"), (Ctr(0, Axiom(Bang(A))), "index"), (Sequent((A,), A), "context"),
     (HomSpace(Base(1), Base(2)), "dom"), (ProbeConfig(), "seed"), (RunConfig(), "dim"),
+    (Vec((1, 2)), "coords"), (Matrix(((1,),)), "rows"), (Ket(Vec((1,)), ()), "tangents"),
 ])
 def test_fields_cannot_be_assigned_or_deleted(value, field):
     with pytest.raises(AttributeError):
