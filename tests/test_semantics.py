@@ -3,6 +3,7 @@ import itertools
 import random
 import weakref
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -357,3 +358,76 @@ def test_promotion_calls_the_premise_once_per_distinct_block(premise, profiles, 
         ref = _prom_by_partitions(prem, vals)
         assert list(out.terms.items()) == list(ref.terms.items())
         assert repr(out) == repr(ref)
+
+
+# -- the context rules: value and premise calls --------------------------------
+
+
+B3 = PropVar("B", 3)
+
+
+def _build_counted(rule, premise, monkeypatch):
+    """The rule's denotation over a premise that records each of its calls."""
+    prem = denote_proof(premise)
+    calls = []
+    counted = Denotation(prem.source, prem.target, lambda *a: calls.append(a) or prem.fn(*a))
+    den = sem._den
+    monkeypatch.setattr(sem, "_den", lambda p: counted if p == premise else den(p))
+    return sem._build(rule(premise)), calls
+
+
+def test_tensor_left_calls_the_premise_once_per_pure_tensor(monkeypatch):
+    # B * A |- A * B: the swap
+    swap, calls = _build_counted(
+        partial(TensorL, 0), Exchange((1, 0), TensorR(Axiom(A), Axiom(B3))), monkeypatch)
+    e0, e1 = Vec((1, 0, 0)), Vec((0, 1, 0))
+    x, y = Vec((1, 0)), Vec((0, 1))
+    t = TensorVal.make(TensorSpace(Base(3), Base(2)),
+                       [(2, (e0, y)), (-1, (e1, x)), (Fraction(1, 3), (e1, y))])
+    out = swap.fn(t)
+    assert out == TensorVal.make(TensorSpace(Base(2), Base(3)),
+                                 [(2, (y, e0)), (-1, (x, e1)), (Fraction(1, 3), (y, e1))])
+    assert calls == [pair for pair, _ in t.sorted_terms()]
+
+
+def test_dereliction_skips_the_premise_on_kets_of_order_two(monkeypatch):
+    der, calls = _build_counted(partial(Der, 0), Axiom(A), monkeypatch)
+    t = bval((1, 2), (1, 0), (0, 1)) + bval((3, 4), (1, 1), (0, 1), coeff=5)
+    assert der.fn(t) == Vec((0, 0)) and calls == []
+    assert der.fn(t + bval((1, 1), (0, 2), coeff=3) + bval((1, 0))) == Vec((1, 6))
+    assert len(calls) == 1
+
+
+def test_weakening_multiplies_the_premise_by_the_counit(monkeypatch):
+    weak, calls = _build_counted(partial(Weak, 0, NA), Axiom(B3), monkeypatch)
+    b = Vec((1, 2, 3))
+    for zero in (bval((5, 6), (1, 0)), bval((1, 2)) - bval((3, 4))):
+        assert weak.fn(zero, b) == Vec((0, 0, 0)) and calls == []
+    assert weak.fn(bval((5, 6), coeff=4) + bval((1, 1), (1, 0)), b) == Vec((4, 8, 12))
+    assert calls == [(b,)]
+
+
+def test_contraction_calls_the_premise_once_per_distinct_left_factor(monkeypatch):
+    ctr, calls = _build_counted(
+        partial(Ctr, 0), TensorR(Der(0, Axiom(A)), Der(0, Axiom(A))), monkeypatch)
+    P, Q, v = Vec((1, 2)), Vec((3, 4)), Vec((0, 1))
+    space = TensorSpace(Base(2), Base(2))
+    out = ctr.fn(bval((1, 2), (0, 1)) + bval((3, 4)))
+    assert out == TensorVal.make(space, [(1, (P, v)), (1, (v, P)), (1, (Q, Q))])
+    assert len(calls) == 3
+    calls.clear()
+    # four splittings of |v, v>, three distinct left factors
+    assert ctr.fn(bval((1, 2), (0, 1), (0, 1))) == TensorVal.make(space, [(2, (v, v))])
+    assert len(calls) == 3
+
+
+def test_co_rules_call_the_premise_once(monkeypatch):
+    coder, calls = _build_counted(partial(Coder, 0), Der(0, Axiom(A)), monkeypatch)
+    assert coder.fn(Vec((2, 5))) == Vec((2, 5)) and len(calls) == 1
+    monkeypatch.undo()
+    coctr, calls = _build_counted(partial(Coctr, 0), Der(0, Axiom(A)), monkeypatch)
+    assert coctr.fn(bval((1, 2)), bval((3, 4), (0, 7))) == Vec((0, 7)) and len(calls) == 1
+    monkeypatch.undo()
+    coweak, calls = _build_counted(partial(Coweak, 0, NA), Weak(0, NA, Axiom(B3)), monkeypatch)
+    b = Vec((1, 2, 3))
+    assert coweak.fn(b) == b and len(calls) == 1
