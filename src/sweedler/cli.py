@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from functools import partial
@@ -53,19 +52,27 @@ def _named_dim(space, formula):
     return d if space == denote_formula(formula(d)) else None
 
 
+# Named values stop where proof files do: a 64-bit string's proof nests 198 deep,
+# a 65-bit one's 201 > sexpr.MAX_DEPTH.  Far larger ones overflow the stack.
+MAX_NAMED = 64
+
+
 def named_value(space, data):
     """Hook for parse_value: named constants {"church": n} and {"bint": S}."""
     if set(data) == {"church"}:
         n = data["church"]
-        if not isinstance(n, int) or n < 0:
-            raise SpaceMismatch("church numerals take a non-negative integer")
+        if type(n) is not int or not 0 <= n <= MAX_NAMED:
+            raise SpaceMismatch("church numerals take an integer in 0..%d" % MAX_NAMED)
         dim = _named_dim(space, enc.int_formula)
         if dim is None:
             raise SpaceMismatch(
                 "a church numeral does not live in %s" % space.label())
         return denote_proof(enc.int_proof(n, dim)).eval()
     if set(data) == {"bint"}:
-        bits = enc.parse_bits(data["bint"])
+        bits = data["bint"]
+        if not isinstance(bits, (str, list)) or len(bits) > MAX_NAMED:
+            raise SpaceMismatch("a bint is a string or list of at most %d bits" % MAX_NAMED)
+        bits = enc.parse_bits(bits)
         dim = _named_dim(space, enc.bint_formula)
         if dim is None:
             raise SpaceMismatch(
@@ -378,12 +385,6 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if os.environ.get("SWEEDLER_SEED"):
-        try:
-            args.seed = int(os.environ["SWEEDLER_SEED"])
-        except ValueError:
-            print("SWEEDLER_SEED must be an integer", file=sys.stderr)
-            return 2
     try:
         return args.fn(args)
     except (OSError, ParseError, FlagError) as e:

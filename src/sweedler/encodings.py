@@ -53,15 +53,10 @@ def bint_formula(dim=DEFAULT_DIM):
 
 
 def parse_bits(s) -> tuple:
-    """A 0/1 string (leftmost character acts first) to a bit tuple."""
-    if isinstance(s, str):
-        if any(ch not in "01" for ch in s):
-            raise ValueError("binary sequences use only 0 and 1, got %r" % s)
-        return tuple(int(ch) for ch in s)
-    bits = tuple(int(b) for b in s)
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("binary sequences use only 0 and 1, got %r" % (bits,))
-    return bits
+    """A 0/1 string or sequence (leftmost entry acts first) to a bit tuple."""
+    if not all(b in ("0", "1", 0, 1) and not isinstance(b, bool) for b in s):
+        raise ValueError("binary sequences use only 0 and 1, got %r" % (s,))
+    return tuple(int(b) for b in s)
 
 
 # -- proof constructors -------------------------------------------------------

@@ -48,6 +48,19 @@ def as_scalar(value) -> Fraction:
     raise TypeError("not an exact scalar: %r" % (value,))
 
 
+class JSONScalarError(TypeError, ValueError):
+    """A JSON scalar of the wrong type: bad outside input, hence also a ValueError."""
+
+
+def json_scalar(value) -> Fraction:
+    """Read a scalar from JSON: an integer or a 'p/q' string, never a boolean or null."""
+    if isinstance(value, str):
+        return parse_scalar(value)
+    if type(value) is int:
+        return Fraction(value)
+    raise JSONScalarError("expected an integer or a \"p/q\" string, got %r" % (value,))
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse 'p' or 'p/q' with optional sign; exact, no floats."""
     s = text.strip()
@@ -161,7 +174,7 @@ class Vec:
     def from_json(cls, data):
         if not isinstance(data, list):
             raise ValueError("vector JSON must be an array, got %r" % (data,))
-        return cls(data)
+        return cls([json_scalar(c) for c in data])
 
 
 @record
@@ -270,4 +283,4 @@ class Matrix:
     def from_json(cls, data):
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ValueError("matrix JSON must be an array of arrays, got %r" % (data,))
-        return cls(data)
+        return cls([[json_scalar(c) for c in row] for row in data])

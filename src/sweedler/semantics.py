@@ -5,7 +5,10 @@ space of ``bang``); -o denotes the space of linear maps (``HomSpace``); *
 denotes ``TensorSpace``; ! denotes the cofree coalgebra over the space of
 its formula (``bang.BangSpace``).  A proof of A1, ..., Ak |- B denotes a
 multilinear map, packaged as a ``Denotation`` with one callable slot per
-context formula.
+context formula.  The seven context rules -- tensor-left, dereliction,
+contraction, weakening, codereliction, cocontraction and coweakening --
+precompose the premise with one map of ``bang``: the pair split, d, Delta,
+epsilon, dbar, nabla and u.  One table (``_STRUCTURAL``) gives each its map.
 
 Every formula space is an entry space of ``bang``, so elements of !A are
 canonical ket sums over the space of A itself.  Values are plain objects:
@@ -35,7 +38,7 @@ from fractions import Fraction
 from . import bang as bg
 from . import syntax as syn
 from .bang import BangSpace, BaseSpace as Base
-from .exact import Matrix, Vec, as_scalar, scalar_str
+from .exact import Matrix, Vec, as_scalar, json_scalar, scalar_str
 from .record import record
 
 
@@ -216,17 +219,6 @@ def add_values(a, b):
     return a + b
 
 
-def lincomb(space, pairs):
-    acc = None
-    for c, v in pairs:
-        if c == 0:
-            continue
-        if c != 1:
-            v = v.scale(c)
-        acc = v if acc is None else acc + v
-    return space.zero() if acc is None else acc
-
-
 def apply_hom(h, x):
     if isinstance(h, Matrix):
         if not isinstance(x, Vec):
@@ -284,9 +276,58 @@ def _den(p) -> Denotation:
     return d
 
 
+def _weaken(ps, t):
+    c = bg.counit(t)
+    return ((c, ()),) if c else ()
+
+
+# The context rules: rule -> (k, conclusion spaces, structural map).  The rule
+# at index i replaces the premise's k slots i.. by the conclusion's slots, whose
+# spaces it computes from those k.  The map takes the k spaces and the conclusion
+# slots' values to terms (coefficient, premise arguments) to sum the premise over.
+_STRUCTURAL = {
+    syn.TensorL: (2, lambda p, a, b: (TensorSpace(a, b),),
+                  lambda ps, t: ((c, pair) for pair, c in t.sorted_terms())),
+    # d kills kets of order >= 2: with none of order <= 1 there is no term
+    syn.Der: (1, lambda p, a: (BangSpace(a),), lambda ps, t: (
+        ((1, (bg.dereliction(t),)),) if any(k.order <= 1 for k in t.terms) else ())),
+    # one term per distinct left factor of the coproduct
+    syn.Ctr: (2, lambda p, a, b: (a,),
+              lambda ps, t: ((1, pair) for pair in bg.coproduct_pairs(t))),
+    syn.Weak: (0, lambda p: (denote_formula(p.formula),), _weaken),
+    syn.Coder: (1, lambda p, a: (a.inner,),
+                lambda ps, v: ((1, (bg.codereliction(ps[0].inner, v),)),)),
+    syn.Coctr: (1, lambda p, a: (a, a),
+                lambda ps, a, b: ((1, (bg.cocontract(a, b),)),)),
+    syn.Coweak: (1, lambda p, a: (),
+                 lambda ps: ((1, (bg.coweaken(ps[0].inner),)),)),
+}
+
+
 def _build(p) -> Denotation:
     # premises are denoted through the module-global ``_den``, so a wrapper
     # bound to that name sees every node
+    rule = _STRUCTURAL.get(type(p))
+    if rule is not None:
+        k, spaces, terms = rule
+        prem = _den(p.premise)
+        i = p.index
+        ps = prem.source[i:i + k]
+        conc = spaces(p, *ps)
+        j = i + len(conc)
+
+        def fn(*vals):
+            # a plain loop calls the premise from this frame: one frame per
+            # level; the closure holds prem, so the cache keeps it alive
+            acc = None
+            for c, xs in terms(ps, *vals[i:j]):
+                v = prem.fn(*vals[:i], *xs, *vals[j:])
+                if c != 1:
+                    v = v.scale(c)
+                acc = v if acc is None else acc + v
+            return prem.target.zero() if acc is None else acc
+        return Denotation(prem.source[:i] + conc + prem.source[i + k:], prem.target, fn)
+
     if isinstance(p, syn.Axiom):
         s = denote_formula(p.formula)
         return Denotation((s,), s, _identity)
@@ -328,61 +369,6 @@ def _build(p) -> Denotation:
             return TensorVal.make(space, [(1, (ld.fn(*vals[:nl]), rd.fn(*vals[nl:])))])
         return Denotation(ld.source + rd.source, space, fn)
 
-    if isinstance(p, syn.TensorL):
-        prem = _den(p.premise)
-        i = p.index
-        a, b = prem.source[i], prem.source[i + 1]
-        space = TensorSpace(a, b)
-        src = prem.source[:i] + (space,) + prem.source[i + 2:]
-
-        def fn(*vals):
-            t = vals[i]
-            return lincomb(prem.target,
-                           ((c, prem.fn(*vals[:i], fa, fb, *vals[i + 1:]))
-                            for (fa, fb), c in t.sorted_terms()))
-        return Denotation(src, prem.target, fn)
-
-    if isinstance(p, syn.Der):
-        prem = _den(p.premise)
-        i = p.index
-        a = prem.source[i]
-        src = prem.source[:i] + (BangSpace(a),) + prem.source[i + 1:]
-
-        def fn(*vals):
-            t = vals[i]
-            # d kills kets of order >= 2 and the premise is linear in slot i.
-            if not any(k.order <= 1 for k in t.terms):
-                return prem.target.zero()
-            return prem.fn(*vals[:i], bg.dereliction(t), *vals[i + 1:])
-        return Denotation(src, prem.target, fn)
-
-    if isinstance(p, syn.Ctr):
-        prem = _den(p.premise)
-        i = p.index
-        bspace = prem.source[i]
-        src = prem.source[:i] + (bspace,) + prem.source[i + 2:]
-
-        def fn(*vals):
-            # Bilinear premise: one call per distinct left factor of the coproduct.
-            return lincomb(prem.target, [(1, prem.fn(*vals[:i], v1, v2, *vals[i + 1:]))
-                                         for v1, v2 in bg.coproduct_pairs(vals[i])])
-        return Denotation(src, prem.target, fn)
-
-    if isinstance(p, syn.Weak):
-        prem = _den(p.premise)
-        i = p.index
-        bspace = BangSpace(denote_formula(p.formula.inner))
-        src = prem.source[:i] + (bspace,) + prem.source[i:]
-
-        def fn(*vals):
-            c = bg.counit(vals[i])
-            # The result is c times the premise, so a zero counit needs no call.
-            if c == 0:
-                return prem.target.zero()
-            rest = vals[:i] + vals[i + 1:]
-            return lincomb(prem.target, [(c, prem.fn(*rest))])
-        return Denotation(src, prem.target, fn)
-
     if isinstance(p, syn.Prom):
         prem = _den(p.premise)
         spaces = tuple(s.inner for s in prem.source)
@@ -415,40 +401,6 @@ def _build(p) -> Denotation:
             for j, v in zip(perm, vals):
                 w[j] = v
             return prem.fn(*w)
-        return Denotation(src, prem.target, fn)
-
-    if isinstance(p, syn.Coder):
-        prem = _den(p.premise)
-        i = p.index
-        bspace = prem.source[i]
-        a = bspace.inner
-        src = prem.source[:i] + (a,) + prem.source[i + 1:]
-
-        def fn(*vals):
-            t = bg.codereliction(a, vals[i])
-            return prem.fn(*vals[:i], t, *vals[i + 1:])
-        return Denotation(src, prem.target, fn)
-
-    if isinstance(p, syn.Coctr):
-        prem = _den(p.premise)
-        i = p.index
-        bspace = prem.source[i]
-        src = prem.source[:i] + (bspace, bspace) + prem.source[i + 1:]
-
-        def fn(*vals):
-            merged = bg.cocontract(vals[i], vals[i + 1])
-            return prem.fn(*vals[:i], merged, *vals[i + 2:])
-        return Denotation(src, prem.target, fn)
-
-    if isinstance(p, syn.Coweak):
-        prem = _den(p.premise)
-        i = p.index
-        bspace = prem.source[i]
-        src = prem.source[:i] + prem.source[i + 1:]
-
-        def fn(*vals):
-            u = bg.coweaken(bspace.inner)
-            return prem.fn(*vals[:i], u, *vals[i:])
         return Denotation(src, prem.target, fn)
 
     raise TypeError("unknown proof node %r" % (p,))
@@ -610,11 +562,13 @@ def parse_value(space, data, named=None):
         for entry in data:
             if not isinstance(entry, dict) or "point" not in entry:
                 raise SpaceMismatch("ket objects need point/tangents/coeff fields")
-            coeff = as_scalar(entry.get("coeff", 1))
+            coeff = json_scalar(entry.get("coeff", 1))
             point = parse_value(space.inner, entry["point"], named)
-            tangents = tuple(parse_value(space.inner, t, named)
-                             for t in entry.get("tangents", ()))
-            items.append((coeff, point, tangents))
+            tangents = entry.get("tangents", [])
+            if not isinstance(tangents, list):
+                raise SpaceMismatch("a ket's tangents must be a list, got %r" % (tangents,))
+            items.append((coeff, point, tuple(parse_value(space.inner, t, named)
+                                              for t in tangents)))
         return bg.BangElement.from_terms(space.inner, items)
     raise SpaceMismatch("no JSON form for values of %s" % space.label())
 

@@ -146,17 +146,6 @@ def test_eval_map_probe_table_is_deterministic(capsys):
     assert out1.startswith("map (!(2 -o 2) -o (2 -o 2))")
 
 
-def test_env_seed_overrides_flag(capsys, monkeypatch):
-    argv = ("eval", proof("int-2"), "--input", "[]", "--seed", "9")
-    _, base, _ = run(capsys, *argv)
-    monkeypatch.setenv("SWEEDLER_SEED", "10")
-    _, overridden, _ = run(capsys, *argv)
-    monkeypatch.setenv("SWEEDLER_SEED", "9")
-    _, same, _ = run(capsys, *argv)
-    assert overridden != base
-    assert same == base
-
-
 def test_axioms_pass(capsys):
     code, out, _ = run(capsys, "axioms", "--trials", "5", "--group", "bang",
                        "--group", "poly")
@@ -366,3 +355,50 @@ def test_derive_of_a_proof_not_shaped_bang_a_to_b_is_one_error_line(capsys):
                          "--tangent", "[[1,0],[0,1]]")
     assert (code, out) == (1, "")
     assert err == "error: --derive needs a proof of !A |- B, got · |- (!(A -o A) -o (A -o A))\n"
+
+
+KET = '[[{"point": [[1,1],[0,1]]}]]'
+NILP = "[[0,0],[1,0]]"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--input", '[[{"coeff": [1], "point": [[1,1],[0,1]]}]]'),
+     'expected an integer or a "p/q" string, got [1]'),
+    (("--input", '[[{"coeff": null, "point": [[1,1],[0,1]]}]]'),
+     'expected an integer or a "p/q" string, got None'),
+    (("--input", '[[{"point": [[1,1],[0,1]], "tangents": 5}]]'),
+     "a ket's tangents must be a list, got 5"),
+    (("--derive", "--point", "[[1,[2]],[0,1]]", "--tangent", NILP),
+     'expected an integer or a "p/q" string, got [2]'),
+    (("--derive", "--point", "[[1,null],[0,1]]", "--tangent", NILP),
+     'expected an integer or a "p/q" string, got None'),
+    (("--derive", "--point", "[[true,1],[0,1]]", "--tangent", NILP),
+     'expected an integer or a "p/q" string, got True'),
+], ids=["list coeff", "null coeff", "int tangents", "list entry", "null entry", "true entry"])
+def test_json_of_the_wrong_type_is_one_error_line(capsys, argv, message):
+    assert run(capsys, "eval", proof("church-2"), *argv) == (1, "", "error: %s\n" % message)
+
+
+BINT_INPUT = '[[{"point": [[1,1],[0,1]]}], [{"point": [[2,0],[0,1]]}]]'
+
+
+@pytest.mark.parametrize("named,message", [
+    ('{"bint": 5}', "a bint is a string or list of at most 64 bits"),
+    ('{"bint": [null]}', "binary sequences use only 0 and 1, got [None]"),
+    ('{"bint": "%s"}' % ("1" * 65), "a bint is a string or list of at most 64 bits"),
+])
+def test_named_binary_integers_of_the_wrong_type_or_length_exit_1(capsys, named, message):
+    code, out, err = run(capsys, "derive", proof("repeat"), "--point", named,
+                         "--tangent", '{"bint": "1"}', "--input", BINT_INPUT)
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+def test_named_values_stop_at_64(capsys):
+    for n, want in ((64, (0, "[[2, 130], [0, 2]]\n", "")),
+                    (65, (1, "", "error: church numerals take an integer in 0..64\n")),
+                    (200, (1, "", "error: church numerals take an integer in 0..64\n"))):
+        assert run(capsys, "derive", proof("mult-2"), "--point", '{"church": %d}' % n,
+                   "--tangent", '{"church": 1}', "--input", KET) == want
+    code, out, err = run(capsys, "derive", proof("repeat"), "--point", '{"bint": "%s"}' % ("1" * 64),
+                         "--tangent", '{"bint": "0"}', "--input", BINT_INPUT)
+    assert (code, err) == (0, "") and out.startswith("[[")

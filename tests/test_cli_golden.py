@@ -62,7 +62,6 @@ def _exit_codes():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, monkeypatch):
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv("SWEEDLER_SEED", raising=False)
     code, out = run_case(CASES[name])
     with open(os.path.join(GOLDEN, name + ".out"), encoding="utf-8", newline="") as fh:
         want = fh.read()
@@ -74,7 +73,7 @@ def test_cli_output_matches_golden(name, monkeypatch):
 @pytest.mark.parametrize("name", ["axioms-bang-poly", "derive-repeat-named-json",
                                   "eval-int-2-probes"])
 def test_output_does_not_depend_on_hash_seed(name, seed):
-    env = {k: v for k, v in os.environ.items() if k != "SWEEDLER_SEED"}
+    env = dict(os.environ)
     env.update(PYTHONPATH=os.path.join(ROOT, "src"), PYTHONHASHSEED=seed)
     proc = subprocess.run([sys.executable, "-m", "sweedler.cli", *CASES[name]], cwd=ROOT,
                           env=env, capture_output=True, check=False)
@@ -85,7 +84,6 @@ def test_output_does_not_depend_on_hash_seed(name, seed):
 
 def capture():
     os.chdir(ROOT)
-    os.environ.pop("SWEEDLER_SEED", None)
     os.makedirs(GOLDEN, exist_ok=True)
     codes = {}
     for name in sorted(CASES):

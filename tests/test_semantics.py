@@ -18,7 +18,7 @@ from sweedler.syntax import (
 from sweedler.semantics import (
     BangSpace, Base, Denotation, HomSpace, MapVal, ProbeConfig, ProbeDepthError,
     SpaceMismatch, TensorSpace, TensorVal, denote_formula,
-    denote_proof, derivative_eval, extensional_equal, lincomb, nl_eval,
+    denote_proof, derivative_eval, extensional_equal, nl_eval,
     parse_value, value_to_json)
 
 A = PropVar("A", 2)
@@ -167,7 +167,7 @@ def test_multilinearity_of_eval():
     u = bval((1, 2), (1, 0))
     v = bval((3, 4))
     lhs = d.eval(u.scale(2) + v)
-    rhs = lincomb(d.target, [(2, d.eval(u)), (1, d.eval(v))])
+    rhs = d.eval(u).scale(2) + d.eval(v)
     assert lhs == rhs
 
 
@@ -364,6 +364,10 @@ def test_promotion_calls_the_premise_once_per_distinct_block(premise, profiles, 
 
 
 B3 = PropVar("B", 3)
+
+
+def test_one_table_holds_the_context_rules():
+    assert set(sem._STRUCTURAL) == {TensorL, Der, Ctr, Weak, Coder, Coctr, Coweak}
 
 
 def _build_counted(rule, premise, monkeypatch):
