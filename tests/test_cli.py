@@ -357,7 +357,6 @@ def test_derive_of_a_proof_not_shaped_bang_a_to_b_is_one_error_line(capsys):
     assert err == "error: --derive needs a proof of !A |- B, got · |- (!(A -o A) -o (A -o A))\n"
 
 
-KET = '[[{"point": [[1,1],[0,1]]}]]'
 NILP = "[[0,0],[1,0]]"
 
 
@@ -398,7 +397,7 @@ def test_named_values_stop_at_64(capsys):
                     (65, (1, "", "error: church numerals take an integer in 0..64\n")),
                     (200, (1, "", "error: church numerals take an integer in 0..64\n"))):
         assert run(capsys, "derive", proof("mult-2"), "--point", '{"church": %d}' % n,
-                   "--tangent", '{"church": 1}', "--input", KET) == want
-    code, out, err = run(capsys, "derive", proof("repeat"), "--point", '{"bint": "%s"}' % ("1" * 64),
-                         "--tangent", '{"bint": "0"}', "--input", BINT_INPUT)
+                   "--tangent", '{"church": 1}', "--input", '[[{"point": [[1,1],[0,1]]}]]') == want
+    code, out, err = run(capsys, "derive", proof("repeat"), "--tangent", '{"bint": "0"}',
+                         "--point", '{"bint": "%s"}' % ("1" * 64), "--input", BINT_INPUT)
     assert (code, err) == (0, "") and out.startswith("[[")
