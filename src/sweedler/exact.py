@@ -5,24 +5,28 @@ checked downstream holds on the nose: equality is structural equality of
 reduced fractions, never a tolerance.  Dimensions are deliberately small
 (at most ``MAX_DIM``); anything larger is a usage error, not a truncation.
 
-Invariant: every entry of a ``Vec`` or ``Matrix`` is a ``Fraction``.  Both
-are ``record`` classes.  The public constructors validate outside input
-(ints, 'p/q' strings, shapes and dimensions) before ``_fill`` stores it; the
-private ``_of`` constructors skip ``__init__`` (``object.__new__``, then
-``_fill``), trust the invariant and are what the arithmetic uses, since
-Fraction operations on Fraction entries of checked shapes yield Fraction
-entries of the same shapes.  The arithmetic skips every product with a zero
-factor and every sum with a zero term, so sparse operands (elementary
-matrices, basis vectors) cost only their nonzero entries.  Values are
-immutable, so cached ones (basis vectors, zero matrices) and ``scale(1)``
-returning ``self`` are safe to share.
+Invariant: every entry of a ``Vec`` or ``Matrix`` is a reduced ``Fraction``
+(gcd 1, positive denominator).  Both are ``record`` classes.  The public
+constructors validate outside input (ints, 'p/q' strings, shapes and
+dimensions) before ``_fill`` stores it; the private ``_of`` constructors
+(``record.trusted_maker``) skip ``__init__`` and the checks, trust the
+invariant and are what the arithmetic uses, since Fraction operations on
+Fraction entries of checked shapes yield Fraction entries of the same
+shapes.  The arithmetic skips every product with a zero factor and every sum
+with a zero term, so sparse operands (elementary matrices, basis vectors)
+cost only their nonzero entries.  ``Matrix.apply`` and ``@`` reduce each
+output entry once: its dot product is summed over the plain-int numerators
+and denominators of its factors, and one ``Fraction`` is built at the end.
+Values are immutable, so cached ones (basis vectors, zero matrices, the
+``Fraction`` of each integer up to 64 in size that the scalar readers and the
+dot product return) and ``scale(1)`` returning ``self`` are safe to share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .record import record
+from .record import record, trusted_maker
 
 MAX_DIM = 8
 
@@ -37,12 +41,21 @@ def check_dim(dim):
     return dim
 
 
+_SMALL = 64
+_SMALL_INTS = tuple(Fraction(n) for n in range(-_SMALL, _SMALL + 1))
+
+
+def _int_scalar(n: int) -> Fraction:
+    """Fraction(n), one shared object for |n| <= _SMALL: most entries are small."""
+    return _SMALL_INTS[n + _SMALL] if -_SMALL <= n <= _SMALL else Fraction(n)
+
+
 def as_scalar(value) -> Fraction:
     """Coerce int / Fraction / 'p/q' string to an exact scalar."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
+        return _int_scalar(value)
     if isinstance(value, str):
         return parse_scalar(value)
     raise TypeError("not an exact scalar: %r" % (value,))
@@ -57,7 +70,7 @@ def json_scalar(value) -> Fraction:
     if isinstance(value, str):
         return parse_scalar(value)
     if type(value) is int:
-        return Fraction(value)
+        return _int_scalar(value)
     raise JSONScalarError("expected an integer or a \"p/q\" string, got %r" % (value,))
 
 
@@ -65,9 +78,10 @@ def parse_scalar(text: str) -> Fraction:
     """Parse 'p' or 'p/q' with optional sign; exact, no floats."""
     s = text.strip()
     try:
-        return Fraction(s)
+        c = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError("bad scalar %r: %s" % (text, exc)) from None
+    return _int_scalar(c.numerator) if c.denominator == 1 else c
 
 
 def scalar_str(c) -> str:
@@ -78,7 +92,7 @@ def scalar_str(c) -> str:
     return "%d/%d" % (c.numerator, c.denominator)
 
 
-_ZERO = Fraction(0)
+_ZERO = _int_scalar(0)
 _BASIS_CACHE = {}
 _ZERO_CACHE = {}  # Matrix.zero by (nrows, ncols)
 
@@ -92,14 +106,24 @@ def _add(a, b):
     return a + b
 
 
+def _nonzero(entries):
+    """(j, numerator, denominator) of each nonzero entry: a ``_dot`` operand."""
+    return [(j, x.numerator, x.denominator) for j, x in enumerate(entries) if x]
+
+
 def _dot(row, nonzero):
-    """The sum of row[j] * x over the (j, x) pairs with x != 0, skipping zeros."""
-    acc = None
-    for j, x in nonzero:
+    """The sum of row[j] * x over the ``_nonzero`` triples as one int fraction
+    n/d, reduced once at the end; d stays 1 while every factor is an integer."""
+    n, d = 0, 1
+    for j, xn, xd in nonzero:
         c = row[j]
         if c:
-            acc = c * x if acc is None else acc + c * x
-    return _ZERO if acc is None else acc
+            pn, pd = c.numerator * xn, c.denominator * xd
+            if pd == d:
+                n += pn
+            else:
+                n, d = n * pd + pn * d, d * pd
+    return _int_scalar(n) if d == 1 else Fraction(n, d)
 
 
 @record
@@ -112,13 +136,6 @@ class Vec:
         coords = tuple(as_scalar(c) for c in coords)
         check_dim(len(coords))
         self._fill(coords)
-
-    @classmethod
-    def _of(cls, coords):
-        """Trusted constructor: ``coords`` is a tuple of Fractions of valid length."""
-        v = object.__new__(cls)
-        v._fill(coords)
-        return v
 
     @classmethod
     def zero(cls, dim):
@@ -177,6 +194,10 @@ class Vec:
         return cls([json_scalar(c) for c in data])
 
 
+# trusted constructor: ``coords`` is a tuple of Fractions of valid length
+Vec._of = staticmethod(trusted_maker(Vec))
+
+
 @record
 class Matrix:
     """Immutable rational matrix; composition is ordinary matrix product."""
@@ -195,11 +216,9 @@ class Matrix:
         self._fill(rows)
 
     @classmethod
-    def _of(cls, rows):
-        """Trusted constructor: ``rows`` is a non-ragged tuple of tuples of Fractions."""
-        m = object.__new__(cls)
-        m._fill(rows)
-        return m
+    def _from_columns(cls, cols):
+        """Trusted constructor: ``cols`` are 1..MAX_DIM Vecs of one dim."""
+        return cls._of(tuple(zip(*[c.coords for c in cols])))
 
     @classmethod
     def identity(cls, n):
@@ -229,7 +248,7 @@ class Matrix:
     def apply(self, v: Vec) -> Vec:
         if v.dim != self.ncols:
             raise DimensionError("matrix is %dx%d, vector has dim %d" % (self.nrows, self.ncols, v.dim))
-        nonzero = [(j, x) for j, x in enumerate(v.coords) if x]
+        nonzero = _nonzero(v.coords)
         return Vec._of(tuple(_dot(row, nonzero) for row in self.rows))
 
     def __add__(self, other):
@@ -261,7 +280,7 @@ class Matrix:
         cols = tuple(zip(*other.rows))
         return Matrix._of(tuple(
             tuple(_dot(col, nonzero) for col in cols)
-            for nonzero in ([(k, a) for k, a in enumerate(row) if a] for row in self.rows)))
+            for nonzero in map(_nonzero, self.rows)))
 
     def power(self, n):
         if self.nrows != self.ncols:
@@ -284,3 +303,7 @@ class Matrix:
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ValueError("matrix JSON must be an array of arrays, got %r" % (data,))
         return cls([[json_scalar(c) for c in row] for row in data])
+
+
+# trusted constructor: ``rows`` is a non-ragged tuple of tuples of Fractions
+Matrix._of = staticmethod(trusted_maker(Matrix))

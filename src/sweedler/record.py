@@ -9,7 +9,8 @@ that checks or converts its fields writes its own ``__init__`` and stores them
 with ``self._fill(*values)``; a trusted constructor skips the checks with
 ``object.__new__(cls)`` and then ``_fill``.  The field tuple also sits in a
 ``_values`` slot, so ``==`` and ``hash`` build none; ``weakref=True`` adds a
-weakref slot.
+weakref slot.  ``trusted_maker`` gives a one-field record built on a hot path
+a constructor that stores its slots directly, with no check and no ``_fill``.
 """
 
 from itertools import repeat
@@ -86,3 +87,20 @@ def record(cls=None, /, *, eq=True, weakref=False):
     cls._fill = __init__
     cls.__init__ = ns.get("__init__", __init__)
     return cls
+
+
+def trusted_maker(cls):
+    """A trusted constructor of the one-field record ``cls``: it stores the
+    field, the field tuple and the unset hash through the slot descriptors."""
+    (name,) = cls._fields
+    new = object.__new__
+    set_field, set_values, set_hash = (
+        getattr(cls, name).__set__, cls._values.__set__, cls._hash.__set__)
+
+    def make(value):
+        self = new(cls)
+        set_field(self, value)
+        set_values(self, (value,))
+        set_hash(self, None)
+        return self
+    return make

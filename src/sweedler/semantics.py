@@ -276,31 +276,32 @@ def _den(p) -> Denotation:
     return d
 
 
-def _weaken(ps, t):
-    c = bg.counit(t)
+def _weaken(ps, s):
+    c = bg.counit(s[0])
     return ((c, ()),) if c else ()
 
 
 # The context rules: rule -> (k, conclusion spaces, structural map).  The rule
 # at index i replaces the premise's k slots i.. by the conclusion's slots, whose
-# spaces it computes from those k.  The map takes the k spaces and the conclusion
-# slots' values to terms (coefficient, premise arguments) to sum the premise over.
+# spaces it computes from those k.  The map takes the k spaces and the tuple of
+# the conclusion slots' values to terms (coefficient, premise arguments) to sum
+# the premise over.
 _STRUCTURAL = {
     syn.TensorL: (2, lambda p, a, b: (TensorSpace(a, b),),
-                  lambda ps, t: ((c, pair) for pair, c in t.sorted_terms())),
+                  lambda ps, s: ((c, pair) for pair, c in s[0].sorted_terms())),
     # d kills kets of order >= 2: with none of order <= 1 there is no term
-    syn.Der: (1, lambda p, a: (BangSpace(a),), lambda ps, t: (
-        ((1, (bg.dereliction(t),)),) if any(k.order <= 1 for k in t.terms) else ())),
+    syn.Der: (1, lambda p, a: (BangSpace(a),), lambda ps, s: (
+        ((1, (bg.dereliction(s[0]),)),) if any(k.order <= 1 for k in s[0].terms) else ())),
     # one term per distinct left factor of the coproduct
     syn.Ctr: (2, lambda p, a, b: (a,),
-              lambda ps, t: ((1, pair) for pair in bg.coproduct_pairs(t))),
+              lambda ps, s: ((1, pair) for pair in bg.coproduct_pairs(s[0]))),
     syn.Weak: (0, lambda p: (denote_formula(p.formula),), _weaken),
     syn.Coder: (1, lambda p, a: (a.inner,),
-                lambda ps, v: ((1, (bg.codereliction(ps[0].inner, v),)),)),
+                lambda ps, s: ((1, (bg.codereliction(ps[0].inner, s[0]),)),)),
     syn.Coctr: (1, lambda p, a: (a, a),
-                lambda ps, a, b: ((1, (bg.cocontract(a, b),)),)),
+                lambda ps, s: ((1, (bg.cocontract(*s),)),)),
     syn.Coweak: (1, lambda p, a: (),
-                 lambda ps: ((1, (bg.coweaken(ps[0].inner),)),)),
+                 lambda ps, s: ((1, (bg.coweaken(ps[0].inner),)),)),
 }
 
 
@@ -320,7 +321,7 @@ def _build(p) -> Denotation:
             # a plain loop calls the premise from this frame: one frame per
             # level; the closure holds prem, so the cache keeps it alive
             acc = None
-            for c, xs in terms(ps, *vals[i:j]):
+            for c, xs in terms(ps, vals[i:j]):
                 v = prem.fn(*vals[:i], *xs, *vals[j:])
                 if c != 1:
                     v = v.scale(c)
@@ -339,8 +340,8 @@ def _build(p) -> Denotation:
         hom = HomSpace(dom, cod)
         if hom.concrete:
             def fn(*args):
-                cols = [prem.fn(*args, Vec.basis(dom.dim, j)).coords for j in range(dom.dim)]
-                return Matrix(tuple(zip(*cols)))
+                return Matrix._from_columns(
+                    [prem.fn(*args, Vec.basis(dom.dim, j)) for j in range(dom.dim)])
         else:
             def fn(*args):
                 return MapVal(hom, lambda x: prem.fn(*args, require_value(x, dom, "argument")))

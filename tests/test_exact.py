@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sweedler.exact import (
-    DimensionError, Matrix, Vec, parse_scalar, scalar_str)
+    DimensionError, Matrix, Vec, as_scalar, json_scalar, parse_scalar, scalar_str)
 
 
 def test_scalar_round_trip():
@@ -99,11 +100,15 @@ def test_compose_associative_random():
 # -- the trusted, zero-skipping kernels against the naive Fraction formulas --
 
 # a matrix or vector is drawn all-zero, sparse (mostly 0) or dense; nonzero
-# entries are negative and non-integer as often as not
+# entries are negative and non-integer as often as not, and some have a
+# numerator or denominator past 2^64
+_huge = st.builds(lambda n, sign, d: Fraction(sign * n, d), st.integers(2**64 + 1, 2**80),
+                  st.sampled_from((1, -1)), st.one_of(st.just(1), st.integers(2**64 + 1, 2**70)))
+_entry = st.one_of(_frac, _frac, _huge)
 _density = st.sampled_from((
     st.just(Fraction(0)),
-    st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(0)), _frac),
-    _frac))
+    st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(0)), _entry),
+    _entry))
 _dims = st.integers(1, 4)
 
 
@@ -112,9 +117,10 @@ def _rows(nrows, ncols):
         st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
 
 
-def _all_fractions(x):
+def _all_reduced_fractions(x):
     coords = x.coords if isinstance(x, Vec) else [c for row in x.rows for c in row]
-    return all(type(c) is Fraction for c in coords)
+    return all(type(c) is Fraction and c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+               for c in coords)
 
 
 @given(st.data(), _dims, _dims, _dims)
@@ -124,7 +130,7 @@ def test_kernels_equal_naive_formulas(data, n, m, k):
     c = Matrix(data.draw(_rows(m, k)))
     v = Vec(data.draw(_rows(1, m))[0])
     w = Vec(data.draw(_rows(1, m))[0])
-    s = data.draw(st.one_of(st.just(Fraction(0)), st.just(Fraction(1)), _frac))
+    s = data.draw(st.one_of(st.just(Fraction(0)), st.just(Fraction(1)), _entry))
     zero = Fraction(0)
 
     results = {
@@ -142,11 +148,24 @@ def test_kernels_equal_naive_formulas(data, n, m, k):
         "v.scale": (v.scale(s), [s * x for x in v.coords]),
     }
     for name, (got, want) in results.items():
-        assert _all_fractions(got), name
+        assert _all_reduced_fractions(got), name
         if isinstance(got, Vec):
             assert got == Vec(want), name
         else:
             assert got == Matrix(want), name
+
+
+def test_shared_small_integer_scalars_equal_fresh_ones():
+    for n in range(-70, 71):
+        fresh = Fraction(n)
+        read = (as_scalar(n), json_scalar(n), parse_scalar(" %d " % n), Vec((n,)).coords[0],
+                Matrix(((1, 0),)).apply(Vec((n, 5))).coords[0],
+                (Matrix(((n,),)) @ Matrix.identity(1)).rows[0][0])
+        for got in read:
+            assert type(got) is Fraction and got == fresh and hash(got) == hash(fresh)
+            assert (got.numerator, got.denominator) == (n, 1) and repr(got) == repr(fresh)
+        # one object per small integer, however it was read or computed
+        assert all(got is read[0] for got in read) == (abs(n) <= 64)
 
 
 def test_scale_by_one_and_cached_zeros_are_shared_immutable_values():
