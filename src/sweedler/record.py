@@ -6,11 +6,11 @@ position or keyword, ``==`` holds within one class and ``hash`` of the field
 tuple is computed once per instance (both by identity with ``eq=False``), the
 repr is ``Name(field=value, ...)`` and ``_fields`` names the fields.  A body
 that checks or converts its fields writes its own ``__init__`` and stores them
-with ``self._fill(*values)``; a trusted constructor skips the checks with
-``object.__new__(cls)`` and then ``_fill``.  The field tuple also sits in a
+with ``self._fill(*values)``; ``trusted_maker`` gives a one-field record
+built on a hot path a trusted constructor, which skips the checks and
+``_fill`` and stores the slots directly.  The field tuple also sits in a
 ``_values`` slot, so ``==`` and ``hash`` build none; ``weakref=True`` adds a
-weakref slot.  ``trusted_maker`` gives a one-field record built on a hot path
-a constructor that stores its slots directly, with no check and no ``_fill``.
+weakref slot.
 """
 
 from itertools import repeat
@@ -19,7 +19,8 @@ _MISSING = object()
 
 
 class Immutable:
-    """Assignment and deletion raise; record constructors store through ``_fill``."""
+    """Assignment and deletion raise; record constructors store through the
+    slot descriptors (``_fill``, ``trusted_maker``)."""
 
     __slots__ = ()
 
