@@ -167,6 +167,34 @@ def test_parse_errors_carry_positions():
         parse_proof("(ctr 0)")
 
 
+# (text, line, col, message): a tab or '\r' is one column, only '\n' ends a
+# line, and a comment moves no column, also when it ends the input.
+PARSE_ERROR_POSITIONS = [
+    ("(der\tx\t(axiom\t(pvar A 2)))", 1, 5, "integer index"),
+    ("\t\t(bogus 1)", 1, 2, "unknown proof head"),
+    ("(der 0\r\n\t(axiom (pvar A two)))", 2, 16, "integer dimension"),
+    ("(axiom (pvar A 2))\r junk", 1, 20, "trailing input"),
+    ("(axiom (pvar A 2)\r\n", 1, 0, "unclosed"),
+    ("; only a comment", 1, 0, "unexpected end of input"),
+    ("\t ; a comment", 1, 2, "unexpected end of input"),
+    ("  ; nothing\n\t; still nothing", 2, 1, "unexpected end of input"),
+    ("", 1, 0, "unexpected end of input"),
+    ("\t(der 0 ; no close", 1, 1, "unclosed"),
+    ("(cut 0\n  (axiom (pvar A 2))\n  (axiom (pvar A 2)", 3, 2, "unclosed"),
+    ("\n\t)", 2, 1, "unmatched"),
+    ("(axiom (pvar A 2)))", 1, 18, "trailing input"),
+    ("(axiom (pvar A 2))\n  junk ; comment", 2, 2, "trailing input"),
+]
+
+
+@pytest.mark.parametrize("text,line,col,message", PARSE_ERROR_POSITIONS)
+def test_parse_error_line_and_column(text, line, col, message):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_proof(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value).startswith("%d:%d: " % (line, col))
+
+
 def test_print_proof_is_indented():
     text = print_proof(Ctr(0, Weak(0, Bang(A), Der(0, Axiom(A)))))
     lines = text.strip("\n").split("\n")
