@@ -22,11 +22,10 @@ import argparse
 import json
 import random
 import sys
-from functools import partial
+from functools import cache, partial
 
 from . import bang as bg
 from . import encodings as enc
-from . import laws as lw
 from .exact import Matrix, scalar_str
 from .sexpr import ParseError, parse_proof
 from .syntax import ProofError, check_proof, require_nl_shape
@@ -77,7 +76,7 @@ def named_value(space, data):
         if dim is None:
             raise SpaceMismatch(
                 "a binary integer does not live in %s" % space.label())
-        return lw.bint_value(bits, dim)
+        return enc.bint_value(bits, dim)
     return None
 
 
@@ -213,6 +212,8 @@ def cmd_eval(args):
 
 
 def cmd_axioms(args):
+    from . import laws as lw  # the law suite loads only for this command
+
     cfg = lw.RunConfig(seed=args.seed, dim=args.dim, trials=args.trials,
                        max_tangents=args.max_tangents,
                        probe_depth=args.probe_depth, mutate=args.mutate)
@@ -260,8 +261,8 @@ def cmd_examples(args):
     alpha2 = Matrix(((1, 0), (1, 1)))
     beta = Matrix(((1, 0), (1, 1)))
 
-    ket = partial(lw.end_ket, dim)
-    v001 = lw.bint_value("001", dim)
+    ket = partial(enc.end_ket, dim)
+    v001 = enc.bint_value("001", dim)
 
     def run001(a, b):
         return apply_hom(apply_hom(v001, a), b)
@@ -286,11 +287,12 @@ def cmd_examples(args):
     bint_space = denote_formula(enc.bint_formula(dim))
     pcfg = ProbeConfig(seed=args.seed, samples=2, max_tangents=2,
                        depth=args.probe_depth)
-    got = nl_eval(enc.repeat_proof(dim), lw.bint_value("01", dim))
-    same = extensional_equal(got, lw.bint_value("0101", dim), bint_space, pcfg)
+    got = nl_eval(enc.repeat_proof(dim), enc.bint_value("01", dim))
+    same = extensional_equal(got, enc.bint_value("0101", dim), bint_space, pcfg)
     check("repeat at |>_[01] agrees with [0101] on all probes", same, True)
-    got = derivative_eval(enc.repeat_proof(dim), lw.bint_value("0", dim), lw.bint_value("1", dim))
-    want = lw.bint_value("01", dim) + lw.bint_value("10", dim)
+    got = derivative_eval(enc.repeat_proof(dim), enc.bint_value("0", dim),
+                          enc.bint_value("1", dim))
+    want = enc.bint_value("01", dim) + enc.bint_value("10", dim)
     same = extensional_equal(got, want, bint_space, pcfg)
     check("repeat derivative at [0] toward [1] agrees with [01] + [10]", same, True)
 
@@ -327,7 +329,14 @@ def _positive_int(text):
     return n
 
 
+# the --group choices: ``laws.law_groups()``, which a test pins, kept here so
+# that the other commands never import the law suite
+LAW_GROUPS = ("bang", "poly", "semantics", "encodings")
+
+
+@cache
 def build_parser():
+    """The one argument parser of this process, built on first use."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized trials and probes")
@@ -370,7 +379,7 @@ def build_parser():
 
     p = sub.add_parser("axioms", parents=[common],
                        help="run the randomized structural-law suite")
-    p.add_argument("--group", action="append", choices=lw.law_groups(),
+    p.add_argument("--group", action="append", choices=LAW_GROUPS,
                    help="restrict to a law group (repeatable)")
     p.add_argument("--mutate", action="store_true",
                    help="corrupt the deriving map to show the suite catches it")

@@ -16,8 +16,10 @@ With E = A -o A:
   * repeat_proof():  !(bint) |- bint       -- self-concatenation S |-> SS
   * mult_proof():    !(int), int |- int    -- composition of iterators
 
-The matrix oracles compute the same values by direct calculus on rational
-matrices, with no coalgebra machinery, and are frozen into the test suite.
+``bint_value`` and ``end_ket`` build the semantic values that the CLI and
+the laws feed to these programs.  The matrix oracles compute the same values
+by direct calculus on rational matrices, with no coalgebra machinery, and are
+frozen into the test suite.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .bang import BangElement, BaseSpace
 from .exact import Matrix
+from .semantics import HomSpace, denote_proof
 from .syntax import (
     Axiom, Bang, Ctr, Cut, Der, Exchange, Lolli, LolliL, LolliR, Prom, PropVar,
     Weak)
@@ -163,6 +167,19 @@ def mult_proof(dim=DEFAULT_DIM):
 def mult_by_numeral(n, dim=DEFAULT_DIM):
     """!(int) |- int: multiplication with the closed numeral n cut in."""
     return Cut(1, int_proof(n, dim), mult_proof(dim))
+
+
+# -- values -------------------------------------------------------------------
+
+
+def bint_value(s, dim):
+    """The value of the closed string numeral for s: a map of bint."""
+    return denote_proof(bint_proof(s, dim)).eval()
+
+
+def end_ket(dim, point, *tangents):
+    """The ket |tangents>_point over End(dim), where numerals take their inputs."""
+    return BangElement.ket(HomSpace(BaseSpace(dim), BaseSpace(dim)), point, tangents)
 
 
 # -- matrix oracles -----------------------------------------------------------

@@ -108,7 +108,7 @@ def _add(a, b):
 
 def _nonzero(entries):
     """(j, numerator, denominator) of each nonzero entry: a ``_dot`` operand."""
-    return [(j, x.numerator, x.denominator) for j, x in enumerate(entries) if x]
+    return [(j, n, x.denominator) for j, x in enumerate(entries) if (n := x.numerator)]
 
 
 def _dot(row, nonzero):
@@ -117,8 +117,9 @@ def _dot(row, nonzero):
     n, d = 0, 1
     for j, xn, xd in nonzero:
         c = row[j]
-        if c:
-            pn, pd = c.numerator * xn, c.denominator * xd
+        cn = c.numerator  # an int test, not the Python-level Fraction.__bool__
+        if cn:
+            pn, pd = cn * xn, c.denominator * xd
             if pd == d:
                 n += pn
             else:

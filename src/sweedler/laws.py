@@ -34,7 +34,7 @@ from .exact import Matrix, Vec
 from .record import record
 from . import encodings as enc
 from .semantics import (
-    SPAN, Base, HomSpace, ProbeConfig, apply_hom, denote_formula, denote_proof,
+    SPAN, ProbeConfig, apply_hom, denote_formula, denote_proof,
     derivative_eval, extensional_equal, nl_eval, rand_fraction)
 from .syntax import Axiom, Bang, Cut, Prom, PropVar, derivative_transform
 
@@ -478,16 +478,6 @@ def _law_pair_antipode(rng, cfg):
 # semantics laws
 
 
-def bint_value(s, dim):
-    """The value of the closed string numeral for s: a map of bint."""
-    return denote_proof(enc.bint_proof(s, dim)).eval()
-
-
-def end_ket(dim, point, *tangents):
-    """The ket |tangents>_point over End(dim), where numerals take their inputs."""
-    return bg.BangElement.ket(HomSpace(Base(dim), Base(dim)), point, tangents)
-
-
 def _probe_cfg(rng, cfg, max_tangents=2):
     return ProbeConfig(seed=rng.randint(0, 2**30), samples=2,
                        max_tangents=max_tangents, depth=cfg.probe_depth)
@@ -530,8 +520,8 @@ def _law_promotion_group_like(rng, cfg):
     n = rng.randint(0, 3)
     den = denote_proof(Prom(enc.church_proof(n, cfg.dim)))
     alpha = rand_matrix(rng, cfg.dim)
-    got = den.eval(end_ket(cfg.dim, alpha))
-    want = end_ket(cfg.dim, enc.church_value_oracle(n, alpha))
+    got = den.eval(enc.end_ket(cfg.dim, alpha))
+    want = enc.end_ket(cfg.dim, enc.church_value_oracle(n, alpha))
     if got != want:
         return _witness([("n", n), ("alpha", alpha), ("got", got), ("want", want)])
 
@@ -543,9 +533,9 @@ def _law_promotion_tangent(rng, cfg):
     den = denote_proof(Prom(enc.church_proof(n, cfg.dim)))
     alpha = rand_matrix(rng, cfg.dim)
     nu = rand_matrix(rng, cfg.dim)
-    got = den.eval(end_ket(cfg.dim, alpha, nu))
-    want = end_ket(cfg.dim, enc.church_value_oracle(n, alpha),
-                 enc.church_derivative_oracle(n, alpha, nu))
+    got = den.eval(enc.end_ket(cfg.dim, alpha, nu))
+    want = enc.end_ket(cfg.dim, enc.church_value_oracle(n, alpha),
+                       enc.church_derivative_oracle(n, alpha, nu))
     if got != want:
         return _witness([("n", n), ("alpha", alpha), ("nu", nu),
                          ("got", got), ("want", want)])
@@ -559,7 +549,7 @@ def _law_derivative_path(rng, cfg):
     dpi = denote_proof(derivative_transform(p))
     alpha = rand_matrix(rng, cfg.dim)
     nu = rand_matrix(rng, cfg.dim)
-    got = dpi.eval(end_ket(cfg.dim, alpha), nu)
+    got = dpi.eval(enc.end_ket(cfg.dim, alpha), nu)
     want = derivative_eval(p, alpha, nu)
     oracle = enc.church_derivative_oracle(n, alpha, nu)
     if not (got == want == oracle):
@@ -575,7 +565,7 @@ def _law_derivative_path_bint(rng, cfg):
     dpi = denote_proof(derivative_transform(p))
     gamma = rand_matrix(rng, cfg.dim)
     nu = rand_matrix(rng, cfg.dim)
-    got = dpi.eval(end_ket(cfg.dim, gamma), nu)
+    got = dpi.eval(enc.end_ket(cfg.dim, gamma), nu)
     want = derivative_eval(p, gamma, nu)
     target = denote_formula(enc.int_formula(cfg.dim))
     if not extensional_equal(got, want, target, _probe_cfg(rng, cfg)):
@@ -588,7 +578,7 @@ def _law_cut_promotion(rng, cfg):
     s = "".join(rng.choice("01") for _ in range(rng.randint(0, 2)))
     p = Cut(0, Prom(enc.bint_proof(s, cfg.dim)), enc.repeat_proof(cfg.dim))
     got = denote_proof(p).eval()
-    want = bint_value(s + s, cfg.dim)
+    want = enc.bint_value(s + s, cfg.dim)
     target = denote_formula(enc.bint_formula(cfg.dim))
     if not extensional_equal(got, want, target, _probe_cfg(rng, cfg)):
         return _witness([("s", repr(s))])
@@ -620,9 +610,9 @@ def _law_bint_oracle(rng, cfg):
     delta = rand_matrix(rng, cfg.dim)
     alphas = tuple(rand_matrix(rng, cfg.dim) for _ in range(stang))
     betas = tuple(rand_matrix(rng, cfg.dim) for _ in range(rtang))
-    v = bint_value(s, cfg.dim)
-    got = apply_hom(apply_hom(v, end_ket(cfg.dim, gamma, *alphas)),
-                    end_ket(cfg.dim, delta, *betas))
+    v = enc.bint_value(s, cfg.dim)
+    got = apply_hom(apply_hom(v, enc.end_ket(cfg.dim, gamma, *alphas)),
+                    enc.end_ket(cfg.dim, delta, *betas))
     want = enc.bint_oracle(s, gamma, delta, alphas, betas)
     if got != want:
         return _witness([("s", repr(s)), ("gamma", gamma), ("delta", delta),
@@ -633,8 +623,8 @@ def _law_bint_oracle(rng, cfg):
 @law("encodings", "doubling-concatenates", weight=100)
 def _law_repeat(rng, cfg):
     s = "".join(rng.choice("01") for _ in range(rng.randint(0, 2)))
-    got = nl_eval(enc.repeat_proof(cfg.dim), bint_value(s, cfg.dim))
-    want = bint_value(s + s, cfg.dim)
+    got = nl_eval(enc.repeat_proof(cfg.dim), enc.bint_value(s, cfg.dim))
+    want = enc.bint_value(s + s, cfg.dim)
     target = denote_formula(enc.bint_formula(cfg.dim))
     if not extensional_equal(got, want, target, _probe_cfg(rng, cfg)):
         return _witness([("s", repr(s))])
@@ -647,7 +637,7 @@ def _law_mult(rng, cfg):
                          denote_proof(enc.int_proof(l, cfg.dim)).eval(),
                          denote_proof(enc.int_proof(m, cfg.dim)).eval())
     x = rand_matrix(rng, cfg.dim)
-    got = apply_hom(dv, end_ket(cfg.dim, x))
+    got = apply_hom(dv, enc.end_ket(cfg.dim, x))
     closed = enc.mult_derivative_oracle(l, m, n, x)
     interp = enc.mult_difference_quotient(l, m, n, x)
     if not (got == closed == interp):

@@ -13,6 +13,8 @@ Parser and printer both read the grammar from ``_SHAPES``, so they round-trip.
 
 from __future__ import annotations
 
+import re
+
 from . import syntax as syn
 from .record import record
 
@@ -41,32 +43,19 @@ class _List:
     col: int
 
 
+# a parenthesis or an atom, within one line whose comment is cut off
+_TOKEN = re.compile(r"[()]|[^ \t\r();]+")
+
+
 def _tokenize(text):
-    line, col = 1, 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 0
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield (ch, line, col)
-            col += 1
-            i += 1
-        else:
-            start, start_col = i, col
-            while i < len(text) and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            yield (text[start:i], line, start_col)
-    yield (None, line, col)
+    """(token, line, col) of each parenthesis and atom, then (None, line, col)
+    where the input ends.  Only '\\n' ends a line; a tab or '\\r' is one
+    column, and a comment, from ';' to the end of its line, is none."""
+    lines = [s.partition(";")[0] for s in text.split("\n")]
+    for line, s in enumerate(lines, 1):
+        for m in _TOKEN.finditer(s):
+            yield m.group(), line, m.start()
+    yield None, len(lines), len(lines[-1])
 
 
 def _read(text):

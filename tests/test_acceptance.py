@@ -11,15 +11,14 @@ import random
 import time
 
 from sweedler import bang as bg
-from sweedler.laws import (
-    RunConfig, bint_value, end_ket, rand_matrix, run_laws)
+from sweedler.laws import RunConfig, rand_matrix, run_laws
 from sweedler.semantics import (
     BangSpace, Base, HomSpace, ProbeConfig, add_values, apply_hom,
     denote_formula, denote_proof, derivative_eval, extensional_equal, nl_eval)
 from sweedler.syntax import Cut, Prom, derivative_transform
 from sweedler.encodings import (
-    bint_formula, bint_oracle, bint_proof, church_derivative_oracle,
-    church_proof, church_value_oracle, int_proof, mult_by_numeral,
+    bint_formula, bint_oracle, bint_proof, bint_value, church_derivative_oracle,
+    church_proof, church_value_oracle, end_ket, int_proof, mult_by_numeral,
     mult_derivative_oracle, mult_difference_quotient, repeat_proof)
 from sweedler.exact import Matrix
 

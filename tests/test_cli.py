@@ -1,16 +1,19 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
-from sweedler import syntax
+from sweedler import cli, laws, syntax
 from sweedler.cli import main
 from sweedler.encodings import mult_by_numeral, mult_derivative_oracle, repeat_proof
 from sweedler.exact import Matrix
 from sweedler.sexpr import MAX_DEPTH, parse_proof, print_proof
 
 PROOFS = os.path.join(os.path.dirname(__file__), "..", "proofs")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def proof(name):
@@ -401,3 +404,31 @@ def test_named_values_stop_at_64(capsys):
     code, out, err = run(capsys, "derive", proof("repeat"), "--tangent", '{"bint": "0"}',
                          "--point", '{"bint": "%s"}' % ("1" * 64), "--input", BINT_INPUT)
     assert (code, err) == (0, "") and out.startswith("[[")
+
+
+def test_group_choices_are_the_law_groups():
+    assert cli.LAW_GROUPS == laws.law_groups()
+
+
+def test_importing_the_cli_leaves_the_law_suite_unloaded():
+    code = "import sys, sweedler.cli; print('sweedler.laws' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    calls = [("check", proof("church-2")),
+             ("eval", proof("church-2"), "--input", '[[{"point": [[1,1],[0,1]]}]]'),
+             ("axioms", "--group", "bang", "--trials", "2"),
+             ("axioms", "--group", "bang", "--trials", "2")]
+    cli.build_parser.cache_clear()
+    in_process = [run(capsys, *argv)[:2] for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    env = dict(os.environ, PYTHONPATH=SRC)
+    one_per_process = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "sweedler.cli", *argv], env=env,
+                              capture_output=True, text=True, check=False)
+        one_per_process.append((proc.returncode, proc.stdout))
+    assert in_process == one_per_process

@@ -1,9 +1,8 @@
 import gc
 import weakref
 
-from sweedler.encodings import bint_proof
-from sweedler.laws import (
-    LAWS, LawResult, RunConfig, bint_value, law_groups, run_law, run_laws)
+from sweedler.encodings import bint_proof, bint_value
+from sweedler.laws import LAWS, LawResult, RunConfig, law_groups, run_law, run_laws
 from sweedler.semantics import denote_proof
 
 

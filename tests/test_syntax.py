@@ -1,4 +1,7 @@
+import os
+
 import pytest
+from hypothesis import given, strategies as st
 
 from sweedler import sexpr, syntax
 from sweedler.syntax import (
@@ -10,6 +13,7 @@ from sweedler.sexpr import ParseError, parse_formula, parse_proof, print_formula
 A = PropVar("A", 2)
 B = PropVar("B", 3)
 C = PropVar("C", 1)
+PROOFS = os.path.join(os.path.dirname(__file__), "..", "proofs")
 
 
 def test_axiom():
@@ -193,6 +197,45 @@ def test_parse_error_line_and_column(text, line, col, message):
         parse_proof(text)
     assert (exc.value.line, exc.value.col) == (line, col)
     assert str(exc.value).startswith("%d:%d: " % (line, col))
+
+
+def _read_by_character(text):
+    """The token stream ``sexpr._tokenize`` must give, read one character at a time."""
+    tokens, line, col, i = [], 1, 0, 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line, col, i = line + 1, 0, i + 1
+        elif ch in " \t\r":
+            col, i = col + 1, i + 1
+        elif ch == ";":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            tokens.append((ch, line, col))
+            col, i = col + 1, i + 1
+        else:
+            j = i
+            while j < len(text) and text[j] not in " \t\r\n();":
+                j += 1
+            tokens.append((text[i:j], line, col))
+            col, i = col + j - i, j
+    tokens.append((None, line, col))
+    return tokens
+
+
+@given(st.text(alphabet=" \t\r\n();ab1-\u00e9\x0b", max_size=40))
+def test_tokens_and_positions_match_a_character_reading(text):
+    assert list(sexpr._tokenize(text)) == _read_by_character(text)
+
+
+def test_bundled_proof_files_tokenize_as_read_by_character():
+    names = sorted(os.listdir(PROOFS))
+    assert names
+    for name in names:
+        with open(os.path.join(PROOFS, name), encoding="utf-8") as fh:
+            text = fh.read()
+        assert list(sexpr._tokenize(text)) == _read_by_character(text), name
 
 
 def test_print_proof_is_indented():
