@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from sweedler.exact import Vec
@@ -14,6 +15,35 @@ def test_str_round_trip():
     assert f.to_str() == "3/2 x1^2 x2 - x3 + 7"
     assert Polynomial(1, {(1,): 1, (2,): 1}).to_str() == "x1^2 + x1"
     assert Polynomial.zero(2).to_str() == "0"
+
+
+def test_term_order_does_not_matter():
+    terms = [((2, 0), 1), ((0, 1), Fraction(-3, 2)), ((1, 1), 4)]
+    f, g = Polynomial(2, terms), Polynomial(2, terms[::-1])
+    assert f == g and hash(f) == hash(g)
+    assert f + Polynomial(2, {(0, 0): 0}) == f
+
+
+def test_sum_with_negation_is_zero():
+    f = Polynomial(2, {(2, 1): Fraction(1, 3), (0, 0): -5})
+    assert (f + (-f)).is_zero()
+    assert f + (-f) == Polynomial.zero(2) == f - f
+    assert f.scale(0) == Polynomial.zero(2)
+
+
+def test_mixed_variable_counts_are_refused():
+    f, g = Polynomial(1, {(1,): 1}), Polynomial(2, {(0, 1): 1})
+    for op in (lambda: f + g, lambda: f - g, lambda: f * g):
+        with pytest.raises(ValueError):
+            op()
+
+
+def test_fields_cannot_be_assigned():
+    f = Polynomial(1, {(1,): 1})
+    for name, value in (("nvars", 2), ("terms", {})):
+        with pytest.raises(AttributeError):
+            setattr(f, name, value)
+    assert f == Polynomial(1, {(1,): 1})
 
 
 def test_calculus_frozen():

@@ -199,6 +199,29 @@ def test_parse_error_line_and_column(text, line, col, message):
     assert str(exc.value).startswith("%d:%d: " % (line, col))
 
 
+# Inputs with two faults: a structural fault (end of input, nesting, an
+# unclosed '(', an unmatched ')', trailing input) is reported before any shape
+# fault, and a form's argument count before the shape of its arguments.
+TWO_FAULTS = [
+    ("(der x (axiom (pvar A 2))", 1, 0, "unclosed '(' opened here"),
+    ("(cut 0 (bogus)\n  (axiom", 2, 2, "unclosed '(' opened here"),
+    ("(bogus 1) junk", 1, 10, "trailing input after the first expression"),
+    ("(exch (0 x) (axiom (pvar A 2))) )", 1, 32, "trailing input after the first expression"),
+    ("(bogus " + "(" * 200 + ")" * 201, 1, 206, "'(' nested deeper than 200 levels"),
+    ("(der 0 (axiom (pvar A 2)) (x y))", 1, 0, "der takes 2 arguments, got 3"),
+    ("(tensor-r () (axiom (pvar A 2)) junk)", 1, 0, "tensor-r takes 2 arguments, got 3"),
+    ("(der 0\n  (axiom (pvar A 2 ())))", 2, 9, "pvar takes 2 arguments, got 3"),
+]
+
+
+@pytest.mark.parametrize("text,line,col,message", TWO_FAULTS)
+def test_structural_faults_come_before_shape_faults(text, line, col, message):
+    with pytest.raises(ParseError) as exc:
+        parse_proof(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value) == "%d:%d: %s" % (line, col, message)
+
+
 def _read_by_character(text):
     """The token stream ``sexpr._tokenize`` must give, read one character at a time."""
     tokens, line, col, i = [], 1, 0, 0
