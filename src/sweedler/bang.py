@@ -13,10 +13,11 @@ Any space with ``contains``, ``expand`` (into canonical units), ``key``,
 ``BangSpace`` here, the map and tensor spaces of ``semantics``.  Entries do
 their own arithmetic: ``+``, unary ``-`` and ``scale``.
 
-Every exact sum of terms, ``BangElement`` here as much as ``TensorElement``
-and ``semantics.TensorVal``, is a ``_TermSum``: a space, a dict from terms
-to nonzero coefficients and a cached hash, with the arithmetic on them.  A
-subclass adds only its canonicaliser, its key order and its ``repr``.
+Every exact sum of terms, ``BangElement`` here as much as ``TensorElement``,
+``semantics.TensorVal`` and ``poly.Polynomial``, is a ``_TermSum``: a space, a
+dict from terms to nonzero coefficients and a cached hash, with the arithmetic
+on them.  A subclass adds only its constructor or canonicaliser, its key order
+or products, and its ``repr``.
 
 Two splittings serve the exponential rules of the proof semantics.
 ``coproduct_pairs`` is Delta grouped by left factor, for contraction: one
@@ -218,10 +219,11 @@ class _TermSum(Immutable):
 
     The representation and arithmetic shared by ``BangElement`` (terms are
     kets over an entry space), ``TensorElement`` (terms are tuples of kets,
-    its space a tuple of entry spaces) and ``semantics.TensorVal`` (terms are
-    pairs of canonical units over a ``TensorSpace``).  The constructor trusts
-    its term dict; subclasses add only their canonicaliser, key order and
-    ``repr``.
+    its space a tuple of entry spaces), ``semantics.TensorVal`` (terms are
+    pairs of canonical units over a ``TensorSpace``) and ``poly.Polynomial``
+    (terms are exponent tuples, its space the variable count).  The
+    constructor trusts its term dict; subclasses add only their canonicaliser
+    or validating constructor, key order or products, and ``repr``.
     """
 
     __slots__ = ("space", "terms", "_hash")

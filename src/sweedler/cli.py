@@ -3,17 +3,17 @@
 Subcommands:
 
 * ``check``     -- type-check a proof file and print its sequent.
-* ``eval``      -- evaluate a proof's denotation on JSON inputs; with
-                   ``--derive``, evaluate the derivative at a point toward a
-                   tangent instead.
-* ``derive``    -- shorthand for ``eval --derive``.
+* ``eval``      -- evaluate a proof's denotation on JSON inputs.
+* ``derive``    -- evaluate the derivative of a proof of ``!A |- B`` at a
+                   point toward a tangent.
 * ``axioms``    -- run the randomized law suite and report per-law results.
 * ``examples``  -- recompute the bundled worked examples and verify them.
 
 Values are JSON (matrices as row arrays, bang elements as ket lists, plus the
 named forms ``{"church": n}`` and ``{"bint": "S"}``); proofs are
 s-expressions.  Exit codes: 0 success, 1 semantic or law failure, 2 usage,
-parse, or I/O error.  Identical seeds and flags give identical output.
+parse, or I/O error; a subcommand accepts only the flags it reads, and any
+other flag is a usage error.  Identical seeds and flags give identical output.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def cmd_eval(args):
     inputs = _parse_json_arg(args.input, "--input") if args.input else []
     if not isinstance(inputs, list):
         raise SpaceMismatch("--input must be a JSON list, one value per slot")
-    if args.derive:
+    if args.command == "derive":
         if args.point is None or args.tangent is None:
             raise SpaceMismatch("--derive needs --point and --tangent")
         try:
@@ -329,65 +329,58 @@ def _positive_int(text):
     return n
 
 
-# the --group choices: ``laws.law_groups()``, which a test pins, kept here so
-# that the other commands never import the law suite
+# the --group choices: the groups of ``laws.LAWS``, which a test pins, kept
+# here so that the other commands never import the law suite
 LAW_GROUPS = ("bang", "poly", "semantics", "encodings")
+
+
+# each argument, added only to the subcommands that read it
+_ARGS = {
+    "file": dict(help="s-expression proof file"),
+    "--seed": dict(type=int, default=0, help="seed for randomized trials and probes"),
+    "--dim": dict(type=int, default=2, help="dimension of the base space for law runs"),
+    "--trials": dict(type=_positive_int, default=200, help="trial budget per law"),
+    "--max-tangents": dict(type=int, default=3,
+                           help="largest tangent multiset drawn by generators"),
+    "--probe-depth": dict(type=_positive_int, default=4,
+                          help="recursion depth for extensional probing"),
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--input": dict(help="JSON list of context values; extra entries are applied to the result"),
+    "--point": dict(help="JSON value of A: where to differentiate"),
+    "--tangent": dict(help="JSON value of A: direction"),
+    "--group": dict(action="append", choices=LAW_GROUPS,
+                    help="restrict to a law group (repeatable)"),
+    "--mutate": dict(action="store_true",
+                     help="corrupt the deriving map to show the suite catches it"),
+}
+_EVAL_ARGS = ("file", "--seed", "--max-tangents", "--probe-depth", "--format", "--input")
+# subcommand -> (function, help, arguments)
+_COMMANDS = {
+    "check": (cmd_check, "type-check a proof file", ("file", "--format")),
+    "eval": (cmd_eval, "evaluate a proof's denotation", _EVAL_ARGS),
+    "derive": (cmd_eval, "evaluate the derivative of a proof of !A |- B",
+               _EVAL_ARGS + ("--point", "--tangent")),
+    "axioms": (cmd_axioms, "run the randomized structural-law suite",
+               ("--seed", "--dim", "--trials", "--max-tangents", "--probe-depth", "--format",
+                "--group", "--mutate")),
+    "examples": (cmd_examples, "recompute and verify the bundled worked examples",
+                 ("--seed", "--probe-depth")),
+}
 
 
 @cache
 def build_parser():
     """The one argument parser of this process, built on first use."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized trials and probes")
-    common.add_argument("--dim", type=int, default=2,
-                        help="dimension of the base space for law runs")
-    common.add_argument("--trials", type=_positive_int, default=200,
-                        help="trial budget per law")
-    common.add_argument("--max-tangents", type=int, default=3,
-                        help="largest tangent multiset drawn by generators")
-    common.add_argument("--probe-depth", type=_positive_int, default=4,
-                        help="recursion depth for extensional probing")
-    common.add_argument("--format", choices=("text", "json"), default="text")
-
     ap = argparse.ArgumentParser(
         prog="sweedler",
         description="exact engine for a vector-space coalgebra semantics "
                     "of linear-logic proofs with derivatives")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", parents=[common],
-                       help="type-check a proof file")
-    p.add_argument("file", help="s-expression proof file")
-    p.set_defaults(fn=cmd_check)
-
-    for name, derive in (("eval", False), ("derive", True)):
-        p = sub.add_parser(name, parents=[common],
-                           help="evaluate a proof's denotation"
-                           if not derive else "evaluate a proof's derivative")
-        p.add_argument("file", help="s-expression proof file")
-        p.add_argument("--input", help="JSON list of context values; "
-                       "extra entries are applied to the result")
-        if derive:
-            p.set_defaults(derive=True)
-        else:
-            p.add_argument("--derive", action="store_true",
-                           help="evaluate the derivative of a proof of !A |- B")
-        p.add_argument("--point", help="JSON value of A: where to differentiate")
-        p.add_argument("--tangent", help="JSON value of A: direction")
-        p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("axioms", parents=[common],
-                       help="run the randomized structural-law suite")
-    p.add_argument("--group", action="append", choices=LAW_GROUPS,
-                   help="restrict to a law group (repeatable)")
-    p.add_argument("--mutate", action="store_true",
-                   help="corrupt the deriving map to show the suite catches it")
-    p.set_defaults(fn=cmd_axioms)
-
-    p = sub.add_parser("examples", parents=[common],
-                       help="recompute and verify the bundled worked examples")
-    p.set_defaults(fn=cmd_examples)
+    for name, (fn, summary, names) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for arg in names:
+            p.add_argument(arg, **_ARGS[arg])
+        p.set_defaults(fn=fn)
     return ap
 
 

@@ -87,14 +87,6 @@ def law(group, name, weight=1):
     return deco
 
 
-def law_groups() -> tuple:
-    seen = []
-    for l in LAWS:
-        if l.group not in seen:
-            seen.append(l.group)
-    return tuple(seen)
-
-
 def _law_seed(seed, group, name):
     return seed * 1000003 + zlib.crc32(("%s/%s" % (group, name)).encode("ascii"))
 

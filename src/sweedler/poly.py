@@ -6,7 +6,10 @@ directional derivative of f along the tangents, evaluated at the point:
     <|v1,...,vs>_P, f>  =  (d_{v1} ... d_{vs} f)(P).
 
 Everything is exact; this module is the independent witness that the
-coalgebra maps are the duals of ordinary polynomial calculus.
+coalgebra maps are the duals of ordinary polynomial calculus.  A polynomial is
+a ``bang._TermSum`` over its variable count, so it shares ``+``, ``-``,
+``scale``, ``==`` and ``hash`` with the kets it is paired with and adds only
+its validating constructor, product and calculus.
 """
 
 from __future__ import annotations
@@ -15,14 +18,14 @@ import math
 from fractions import Fraction
 
 from .exact import DimensionError, Vec, as_scalar, scalar_str
-from .bang import BangElement, BaseSpace, Ket, SpaceError, TensorElement
-from .record import Immutable
+from .bang import BangElement, BaseSpace, Ket, SpaceError, TensorElement, _TermSum
 
 
-class Polynomial(Immutable):
-    """Polynomial over Q in variables x1..xn, stored as exponent -> coeff."""
+class Polynomial(_TermSum):
+    """Polynomial over Q in variables x1..xn: a term sum over ``nvars`` whose
+    terms are exponent tuples."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ()
 
     def __init__(self, nvars, terms):
         if not isinstance(nvars, int) or nvars < 1:
@@ -35,8 +38,11 @@ class Polynomial(Immutable):
             c = as_scalar(c)
             if c != 0:
                 clean[expo] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        super().__init__(nvars, clean)
+
+    @property
+    def nvars(self):
+        return self.space
 
     @classmethod
     def zero(cls, nvars):
@@ -45,32 +51,6 @@ class Polynomial(Immutable):
     @classmethod
     def const(cls, nvars, c):
         return cls(nvars, {(0,) * nvars: as_scalar(c)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def _merge(self, other, sign):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if other.nvars != self.nvars:
-            raise DimensionError("polynomials over different variable counts")
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            acc[e] = acc.get(e, Fraction(0)) + sign * c
-        return Polynomial(self.nvars, acc)
-
-    def __add__(self, other):
-        return self._merge(other, 1)
-
-    def __sub__(self, other):
-        return self._merge(other, -1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = as_scalar(c)
-        return Polynomial(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -150,13 +130,6 @@ class Polynomial(Immutable):
         return out
 
     __repr__ = to_str
-
-    def __eq__(self, other):
-        return (isinstance(other, Polynomial)
-                and other.nvars == self.nvars and other.terms == self.terms)
-
-    def __hash__(self):
-        return hash(("Polynomial", self.nvars, frozenset(self.terms.items())))
 
 
 def shift_doubling(f: Polynomial) -> Polynomial:

@@ -355,10 +355,11 @@ def _build(p) -> Denotation:
         src = argd.source + bodyd.source[:i] + (hom,) + bodyd.source[i + 1:]
 
         def fn(*vals):
+            # h lies in hom, so h(x) lies in b: a matrix of hom has b.dim rows,
+            # and every map of hom (lazy LolliR, +, scale, zero) returns into b
             head, rest = vals[:na], vals[na:]
-            h = rest[i]
-            x = apply_hom(h, argd.fn(*head))
-            return bodyd.fn(*rest[:i], require_value(x, b, "lolli-l result"), *rest[i + 1:])
+            x = apply_hom(rest[i], argd.fn(*head))
+            return bodyd.fn(*rest[:i], x, *rest[i + 1:])
         return Denotation(src, bodyd.target, fn)
 
     if isinstance(p, syn.TensorR):

@@ -7,8 +7,10 @@ Proofs:     (axiom F) | (lolli-r P) | (lolli-l i P Q) | (tensor-r P Q)
             | (coder i P) | (coctr i P) | (coweak i F P)
 
 Comments run from ';' to end of line; '(' nests at most ``MAX_DEPTH`` deep.
-Parse errors carry line and column.  The printer indents one rule per line.
-Parser and printer both read the grammar from ``_SHAPES``, so they round-trip.
+Parse errors carry line and column.  The reader checks the nesting in one flat
+pass and parses over token indices, with no tree in between.  The printer
+indents one rule per line.  Parser and printer both read the grammar from
+``_SHAPES``, so they round-trip.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import re
 
 from . import syntax as syn
-from .record import record
 
 # Deepest '(' nesting the reader accepts.  Evaluating and printing 197 nested
 # proms at a one-tangent ket, the costliest case, needs a recursion limit of 806.
@@ -27,20 +28,6 @@ class ParseError(ValueError):
     def __init__(self, message, line, col):
         self.line, self.col = line, col
         super().__init__("%d:%d: %s" % (line, col, message))
-
-
-@record
-class _Atom:
-    text: str
-    line: int
-    col: int
-
-
-@record
-class _List:
-    items: tuple
-    line: int
-    col: int
 
 
 # a parenthesis or an atom, within one line whose comment is cut off
@@ -59,34 +46,32 @@ def _tokenize(text):
 
 
 def _read(text):
+    """The token list and, for the index of each '(', the index of its ')'.
+
+    One flat pass raises every structural error, each where a left-to-right
+    reading meets it first: the end of input, nesting past ``MAX_DEPTH``, an
+    unclosed '(', an unmatched ')' and input after the first expression."""
     tokens = list(_tokenize(text))
-    pos = 0
-
-    def rec(depth):
-        nonlocal pos
-        tok, line, col = tokens[pos]
-        if tok is None:
-            raise ParseError("unexpected end of input", line, col)
-        pos += 1
+    close, opens = {}, []
+    for i, (tok, line, col) in enumerate(tokens):
         if tok == "(":
-            if depth == MAX_DEPTH:
+            if len(opens) == MAX_DEPTH:
                 raise ParseError("'(' nested deeper than %d levels" % MAX_DEPTH, line, col)
-            items = []
-            while tokens[pos][0] != ")":
-                if tokens[pos][0] is None:
-                    raise ParseError("unclosed '(' opened here", line, col)
-                items.append(rec(depth + 1))
-            pos += 1
-            return _List(tuple(items), line, col)
+            opens.append(i)
+            continue
+        if tok is None:
+            if opens:
+                raise ParseError("unclosed '(' opened here", *tokens[opens[-1]][1:])
+            raise ParseError("unexpected end of input", line, col)
         if tok == ")":
-            raise ParseError("unmatched ')'", line, col)
-        return _Atom(tok, line, col)
-
-    form = rec(0)
-    tok, line, col = tokens[pos]
-    if tok is not None:
-        raise ParseError("trailing input after the first expression", line, col)
-    return form
+            if not opens:
+                raise ParseError("unmatched ')'", line, col)
+            close[opens.pop()] = i
+        if not opens:
+            tok, line, col = tokens[i + 1]
+            if tok is not None:
+                raise ParseError("trailing input after the first expression", line, col)
+            return tokens, close
 
 
 # head -> (class, kinds of its arguments in field order).  Kinds: "name" (an
@@ -119,53 +104,68 @@ _PRINTED = {cls: (sort, head, tuple(zip(cls._fields, kinds)))
             for head, (cls, kinds) in _SHAPES.items() for sort in _SORTS if cls in _SORTS[sort]}
 
 
-def _int_atom(sx, what):
-    if not isinstance(sx, _Atom):
-        raise ParseError("expected an integer %s" % what, sx.line, sx.col)
-    try:
-        return int(sx.text)
-    except ValueError:
-        raise ParseError("expected an integer %s, got %r" % (what, sx.text),
-                         sx.line, sx.col) from None
+def _parse(text, sort):
+    """The ``sort`` read from ``text``, descending over token indices."""
+    tokens, close = _read(text)
 
+    def int_atom(i, what):
+        tok, line, col = tokens[i]
+        if tok == "(":
+            raise ParseError("expected an integer %s" % what, line, col)
+        try:
+            return int(tok)
+        except ValueError:
+            raise ParseError("expected an integer %s, got %r" % (what, tok),
+                             line, col) from None
 
-def _parse(sx, sort):
-    if not isinstance(sx, _List) or not sx.items or not isinstance(sx.items[0], _Atom):
-        raise ParseError("expected a %s form" % sort, sx.line, sx.col)
-    head, args = sx.items[0].text, sx.items[1:]
-    cls, kinds = _SHAPES.get(head, (None, ()))
-    if cls not in _SORTS[sort]:
-        raise ParseError("unknown %s head %r" % (sort, head), sx.line, sx.col)
-    if len(args) != len(kinds):
-        raise ParseError("%s takes %d arguments, got %d" % (head, len(kinds), len(args)),
-                         sx.line, sx.col)
-    values = []
-    for kind, arg in zip(kinds, args):
-        if kind in _SORTS:
-            values.append(_parse(arg, kind))
-        elif kind in ("index", "dimension"):
-            values.append(_int_atom(arg, kind))
-        elif kind == "name":
-            if not isinstance(arg, _Atom):
-                raise ParseError("%s name must be an atom" % head, sx.line, sx.col)
-            values.append(arg.text)
-        else:
-            if not isinstance(arg, _List):
-                raise ParseError("%s needs a parenthesized permutation" % head,
-                                 sx.line, sx.col)
-            values.append(tuple(_int_atom(a, "permutation entry") for a in arg.items))
-    try:
-        return cls(*values)
-    except ValueError as exc:
-        raise ParseError(str(exc), sx.line, sx.col) from None
+    def items(i):
+        """The token indices of the items of the list opened at i."""
+        out, j, end = [], i + 1, close[i]
+        while j < end:
+            out.append(j)
+            j = close.get(j, j) + 1
+        return out
+
+    def parse(i, sort):
+        tok, line, col = tokens[i]
+        if tok != "(" or tokens[i + 1][0] in ("(", ")"):
+            raise ParseError("expected a %s form" % sort, line, col)
+        head, args = tokens[i + 1][0], items(i)[1:]
+        cls, kinds = _SHAPES.get(head, (None, ()))
+        if cls not in _SORTS[sort]:
+            raise ParseError("unknown %s head %r" % (sort, head), line, col)
+        if len(args) != len(kinds):
+            raise ParseError("%s takes %d arguments, got %d" % (head, len(kinds), len(args)),
+                             line, col)
+        values = []
+        for kind, arg in zip(kinds, args):
+            if kind in _SORTS:
+                values.append(parse(arg, kind))
+            elif kind in ("index", "dimension"):
+                values.append(int_atom(arg, kind))
+            elif kind == "name":
+                if tokens[arg][0] == "(":
+                    raise ParseError("%s name must be an atom" % head, line, col)
+                values.append(tokens[arg][0])
+            else:
+                if tokens[arg][0] != "(":
+                    raise ParseError("%s needs a parenthesized permutation" % head,
+                                     line, col)
+                values.append(tuple(int_atom(a, "permutation entry") for a in items(arg)))
+        try:
+            return cls(*values)
+        except ValueError as exc:
+            raise ParseError(str(exc), line, col) from None
+
+    return parse(0, sort)
 
 
 def parse_formula(text: str) -> syn.Formula:
-    return _parse(_read(text), "formula")
+    return _parse(text, "formula")
 
 
 def parse_proof(text: str) -> syn.Proof:
-    return _parse(_read(text), "proof")
+    return _parse(text, "proof")
 
 
 # -- printing ---------------------------------------------------------------

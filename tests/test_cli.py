@@ -364,21 +364,33 @@ NILP = "[[0,0],[1,0]]"
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("--input", '[[{"coeff": [1], "point": [[1,1],[0,1]]}]]'),
+    (("eval", "--input", '[[{"coeff": [1], "point": [[1,1],[0,1]]}]]'),
      'expected an integer or a "p/q" string, got [1]'),
-    (("--input", '[[{"coeff": null, "point": [[1,1],[0,1]]}]]'),
+    (("eval", "--input", '[[{"coeff": null, "point": [[1,1],[0,1]]}]]'),
      'expected an integer or a "p/q" string, got None'),
-    (("--input", '[[{"point": [[1,1],[0,1]], "tangents": 5}]]'),
+    (("eval", "--input", '[[{"point": [[1,1],[0,1]], "tangents": 5}]]'),
      "a ket's tangents must be a list, got 5"),
-    (("--derive", "--point", "[[1,[2]],[0,1]]", "--tangent", NILP),
+    (("derive", "--point", "[[1,[2]],[0,1]]", "--tangent", NILP),
      'expected an integer or a "p/q" string, got [2]'),
-    (("--derive", "--point", "[[1,null],[0,1]]", "--tangent", NILP),
+    (("derive", "--point", "[[1,null],[0,1]]", "--tangent", NILP),
      'expected an integer or a "p/q" string, got None'),
-    (("--derive", "--point", "[[true,1],[0,1]]", "--tangent", NILP),
+    (("derive", "--point", "[[true,1],[0,1]]", "--tangent", NILP),
      'expected an integer or a "p/q" string, got True'),
 ], ids=["list coeff", "null coeff", "int tangents", "list entry", "null entry", "true entry"])
 def test_json_of_the_wrong_type_is_one_error_line(capsys, argv, message):
-    assert run(capsys, "eval", proof("church-2"), *argv) == (1, "", "error: %s\n" % message)
+    command, *flags = argv
+    assert run(capsys, command, proof("church-2"), *flags) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("check", "--seed 1"), ("eval", "--derive"), ("eval", "--point [[1,1],[0,1]]"),
+    ("derive", "--dim 3"), ("examples", "--format json"), ("examples", "--trials 5")])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, command, flag):
+    files = [] if command == "examples" else [proof("church-2")]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *files, *flag.split()])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s\n" % flag in capsys.readouterr().err
 
 
 BINT_INPUT = '[[{"point": [[1,1],[0,1]]}], [{"point": [[2,0],[0,1]]}]]'
@@ -407,7 +419,8 @@ def test_named_values_stop_at_64(capsys):
 
 
 def test_group_choices_are_the_law_groups():
-    assert cli.LAW_GROUPS == laws.law_groups()
+    # the groups of the law suite, in order of first appearance
+    assert cli.LAW_GROUPS == tuple(dict.fromkeys(l.group for l in laws.LAWS))
 
 
 def test_importing_the_cli_leaves_the_law_suite_unloaded():
