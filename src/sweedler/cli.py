@@ -353,19 +353,6 @@ _ARGS = {
     "--mutate": dict(action="store_true",
                      help="corrupt the deriving map to show the suite catches it"),
 }
-_EVAL_ARGS = ("file", "--seed", "--max-tangents", "--probe-depth", "--format", "--input")
-# subcommand -> (function, help, arguments)
-_COMMANDS = {
-    "check": (cmd_check, "type-check a proof file", ("file", "--format")),
-    "eval": (cmd_eval, "evaluate a proof's denotation", _EVAL_ARGS),
-    "derive": (cmd_eval, "evaluate the derivative of a proof of !A |- B",
-               _EVAL_ARGS + ("--point", "--tangent")),
-    "axioms": (cmd_axioms, "run the randomized structural-law suite",
-               ("--seed", "--dim", "--trials", "--max-tangents", "--probe-depth", "--format",
-                "--group", "--mutate")),
-    "examples": (cmd_examples, "recompute and verify the bundled worked examples",
-                 ("--seed", "--probe-depth")),
-}
 
 
 @cache
@@ -375,8 +362,22 @@ def build_parser():
         prog="sweedler",
         description="exact engine for a vector-space coalgebra semantics "
                     "of linear-logic proofs with derivatives")
+    # subcommand -> (function, help, arguments); the functions are read when
+    # the parser is built, so a wrapper bound to a cmd_* name is the one called
+    eval_args = ("file", "--seed", "--max-tangents", "--probe-depth", "--format", "--input")
+    commands = {
+        "check": (cmd_check, "type-check a proof file", ("file", "--format")),
+        "eval": (cmd_eval, "evaluate a proof's denotation", eval_args),
+        "derive": (cmd_eval, "evaluate the derivative of a proof of !A |- B",
+                   eval_args + ("--point", "--tangent")),
+        "axioms": (cmd_axioms, "run the randomized structural-law suite",
+                   ("--seed", "--dim", "--trials", "--max-tangents", "--probe-depth",
+                    "--format", "--group", "--mutate")),
+        "examples": (cmd_examples, "recompute and verify the bundled worked examples",
+                     ("--seed", "--probe-depth")),
+    }
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (fn, summary, names) in _COMMANDS.items():
+    for name, (fn, summary, names) in commands.items():
         p = sub.add_parser(name, help=summary)
         for arg in names:
             p.add_argument(arg, **_ARGS[arg])
