@@ -21,10 +21,12 @@ or products, and its ``repr``.
 
 Two splittings serve the exponential rules of the proof semantics.
 ``coproduct_pairs`` is Delta grouped by left factor, for contraction: one
-pair (unit ket, sum of right kets) per distinct left factor.
-``promote_blocks`` is delta on several slots at once followed by a map on
-blocks, for promotion: the map sees one canonical ket per slot and runs
-once per distinct block; ``promote`` is the one-slot case with unit kets.
+pair (unit ket, sum of right kets) per distinct left factor; a lone
+group-like ket |>_P is its own pair, and kets of order 0 and 1 split without
+the subset enumeration.  ``promote_blocks`` is delta on several slots at
+once followed by a map on blocks, for promotion: the map sees one canonical
+ket per slot and runs once per distinct block; ``promote`` is the one-slot
+case with unit kets.  Dereliction reads d in one pass (``derelict``).
 
 Tangent expansion, subset and partition enumerations are guarded; blowing a
 guard raises ``EnumerationLimitError`` rather than silently truncating.
@@ -427,11 +429,23 @@ def coproduct_pairs(t: BangElement):
 
     The pure tensors of the pairs sum to ``coproduct(t)``.  Distinct kets of
     t share no splitting and equal splittings of one ket add up, so no right
-    factor cancels.
+    factor cancels.  A lone group-like ket |>_P is its own pair (t, t), and
+    kets of order 0 and 1 split directly, in ``_splits`` order.
     """
+    if len(t.terms) == 1:
+        (k, c), = t.terms.items()
+        if not k.tangents and c == 1:
+            return [(t, t)]
     rights = {}
     for k, c in t.terms.items():
-        for k1, k2 in _splits(k):
+        if not k.tangents:
+            splits = ((k, k),)
+        elif len(k.tangents) == 1:
+            k0 = Ket(k.point, ())
+            splits = ((k0, k), (k, k0))
+        else:
+            splits = _splits(k)
+        for k1, k2 in splits:
             right = rights.setdefault(k1, {})
             c0 = right.get(k2)
             right[k2] = c if c0 is None else c0 + c
@@ -445,13 +459,20 @@ def counit(t: BangElement) -> Fraction:
 
 def dereliction(t: BangElement):
     """d: group-likes fall to their point, single tangents to their vector."""
+    acc = derelict(t)
+    return t.space.zero() if acc is None else acc
+
+
+def derelict(t: BangElement):
+    """d of t read in one pass, or None when t has no ket of order <= 1."""
     acc = None
     for k, c in t.terms.items():
-        if k.order > 1:
+        if len(k.tangents) > 1:
             continue
-        v = (k.tangents[0] if k.order else k.point).scale(c)
+        v = k.tangents[0] if k.tangents else k.point
+        v = v if c == 1 else v.scale(c)
         acc = v if acc is None else acc + v
-    return t.space.zero() if acc is None else acc
+    return acc
 
 
 def promote_blocks(vals, block, space) -> BangElement:

@@ -8,7 +8,8 @@ multilinear map, packaged as a ``Denotation`` with one callable slot per
 context formula.  The seven context rules -- tensor-left, dereliction,
 contraction, weakening, codereliction, cocontraction and coweakening --
 precompose the premise with one map of ``bang``: the pair split, d, Delta,
-epsilon, dbar, nabla and u.  One table (``_STRUCTURAL``) gives each its map.
+epsilon, dbar, nabla and u.  One table (``_STRUCTURAL``) gives each its slots
+and its own closure, which calls the premise once per term of that map.
 
 Every formula space is an entry space of ``bang``, so elements of !A are
 canonical ket sums over the space of A itself.  Values are plain objects:
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 import weakref
 from fractions import Fraction
@@ -172,6 +174,8 @@ class MapVal:
 
     def scale(self, c):
         c = as_scalar(c)
+        if c == 1:
+            return self
         return MapVal(self.space, lambda x: apply_hom(self, x).scale(c))
 
     def __repr__(self):
@@ -276,32 +280,57 @@ def _den(p) -> Denotation:
     return d
 
 
-def _weaken(ps, s):
-    c = bg.counit(s[0])
-    return ((c, ()),) if c else ()
+# The context rules: rule -> (k, conclusion spaces, make).  The rule at index i
+# replaces the premise's k slots i.. by the conclusion's slots i..j, whose spaces
+# it computes from those k.  make(prem, i, j) is the closure that sums the premise
+# over the rule's map at slots i..j, from its own frame (one frame per level); it
+# reads prem.fn at each call, so the weak cache keeps the premise alive.
+
+def _tensor_left(prem, i, j):
+    def fn(*vals):
+        acc = None
+        for (a, b), c in vals[i].sorted_terms():
+            v = prem.fn(*vals[:i], a, b, *vals[j:])
+            v = v if c == 1 else v.scale(c)
+            acc = v if acc is None else acc + v
+        return prem.target.zero() if acc is None else acc
+    return fn
 
 
-# The context rules: rule -> (k, conclusion spaces, structural map).  The rule
-# at index i replaces the premise's k slots i.. by the conclusion's slots, whose
-# spaces it computes from those k.  The map takes the k spaces and the tuple of
-# the conclusion slots' values to terms (coefficient, premise arguments) to sum
-# the premise over.
+def _ctr(prem, i, j):
+    def fn(*vals):
+        acc = None
+        for left, right in bg.coproduct_pairs(vals[i]):   # one per distinct left factor
+            v = prem.fn(*vals[:i], left, right, *vals[j:])
+            acc = v if acc is None else acc + v
+        return prem.target.zero() if acc is None else acc
+    return fn
+
+
+def _weak(prem, i, j):
+    def fn(*vals):
+        c = bg.counit(vals[i])
+        if not c:
+            return prem.target.zero()
+        v = prem.fn(*vals[:i], *vals[j:])
+        return v if c == 1 else v.scale(c)
+    return fn
+
+
 _STRUCTURAL = {
-    syn.TensorL: (2, lambda p, a, b: (TensorSpace(a, b),),
-                  lambda ps, s: ((c, pair) for pair, c in s[0].sorted_terms())),
-    # d kills kets of order >= 2: with none of order <= 1 there is no term
-    syn.Der: (1, lambda p, a: (BangSpace(a),), lambda ps, s: (
-        ((1, (bg.dereliction(s[0]),)),) if any(k.order <= 1 for k in s[0].terms) else ())),
-    # one term per distinct left factor of the coproduct
-    syn.Ctr: (2, lambda p, a, b: (a,),
-              lambda ps, s: ((1, pair) for pair in bg.coproduct_pairs(s[0]))),
-    syn.Weak: (0, lambda p: (denote_formula(p.formula),), _weaken),
-    syn.Coder: (1, lambda p, a: (a.inner,),
-                lambda ps, s: ((1, (bg.codereliction(ps[0].inner, s[0]),)),)),
-    syn.Coctr: (1, lambda p, a: (a, a),
-                lambda ps, s: ((1, (bg.cocontract(*s),)),)),
-    syn.Coweak: (1, lambda p, a: (),
-                 lambda ps, s: ((1, (bg.coweaken(ps[0].inner),)),)),
+    syn.TensorL: (2, lambda p, a, b: (TensorSpace(a, b),), _tensor_left),
+    # d kills kets of order >= 2: with none of order <= 1 there is no call
+    syn.Der: (1, lambda p, a: (BangSpace(a),), lambda prem, i, j: lambda *vals: (
+        prem.target.zero() if (x := bg.derelict(vals[i])) is None
+        else prem.fn(*vals[:i], x, *vals[j:]))),
+    syn.Ctr: (2, lambda p, a, b: (a,), _ctr),
+    syn.Weak: (0, lambda p: (denote_formula(p.formula),), _weak),
+    syn.Coder: (1, lambda p, a: (a.inner,), lambda prem, i, j: lambda *vals: prem.fn(
+        *vals[:i], bg.codereliction(prem.source[i].inner, vals[i]), *vals[j:])),
+    syn.Coctr: (1, lambda p, a: (a, a), lambda prem, i, j: lambda *vals: prem.fn(
+        *vals[:i], bg.cocontract(vals[i], vals[i + 1]), *vals[j:])),
+    syn.Coweak: (1, lambda p, a: (), lambda prem, i, j: lambda *vals: prem.fn(
+        *vals[:i], bg.coweaken(prem.source[i].inner), *vals[j:])),
 }
 
 
@@ -310,24 +339,12 @@ def _build(p) -> Denotation:
     # bound to that name sees every node
     rule = _STRUCTURAL.get(type(p))
     if rule is not None:
-        k, spaces, terms = rule
+        k, spaces, make = rule
         prem = _den(p.premise)
         i = p.index
-        ps = prem.source[i:i + k]
-        conc = spaces(p, *ps)
-        j = i + len(conc)
-
-        def fn(*vals):
-            # a plain loop calls the premise from this frame: one frame per
-            # level; the closure holds prem, so the cache keeps it alive
-            acc = None
-            for c, xs in terms(ps, vals[i:j]):
-                v = prem.fn(*vals[:i], *xs, *vals[j:])
-                if c != 1:
-                    v = v.scale(c)
-                acc = v if acc is None else acc + v
-            return prem.target.zero() if acc is None else acc
-        return Denotation(prem.source[:i] + conc + prem.source[i + k:], prem.target, fn)
+        conc = spaces(p, *prem.source[i:i + k])
+        return Denotation(prem.source[:i] + conc + prem.source[i + k:], prem.target,
+                          make(prem, i, i + len(conc)))
 
     if isinstance(p, syn.Axiom):
         s = denote_formula(p.formula)
@@ -356,9 +373,10 @@ def _build(p) -> Denotation:
 
         def fn(*vals):
             # h lies in hom, so h(x) lies in b: a matrix of hom has b.dim rows,
-            # and every map of hom (lazy LolliR, +, scale, zero) returns into b
+            # and every map of hom (lazy LolliR, +, scale, zero) returns into b;
+            # an axiom argument (every comp_proof link) passes its value as is
             head, rest = vals[:na], vals[na:]
-            x = apply_hom(rest[i], argd.fn(*head))
+            x = apply_hom(rest[i], head[0] if argd.fn is _identity else argd.fn(*head))
             return bodyd.fn(*rest[:i], x, *rest[i + 1:])
         return Denotation(src, bodyd.target, fn)
 
@@ -397,12 +415,11 @@ def _build(p) -> Denotation:
         prem = _den(p.premise)
         perm = p.perm
         src = tuple(prem.source[j] for j in perm)
+        inv = sorted(range(len(perm)), key=perm.__getitem__)  # perm[inv[m]] == m
+        get = operator.itemgetter(*inv) if len(inv) > 1 else tuple
 
         def fn(*vals):
-            w = [None] * len(perm)
-            for j, v in zip(perm, vals):
-                w[j] = v
-            return prem.fn(*w)
+            return prem.fn(*get(vals))
         return Denotation(src, prem.target, fn)
 
     raise TypeError("unknown proof node %r" % (p,))

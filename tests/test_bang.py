@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sweedler.exact import Vec
+from sweedler import bang as bg
 from sweedler.bang import (
     MAX_SUBSET_TANGENTS, BangElement, BangSpace, BaseSpace, EnumerationLimitError, Ket,
     SpaceError, TensorElement, antipode, cocontract, codereliction, coproduct,
@@ -136,6 +137,41 @@ def test_coproduct_pairs_merge_equal_right_factors():
     assert pairs[Ket(p, ())] == ket((1, 2), (1, 0), (1, 0), coeff=3)
     assert pairs[Ket(p, (E0, E0))] == ket((1, 2), coeff=3)
     assert len(pairs) == 3
+
+
+def _pairs_by_splits(t):
+    """Reference Delta grouped by left factor, every ket through ``_splits``."""
+    rights = {}
+    for k, c in t.terms.items():
+        for k1, k2 in bg._splits(k):
+            right = rights.setdefault(k1, {})
+            right[k2] = right.get(k2, 0) + c
+    return [(k1, BangElement(t.space, right)) for k1, right in rights.items()]
+
+
+def test_coproduct_pairs_fast_paths_match_the_subset_enumeration():
+    rng = random.Random(1701)
+    fixed = [
+        BangElement.zero(V2),
+        ket((1, 2)),                                    # the (t, t) path
+        ket((1, 2), coeff=Fraction(-3, 2)),
+        ket((1, 2), (1, 0)),
+        ket((1, 2), (2, -1), coeff=5),                  # two order-1 kets
+        ket((1, 2)) + ket((3, 4), (0, 1)) + ket((1, 2), (1, 0), (1, 1), coeff=-2),
+        ket((0, 0), (1, 0), (1, 0), (0, 1)),
+    ]
+    drawn = [_random_element(rng, max_tangents=s, nterms=n)
+             for s in range(4) for n in (1, 2, 3) for _ in range(4)]
+    orders = set()
+    for t in fixed + drawn:
+        pairs = coproduct_pairs(t)
+        for left, _ in pairs:
+            assert len(left.terms) == 1 and set(left.terms.values()) == {1}
+        assert [(next(iter(left.terms)), right) for left, right in pairs] == _pairs_by_splits(t)
+        orders |= {k.order for k in t.terms}
+    assert orders == {0, 1, 2, 3}
+    t = ket((1, 2))
+    assert coproduct_pairs(t) == [(t, t)]
 
 
 def test_two_slot_promotion_calls_the_block_once_per_distinct_block():

@@ -295,6 +295,36 @@ def test_denotation_cache_holds_no_dead_entries():
     assert not any(q in sem._denotations for q in _nodes(p))
 
 
+def _every_rule_proof():
+    """(Arg -o (!Live * Live)), Arg |- Live * Live: the seven context rules, a
+    LolliL whose argument is an axiom, and an exchange, over variables that no
+    other test uses."""
+    u, x = PropVar("Live", 2), PropVar("LiveArg", 1)
+    p = Ctr(0, TensorR(Der(0, Axiom(u)), Der(0, Axiom(u))))   # !U |- U * U
+    p = Coder(1, Coweak(2, Bang(u), Coctr(0, Weak(1, Bang(u), p))))
+    return Exchange((1, 0), LolliL(0, Axiom(x), TensorL(0, p)))
+
+
+def test_denotation_cache_keeps_every_rule_premise_alive():
+    p = _every_rule_proof()
+    kinds = {type(q) for q in _nodes(p)}
+    assert set(sem._STRUCTURAL) | {LolliL, Exchange, Axiom} <= kinds
+    d = denote_proof(p)
+    gc.collect()
+    assert all(sem._denotations.get(q) is not None for q in _nodes(p))
+    # and the closures still evaluate: h(1) = |>_(1,2) (x) (3,4)
+    hom, arg = d.source
+    P, Q = Vec((1, 2)), Vec((3, 4))
+    h = MapVal(hom, lambda a: TensorVal.make(hom.cod, [(a.coords[0], (bval((1, 2)), Q))]))
+    space = TensorSpace(Base(2), Base(2))
+    assert d.eval(h, Vec((1,))) == TensorVal.make(space, [(1, (P, Q)), (1, (Q, P))])
+    alive = weakref.ref(d)
+    del d
+    gc.collect()
+    assert alive() is None
+    assert not any(q in sem._denotations for q in _nodes(p))
+
+
 # -- the promotion rule calls its premise once per distinct block -------------
 
 
@@ -423,6 +453,39 @@ def test_contraction_calls_the_premise_once_per_distinct_left_factor(monkeypatch
     # four splittings of |v, v>, three distinct left factors
     assert ctr.fn(bval((1, 2), (0, 1), (0, 1))) == TensorVal.make(space, [(2, (v, v))])
     assert len(calls) == 3
+    monkeypatch.undo()
+    # the shape doubling feeds Ctr: two full matrix tangents over End(Q^2) expand
+    # into 10 kets |u, u'>_P of elementary units; left factors: |>_P, 4 of one
+    # unit, 10 of two, so 15 calls where a split by rank would make 2
+    end = Lolli(A, A)
+    ctr, calls = _build_counted(
+        partial(Ctr, 0), TensorR(Der(0, Axiom(end)), Der(0, Axiom(end))), monkeypatch)
+    P, M, N = Matrix(((2, 0), (1, 3))), Matrix(((1, 1), (1, 1))), Matrix(((1, 2), (3, 4)))
+    t = bg.BangElement.ket(denote_formula(end), P, (M, N))
+    assert len(t.terms) == 10
+    hom = denote_formula(end)
+    assert ctr.fn(t) == TensorVal.make(TensorSpace(hom, hom), [(1, (M, N)), (1, (N, M))])
+    assert len(calls) == len({xs[0] for xs in calls}) == 15
+
+
+def test_context_rules_return_zero_at_a_zero_argument():
+    u = bval((1, 2), (0, 1))
+    cases = [   # (proof, arguments with the rule's conclusion slot at zero)
+        (TensorL(0, TensorR(Axiom(A), Axiom(B3))), (TensorSpace(Base(2), Base(3)).zero(),)),
+        (Der(0, Axiom(A)), (bval((1, 2)).scale(0),)),
+        (Ctr(0, TensorR(Der(0, Axiom(A)), Der(0, Axiom(A)))), (bval((1, 2)).scale(0),)),
+        (Weak(0, NA, Axiom(B3)), (bval((1, 2)) - bval((1, 2)), Vec((1, 2, 3)))),
+        (Coder(0, Der(0, Axiom(A))), (Vec((0, 0)),)),
+        (Coctr(0, Der(0, Axiom(A))), (bval((1, 2)).scale(0), u)),
+        (Coctr(0, Der(0, Axiom(A))), (u, bval((1, 2)).scale(0))),
+    ]
+    for p, args in cases:
+        d = denote_proof(p)
+        out = d.eval(*args)
+        assert out is not None and out == d.target.zero()
+    # Coweak has no conclusion slot; at u = |>_0 two derelictions of Delta give 0 (x) 0
+    d = denote_proof(Coweak(0, NA, Ctr(0, TensorR(Der(0, Axiom(A)), Der(0, Axiom(A))))))
+    assert d.source == () and d.eval() == TensorSpace(Base(2), Base(2)).zero()
 
 
 def test_co_rules_call_the_premise_once(monkeypatch):
