@@ -282,9 +282,9 @@ def _den(p) -> Denotation:
 
 # The context rules: rule -> (k, conclusion spaces, make).  The rule at index i
 # replaces the premise's k slots i.. by the conclusion's slots i..j, whose spaces
-# it computes from those k.  make(prem, i, j) is the closure that sums the premise
-# over the rule's map at slots i..j, from its own frame (one frame per level); it
-# reads prem.fn at each call, so the weak cache keeps the premise alive.
+# it computes from those k.  make(prem, i, j) builds the closure that sums the
+# premise over the rule's map at slots i..j, from its own frame (one frame per
+# level); it reads prem.fn at each call, so it holds prem and the weak cache keeps it.
 
 def _tensor_left(prem, i, j):
     def fn(*vals):
