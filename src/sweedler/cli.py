@@ -5,9 +5,11 @@ Subcommands:
 * ``check``     -- type-check a proof file and print its sequent.
 * ``eval``      -- evaluate a proof's denotation on JSON inputs.
 * ``derive``    -- evaluate the derivative of a proof of ``!A |- B`` at a
-                   point toward a tangent.
+                   point toward a tangent: ``eval`` at the ket
+                   ``|tangent>_point``.
 * ``axioms``    -- run the randomized law suite and report per-law results.
-* ``examples``  -- recompute the bundled worked examples and verify them.
+* ``examples``  -- recompute the worked examples and compare each with its
+                   closed form.
 
 Values are JSON (matrices as row arrays, bang elements as ket lists, plus the
 named forms ``{"church": n}`` and ``{"bint": "S"}``); proofs are
@@ -20,19 +22,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from functools import cache, partial
 
 from . import bang as bg
 from . import encodings as enc
-from .exact import Matrix, scalar_str
+from .exact import MAX_DIM, Matrix, scalar_str
 from .sexpr import ParseError, parse_proof
 from .syntax import ProofError, check_proof, require_nl_shape
 from .semantics import (
     HomSpace, MapVal, ProbeConfig, ProbeDepthError, SpaceMismatch, apply_hom, denote_formula,
-    denote_proof, denote_sequent, derivative_eval, extensional_equal, ket_eval, nl_eval,
-    parse_value, probes, value_to_json)
+    denote_proof, denote_sequent, derivative_eval, extensional_equal, nl_eval, parse_value,
+    probes, value_to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +174,8 @@ def _parse_json_arg(text, what):
         return json.loads(text, parse_float=inexact, parse_constant=inexact)
     except json.JSONDecodeError as e:
         raise FlagError("%s is not valid JSON: %s" % (what, e))
+    except RecursionError:
+        raise FlagError("%s nests too deeply to read" % what) from None
 
 
 def cmd_eval(args):
@@ -178,29 +183,24 @@ def cmd_eval(args):
     inputs = _parse_json_arg(args.input, "--input") if args.input else []
     if not isinstance(inputs, list):
         raise SpaceMismatch("--input must be a JSON list, one value per slot")
-    if args.command == "derive":
+    if args.command == "derive":  # eval with the ket |tangent>_point in front
         if args.point is None or args.tangent is None:
-            raise SpaceMismatch("--derive needs --point and --tangent")
+            raise SpaceMismatch("derive needs --point and --tangent")
         try:
-            require_nl_shape(seq, "--derive")
-        except ProofError as e:  # the proof is valid; --derive cannot use its shape
+            require_nl_shape(seq, "derive")
+        except ProofError as e:  # the proof is valid; derive cannot use its shape
             raise SpaceMismatch(e.message) from None
-        inner = den.source[0].inner
-        point = parse_value(inner, _parse_json_arg(args.point, "--point"), named_value)
-        tangent = parse_value(inner, _parse_json_arg(args.tangent, "--tangent"), named_value)
-        result = ket_eval(den, point, (tangent,))
-        extras = inputs
-    else:
-        if len(inputs) < len(seq.context):
-            raise SpaceMismatch(
-                "proof context needs %d values (%s), got %d"
-                % (len(seq.context), ", ".join(map(str, seq.context)), len(inputs)))
-        ctx_vals = [parse_value(s, d, named_value)
-                    for s, d in zip(den.source, inputs)]
-        result = den.eval(*ctx_vals)
-        extras = inputs[len(seq.context):]
+        inputs = [{"point": _parse_json_arg(args.point, "--point"),
+                   "tangents": [_parse_json_arg(args.tangent, "--tangent")]}] + inputs
+    if len(inputs) < len(seq.context):
+        raise SpaceMismatch(
+            "proof context needs %d values (%s), got %d"
+            % (len(seq.context), ", ".join(map(str, seq.context)), len(inputs)))
+    ctx_vals = [parse_value(s, d, named_value)
+                for s, d in zip(den.source, inputs)]
+    result = den.eval(*ctx_vals)
     space = den.target
-    for data in extras:
+    for data in inputs[len(seq.context):]:
         if not isinstance(space, HomSpace):
             raise SpaceMismatch(
                 "cannot apply a value of %s to further input" % space.label())
@@ -233,84 +233,52 @@ def cmd_axioms(args):
 
 def cmd_examples(args):
     dim = 2
-    ok = True
-    out = []
+    shear, nilp, x = Matrix(((1, 1), (0, 1))), Matrix(((0, 0), (1, 0))), Matrix(((1, 2), (3, 4)))
+    ket = partial(enc.end_ket, dim)
+    bint = partial(enc.bint_value, dim=dim)
+    v001 = bint("001")
+    bint_space = denote_formula(enc.bint_formula(dim))
+    pcfg = ProbeConfig(seed=args.seed, samples=2, max_tangents=2, depth=args.probe_depth)
+    one = denote_proof(enc.int_proof(1, dim)).eval()
 
-    def check(label, got, want):
-        nonlocal ok
+    def show(v):
+        return _fmt_matrix(v) if isinstance(v, Matrix) else str(v)
+
+    doubling = "doubling a promoted string concatenates it with itself:"
+    mult = "derivative of multiplication by a numeral has a closed form:"
+    # (section heading, label, the engine's value, the closed form)
+    table = [
+        ("iterating a map twice squares it:", "church-2 at [[1, 1], [0, 1]]",
+         nl_eval(enc.church_proof(2, dim), shear), enc.church_value_oracle(2, shear)),
+        ("derivative of iteration inserts the tangent in every slot:", "church-3 derivative",
+         derivative_eval(enc.church_proof(3, dim), shear, nilp),
+         enc.church_derivative_oracle(3, shear, nilp)),
+        *(("binary integer 001 composes one map per bit, leftmost first:", label,
+           apply_hom(apply_hom(v001, ket(*first)), ket(*second)), want)
+          for label, first, second, want in enc.bint_001_examples(
+              g=shear, d=Matrix(((2, 0), (0, 1))), a=Matrix(((0, 1), (1, 0))),
+              a2=Matrix(((1, 0), (1, 1))), b=Matrix(((1, 0), (1, 1))))),
+        (doubling, "repeat at |>_[01] agrees with [0101] on all probes",
+         extensional_equal(nl_eval(enc.repeat_proof(dim), bint("01")), bint("0101"),
+                           bint_space, pcfg), True),
+        (doubling, "repeat derivative at [0] toward [1] agrees with [01] + [10]",
+         extensional_equal(derivative_eval(enc.repeat_proof(dim), bint("0"), bint("1")),
+                           bint("01") + bint("10"), bint_space, pcfg), True),
+        (mult, "mult(-, 2) derivative at 1 toward 1, on |>_x",
+         apply_hom(derivative_eval(enc.mult_by_numeral(2, dim), one, one), ket(x)),
+         enc.mult_derivative_oracle(1, 1, 2, x)),
+        (mult, "difference-quotient interpolation gives the same matrix",
+         enc.mult_difference_quotient(1, 1, 2, x), enc.mult_derivative_oracle(1, 1, 2, x)),
+    ]
+    ok, heading = True, None
+    for head, label, got, want in table:
+        if head != heading:
+            print(head)
+            heading = head
         good = got == want
         ok = ok and good
-        out.append("  %s = %s   [%s]" % (label, got, "ok" if good else
-                                         "MISMATCH, expected %s" % want))
-
-    shear = Matrix(((1, 1), (0, 1)))
-    nilp = Matrix(((0, 0), (1, 0)))
-    out.append("iterating a map twice squares it:")
-    got = nl_eval(enc.church_proof(2, dim), shear)
-    check("church-2 at [[1, 1], [0, 1]]", _fmt_matrix(got), _fmt_matrix(shear @ shear))
-
-    out.append("derivative of iteration inserts the tangent in every slot:")
-    got = derivative_eval(enc.church_proof(3, dim), shear, nilp)
-    want = nilp @ shear @ shear + shear @ nilp @ shear + shear @ shear @ nilp
-    check("church-3 derivative", _fmt_matrix(got), _fmt_matrix(want))
-
-    out.append("binary integer 001 composes one map per bit, leftmost first:")
-    gamma = Matrix(((1, 1), (0, 1)))
-    delta = Matrix(((2, 0), (0, 1)))
-    alpha = Matrix(((0, 1), (1, 0)))
-    alpha2 = Matrix(((1, 0), (1, 1)))
-    beta = Matrix(((1, 0), (1, 1)))
-
-    ket = partial(enc.end_ket, dim)
-    v001 = enc.bint_value("001", dim)
-
-    def run001(a, b):
-        return apply_hom(apply_hom(v001, a), b)
-
-    check("001 at (|>_g, |>_d)", _fmt_matrix(run001(ket(gamma), ket(delta))),
-          _fmt_matrix(delta @ gamma @ gamma))
-    check("001 at (|a>_g, |>_d)", _fmt_matrix(run001(ket(gamma, alpha), ket(delta))),
-          _fmt_matrix(delta @ alpha @ gamma + delta @ gamma @ alpha))
-    check("001 at (|a1,a2>_g, |>_d)",
-          _fmt_matrix(run001(ket(gamma, alpha, alpha2), ket(delta))),
-          _fmt_matrix(delta @ alpha @ alpha2 + delta @ alpha2 @ alpha))
-    check("001 at (|>_g, |b>_d)", _fmt_matrix(run001(ket(gamma), ket(delta, beta))),
-          _fmt_matrix(beta @ gamma @ gamma))
-    check("001 at (|a>_g, |b>_d)",
-          _fmt_matrix(run001(ket(gamma, alpha), ket(delta, beta))),
-          _fmt_matrix(beta @ alpha @ gamma + beta @ gamma @ alpha))
-    check("001 with three tangents on the first slot",
-          _fmt_matrix(run001(ket(gamma, alpha, alpha2, alpha), ket(delta))),
-          _fmt_matrix(Matrix.zero(dim, dim)))
-
-    out.append("doubling a promoted string concatenates it with itself:")
-    bint_space = denote_formula(enc.bint_formula(dim))
-    pcfg = ProbeConfig(seed=args.seed, samples=2, max_tangents=2,
-                       depth=args.probe_depth)
-    got = nl_eval(enc.repeat_proof(dim), enc.bint_value("01", dim))
-    same = extensional_equal(got, enc.bint_value("0101", dim), bint_space, pcfg)
-    check("repeat at |>_[01] agrees with [0101] on all probes", same, True)
-    got = derivative_eval(enc.repeat_proof(dim), enc.bint_value("0", dim),
-                          enc.bint_value("1", dim))
-    want = enc.bint_value("01", dim) + enc.bint_value("10", dim)
-    same = extensional_equal(got, want, bint_space, pcfg)
-    check("repeat derivative at [0] toward [1] agrees with [01] + [10]", same, True)
-
-    out.append("derivative of multiplication by a numeral has a closed form:")
-    x = Matrix(((1, 2), (3, 4)))
-    l, m, n = 1, 1, 2
-    dv = derivative_eval(enc.mult_by_numeral(n, dim),
-                         denote_proof(enc.int_proof(l, dim)).eval(),
-                         denote_proof(enc.int_proof(m, dim)).eval())
-    got = apply_hom(dv, ket(x))
-    check("mult(-, 2) derivative at 1 toward 1, on |>_x",
-          _fmt_matrix(got), _fmt_matrix((x @ x).scale(2)))
-    check("difference-quotient interpolation gives the same matrix",
-          _fmt_matrix(enc.mult_difference_quotient(l, m, n, x)),
-          _fmt_matrix((x @ x).scale(2)))
-
-    for line in out:
-        print(line)
+        print("  %s = %s   [%s]" % (label, show(got), "ok" if good else
+                                     "MISMATCH, expected %s" % show(want)))
     print("all examples verified" if ok else "EXAMPLE MISMATCH")
     return 0 if ok else 1
 
@@ -319,14 +287,20 @@ def cmd_examples(args):
 # argument parsing
 
 
-def _positive_int(text):
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
-    return n
+def _int_in(lo, hi, what):
+    """An argparse type for integers in lo..hi, named ``what`` in its error."""
+    def read(text):
+        try:
+            n = int(text)
+        except ValueError:
+            n = lo - 1
+        if not lo <= n <= hi:
+            raise argparse.ArgumentTypeError("expected %s, got %r" % (what, text))
+        return n
+    return read
+
+
+_positive_int = _int_in(1, math.inf, "a positive integer")
 
 
 # the --group choices: the groups of ``laws.LAWS``, which a test pins, kept
@@ -338,9 +312,10 @@ LAW_GROUPS = ("bang", "poly", "semantics", "encodings")
 _ARGS = {
     "file": dict(help="s-expression proof file"),
     "--seed": dict(type=int, default=0, help="seed for randomized trials and probes"),
-    "--dim": dict(type=int, default=2, help="dimension of the base space for law runs"),
+    "--dim": dict(type=_int_in(1, MAX_DIM, "an integer in 1..%d" % MAX_DIM), default=2,
+                  help="dimension of the base space for law runs"),
     "--trials": dict(type=_positive_int, default=200, help="trial budget per law"),
-    "--max-tangents": dict(type=int, default=3,
+    "--max-tangents": dict(type=_int_in(0, math.inf, "a nonnegative integer"), default=3,
                            help="largest tangent multiset drawn by generators"),
     "--probe-depth": dict(type=_positive_int, default=4,
                           help="recursion depth for extensional probing"),

@@ -19,7 +19,9 @@ With E = A -o A:
 ``bint_value`` and ``end_ket`` build the semantic values that the CLI and
 the laws feed to these programs.  The matrix oracles compute the same values
 by direct calculus on rational matrices, with no coalgebra machinery, and are
-frozen into the test suite.
+frozen into the test suite; ``bint_001_examples`` writes out the paper's
+displayed values of the string 001, which ``sweedler examples`` and the
+acceptance suite both check.
 """
 
 from __future__ import annotations
@@ -83,18 +85,10 @@ def comp_proof(n, dim=DEFAULT_DIM):
 
 
 def church_proof(n, dim=DEFAULT_DIM):
-    """!E |- E: derelict n composition slots, then contract them together."""
+    """!E |- E: the body of the string 0^n, one slot taking every map."""
     if n < 0:
         raise ValueError("numerals are nonnegative")
-    e = end_formula(dim)
-    if n == 0:
-        return Weak(0, Bang(e), comp_proof(0, dim))
-    p = comp_proof(n, dim)
-    for i in range(n):
-        p = Der(i, p)
-    for _ in range(n - 1):
-        p = Ctr(0, p)
-    return p
+    return _string_body((0,) * n, dim)
 
 
 def int_proof(n, dim=DEFAULT_DIM):
@@ -102,15 +96,13 @@ def int_proof(n, dim=DEFAULT_DIM):
     return LolliR(church_proof(n, dim))
 
 
-def bint_proof(s, dim=DEFAULT_DIM, arrows=2):
-    """The binary-sequence program; `arrows` right-introductions are applied.
+def _string_body(bits, dim):
+    """!E, !E |- E for a bit tuple, or !E |- E if it holds no 1.
 
-    arrows=2 gives |- !E -o (!E -o E) (first argument replaces the 0s),
-    arrows=1 gives !E |- !E -o E, arrows=0 the two-slot body !E, !E |- E.
+    One composition slot per bit is derelicted; the 0-slots contract into
+    slot 0 (a weakening if there are none) and the 1-slots into slot 1.
     """
-    bits = parse_bits(s)
     l = len(bits)
-    e = end_formula(dim)
     p = comp_proof(l, dim)
     for i in range(l):
         p = Der(i, p)
@@ -124,9 +116,20 @@ def bint_proof(s, dim=DEFAULT_DIM, arrows=2):
     for _ in range(len(ones) - 1):
         p = Ctr(1 if zeros else 0, p)
     if not zeros:
-        p = Weak(0, Bang(e), p)
-    if not ones:
-        p = Weak(1, Bang(e), p)
+        p = Weak(0, Bang(end_formula(dim)), p)
+    return p
+
+
+def bint_proof(s, dim=DEFAULT_DIM, arrows=2):
+    """The binary-sequence program; `arrows` right-introductions are applied.
+
+    arrows=2 gives |- !E -o (!E -o E) (first argument replaces the 0s),
+    arrows=1 gives !E |- !E -o E, arrows=0 the two-slot body !E, !E |- E.
+    """
+    bits = parse_bits(s)
+    p = _string_body(bits, dim)
+    if 1 not in bits:
+        p = Weak(1, Bang(end_formula(dim)), p)
     if arrows not in (0, 1, 2):
         raise ValueError("arrows must be 0, 1 or 2")
     for _ in range(arrows):
@@ -222,6 +225,23 @@ def bint_oracle(s, gamma: Matrix, delta: Matrix, alphas=(), betas=()) -> Matrix:
                 prod = prod @ at.get(i, base)
             total = total + prod
     return total
+
+
+def bint_001_examples(g, d, a, a2, b):
+    """The paper's displayed values of the string 001 at matrices g, d, a, a2, b.
+
+    Rows are (label, first slot, second slot, closed form); a slot is a point
+    followed by its tangents.  The last row has more tangents than 0s.
+    """
+    return (
+        ("001 at (|>_g, |>_d)", (g,), (d,), d @ g @ g),
+        ("001 at (|a>_g, |>_d)", (g, a), (d,), d @ a @ g + d @ g @ a),
+        ("001 at (|a1,a2>_g, |>_d)", (g, a, a2), (d,), d @ a @ a2 + d @ a2 @ a),
+        ("001 at (|>_g, |b>_d)", (g,), (d, b), b @ g @ g),
+        ("001 at (|a>_g, |b>_d)", (g, a), (d, b), b @ a @ g + b @ g @ a),
+        ("001 with three tangents on the first slot", (g, a, a2, a), (d,),
+         Matrix.zero(g.nrows, g.ncols)),
+    )
 
 
 def mult_derivative_oracle(l, m, n, x: Matrix) -> Matrix:

@@ -17,9 +17,9 @@ from sweedler.semantics import (
     denote_formula, denote_proof, derivative_eval, extensional_equal, nl_eval)
 from sweedler.syntax import Cut, Prom, derivative_transform
 from sweedler.encodings import (
-    bint_formula, bint_oracle, bint_proof, bint_value, church_derivative_oracle,
-    church_proof, church_value_oracle, end_ket, int_proof, mult_by_numeral,
-    mult_derivative_oracle, mult_difference_quotient, repeat_proof)
+    bint_001_examples, bint_formula, bint_oracle, bint_proof, bint_value,
+    church_derivative_oracle, church_proof, church_value_oracle, end_ket, int_proof,
+    mult_by_numeral, mult_derivative_oracle, mult_difference_quotient, repeat_proof)
 from sweedler.exact import Matrix
 
 END = HomSpace(Base(2), Base(2))
@@ -109,16 +109,11 @@ def test_criterion_05_binary_integers_exhaustive():
     # the five displayed values for the string 001, plus vanishing
     g, d = rand_matrix(rng, 2), rand_matrix(rng, 2)
     a, a2, b = (rand_matrix(rng, 2) for _ in range(3))
-    assert run("001", end_ket(2, g), end_ket(2, d)) == d @ g @ g
-    assert run("001", end_ket(2, g, a), end_ket(2, d)) \
-        == d @ a @ g + d @ g @ a
-    assert run("001", end_ket(2, g, a, a2), end_ket(2, d)) \
-        == d @ a @ a2 + d @ a2 @ a
-    assert run("001", end_ket(2, g), end_ket(2, d, b)) == b @ g @ g
-    assert run("001", end_ket(2, g, a), end_ket(2, d, b)) \
-        == b @ a @ g + b @ g @ a
+    rows = bint_001_examples(g, d, a, a2, b)
+    assert len(rows) == 6
+    for label, first, second, want in rows:
+        assert run("001", end_ket(2, *first), end_ket(2, *second)) == want, label
     zero = Matrix.zero(2, 2)
-    assert run("001", end_ket(2, g, a, a2, a), end_ket(2, d)) == zero
     assert run("001", end_ket(2, g), end_ket(2, d, b, b)) == zero
     assert run("", end_ket(2, g, a), end_ket(2, d)) == zero
     _report(5, "evaluator equals closed form for all |S| <= 3, "

@@ -182,6 +182,21 @@ def test_examples_all_verify(capsys):
     assert "[ok]" in out and "MISMATCH" not in out
 
 
+def test_examples_report_a_closed_form_that_disagrees(capsys, monkeypatch):
+    rows = cli.enc.bint_001_examples
+
+    def first_row_doubled(**mats):
+        (label, first, second, want), *rest = rows(**mats)
+        return ((label, first, second, want.scale(2)), *rest)
+
+    monkeypatch.setattr(cli.enc, "bint_001_examples", first_row_doubled)
+    code, out, _ = run(capsys, "examples")
+    assert code == 1
+    assert ("  001 at (|>_g, |>_d) = [[2, 4], [0, 1]]   [MISMATCH, expected [[4, 8], [0, 2]]]\n"
+            in out)
+    assert out.count("MISMATCH") == 2 and out.endswith("\nEXAMPLE MISMATCH\n")
+
+
 def test_enumeration_limit_exits_1(capsys):
     code, _, err = run(capsys, "axioms", "--group", "bang", "--max-tangents", "20",
                        "--dim", "1", "--trials", "10")
@@ -357,7 +372,7 @@ def test_derive_of_a_proof_not_shaped_bang_a_to_b_is_one_error_line(capsys):
     code, out, err = run(capsys, "derive", proof("int-2"), "--point", "[[1,0],[0,1]]",
                          "--tangent", "[[1,0],[0,1]]")
     assert (code, out) == (1, "")
-    assert err == "error: --derive needs a proof of !A |- B, got · |- (!(A -o A) -o (A -o A))\n"
+    assert err == "error: derive needs a proof of !A |- B, got · |- (!(A -o A) -o (A -o A))\n"
 
 
 NILP = "[[0,0],[1,0]]"
@@ -445,3 +460,48 @@ def test_one_parser_serves_every_call_of_a_process(capsys):
                               capture_output=True, text=True, check=False)
         one_per_process.append((proc.returncode, proc.stdout))
     assert in_process == one_per_process
+
+
+@pytest.mark.parametrize("flag", ["--input", "--point", "--tangent"])
+def test_json_nested_past_the_stack_is_a_usage_error(capsys, flag):
+    values = {"--input": None, "--point": "[[1,1],[0,1]]", "--tangent": NILP}
+    values[flag] = "[" * 100_000
+    argv = ["derive", proof("church-2")]
+    for name, value in values.items():
+        if value is not None:
+            argv += [name, value]
+    assert run(capsys, *argv) == (2, "", "error: %s nests too deeply to read\n" % flag)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("axioms", "--dim", "9"), "--dim: expected an integer in 1..8, got '9'"),
+    (("axioms", "--dim", "0"), "--dim: expected an integer in 1..8, got '0'"),
+    (("axioms", "--max-tangents", "-1"),
+     "--max-tangents: expected a nonnegative integer, got '-1'"),
+    (("eval", proof("int-2"), "--max-tangents", "-1"),
+     "--max-tangents: expected a nonnegative integer, got '-1'"),
+    (("derive", proof("church-2"), "--max-tangents", "x"),
+     "--max-tangents: expected a nonnegative integer, got 'x'"),
+], ids=["dim 9", "dim 0", "axioms max-tangents -1", "eval max-tangents -1",
+        "derive max-tangents x"])
+def test_flag_out_of_range_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("error: argument %s\n" % message)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,point,tangent,extra", [
+    ("church-2", [[1, 1], [0, 1]], [[0, 0], [1, 0]], []),
+    ("repeat", {"bint": "0"}, {"bint": "1"},
+     [[{"point": [[1, 1], [0, 1]]}], [{"point": [[2, 0], [0, 1]]}]]),
+    ("mult-2", {"church": 1}, {"church": 2}, [[{"point": [[1, 2], [3, 4]]}]]),
+])
+def test_derive_is_eval_at_the_one_tangent_ket(capsys, name, point, tangent, extra):
+    derived = run(capsys, "derive", proof(name), "--point", json.dumps(point),
+                  "--tangent", json.dumps(tangent), "--input", json.dumps(extra))
+    ket = [{"point": point, "tangents": [tangent]}]
+    assert derived == run(capsys, "eval", proof(name), "--input", json.dumps([ket] + extra))
+    assert derived[0] == 0

@@ -7,15 +7,16 @@ import pytest
 from sweedler import bang as bg
 from sweedler.exact import Matrix, Vec
 from sweedler.sexpr import parse_proof, print_proof
-from sweedler.syntax import Bang, Cut, Lolli, Prom, PropVar, Sequent, check_proof, derivative_transform
+from sweedler.syntax import (
+    Bang, Cut, Lolli, Prom, PropVar, Sequent, Weak, check_proof, derivative_transform)
 from sweedler.semantics import (
     BangSpace, Base, HomSpace, ProbeConfig, denote_proof, derivative_eval,
     extensional_equal, nl_eval)
 from sweedler.encodings import (
-    bint_formula, bint_oracle, bint_proof, bundled_proofs, church_derivative_oracle,
-    church_proof, church_value_oracle, comp_proof, end_formula, int_formula,
-    int_proof, mult_by_numeral, mult_derivative_oracle, mult_difference_quotient,
-    mult_proof, parse_bits, repeat_proof, write_proof_files)
+    bint_001_examples, bint_formula, bint_oracle, bint_proof, bundled_proofs,
+    church_derivative_oracle, church_proof, church_value_oracle, comp_proof, end_formula,
+    int_formula, int_proof, mult_by_numeral, mult_derivative_oracle,
+    mult_difference_quotient, mult_proof, parse_bits, repeat_proof, write_proof_files)
 
 A = PropVar("A", 2)
 E = Lolli(A, A)
@@ -90,6 +91,12 @@ def test_church_derivative_lemma():
             assert got == church_derivative_oracle(n, alpha, nu)
 
 
+def test_church_is_the_all_zeros_string_body():
+    # the numeral n is the body of the string 0^n with its unused 1-slot dropped
+    for n in range(41):
+        assert Weak(1, Bang(E), church_proof(n)) == bint_proof("0" * n, arrows=0), n
+
+
 def _bint_eval(s, *args):
     """Apply the denotation of the closed bint proof to two bang arguments."""
     from sweedler.semantics import apply_hom
@@ -112,6 +119,17 @@ def test_bint_001_displayed_values():
     assert _bint_eval("001", bend(g), bend(dl, b)) == b @ g @ g
     # tangents on both arguments
     assert _bint_eval("001", bend(g, a), bend(dl, b)) == b @ a @ g + b @ g @ a
+
+
+def test_bint_001_examples_agree_with_the_oracle():
+    rng = random.Random(12)
+    for _ in range(5):
+        g, dl, a, a2, b = (rand_mat(rng) for _ in range(5))
+        rows = bint_001_examples(g, dl, a, a2, b)
+        assert len({label for label, *_ in rows}) == 6
+        for label, (gp, *alphas), (dp, *betas), want in rows:
+            assert (gp, dp) == (g, dl)
+            assert bint_oracle("001", g, dl, alphas, betas) == want, label
 
 
 def test_bint_vanishing_when_tangents_exceed_positions():

@@ -4,6 +4,7 @@ import doctest
 import io
 import os
 import re
+import shlex
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
@@ -24,3 +25,22 @@ def test_readme_examples_run():
     results = runner.summarize(verbose=False)
     assert results.attempted == text.count("\n>>> ") > 0
     assert results.failed == 0, report.getvalue()
+
+
+def test_readme_command_lines_print_what_they_show(capsys, monkeypatch):
+    """Each ``sweedler`` line of an ``sh`` block that a ``# <output>`` comment
+    follows prints exactly that output, run in process from the repo root."""
+    from sweedler.cli import main
+
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    monkeypatch.chdir(os.path.dirname(README))
+    checked = 0
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M):
+        lines = block.replace("\\\n", " ").splitlines()
+        for command, comment in zip(lines, lines[1:]):
+            if command.startswith("sweedler ") and comment.startswith("# "):
+                assert main(shlex.split(command)[1:]) == 0, command
+                assert capsys.readouterr() == (comment[2:] + "\n", ""), command
+                checked += 1
+    assert checked == 4
