@@ -21,12 +21,18 @@ or products, and its ``repr``.
 
 Two splittings serve the exponential rules of the proof semantics.
 ``coproduct_pairs`` is Delta grouped by left factor, for contraction: one
-pair (unit ket, sum of right kets) per distinct left factor; a lone
-group-like ket |>_P is its own pair, and kets of order 0 and 1 split without
-the subset enumeration.  ``promote_blocks`` is delta on several slots at
+pair (unit ket, sum of right kets) per distinct left factor; a lone unit ket
+|>_P or |v>_P is itself a factor of its pairs, and kets of order 0 and 1 split
+without the subset enumeration.  ``promote_blocks`` is delta on several slots at
 once followed by a map on blocks, for promotion: the map sees one canonical
 ket per slot and runs once per distinct block; ``promote`` is the one-slot
-case with unit kets.  Dereliction reads d in one pass (``derelict``).
+case with unit kets.  Dereliction reads d in one pass (``derelict``).  A
+``BangElement`` keeps its ``coproduct_pairs`` tuple and its ``derelict`` value
+in two slots filled on first use, as it keeps its hash (a lone unit ket of
+order <= 1 keeps no pairs: they hold it): an inner contraction splits one
+factor again for every split of the other, and derelictions meet the same
+factors again, and both read the stored result.  Nothing is hashed and no
+cache is keyed by arguments.
 
 Tangent expansion, subset and partition enumerations are guarded; blowing a
 guard raises ``EnumerationLimitError`` rather than silently truncating.
@@ -225,7 +231,9 @@ class _TermSum(Immutable):
     pairs of canonical units over a ``TensorSpace``) and ``poly.Polynomial``
     (terms are exponent tuples, its space the variable count).  The
     constructor trusts its term dict; subclasses add only their canonicaliser
-    or validating constructor, key order or products, and ``repr``.
+    or validating constructor, key order or products, and ``repr``.  The
+    arithmetic builds its results through ``_of``, which runs no subclass
+    ``__init__``.
     """
 
     __slots__ = ("space", "terms", "_hash")
@@ -233,6 +241,14 @@ class _TermSum(Immutable):
     def __init__(self, space, terms):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "terms", dict(terms))
+
+    @classmethod
+    def _of(cls, space, terms):
+        """Trusted: ``terms`` is a fresh dict of valid terms, nonzero coefficients."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def is_zero(self):
         return not self.terms
@@ -255,7 +271,7 @@ class _TermSum(Immutable):
                 acc.pop(k, None)
             else:
                 acc[k] = c1
-        return type(self)(self.space, acc)
+        return self._of(self.space, acc)
 
     def __add__(self, other):
         return self._merge(other, 1)
@@ -269,8 +285,8 @@ class _TermSum(Immutable):
     def scale(self, c):
         c = as_scalar(c)
         if c == 0:
-            return type(self)(self.space, {})
-        return type(self)(self.space, {k: c * v for k, v in self.terms.items()})
+            return self._of(self.space, {})
+        return self._of(self.space, {k: c * v for k, v in self.terms.items()})
 
     def __eq__(self, other):
         return (type(other) is type(self)
@@ -289,9 +305,11 @@ class BangElement(_TermSum):
     """A finite linear combination of kets over a fixed entry space.
 
     Use ``ket`` / ``from_terms`` to build canonical sums from raw data.
+    ``_pairs`` and ``_d`` hold ``coproduct_pairs`` and ``derelict`` of the
+    element once either has been asked for, as ``_hash`` holds its hash.
     """
 
-    __slots__ = ()
+    __slots__ = ("_pairs", "_d")
 
     @classmethod
     def zero(cls, space):
@@ -429,13 +447,23 @@ def coproduct_pairs(t: BangElement):
 
     The pure tensors of the pairs sum to ``coproduct(t)``.  Distinct kets of
     t share no splitting and equal splittings of one ket add up, so no right
-    factor cancels.  A lone group-like ket |>_P is its own pair (t, t), and
-    kets of order 0 and 1 split directly, in ``_splits`` order.
+    factor cancels.  Kets of order 0 and 1 split directly, in ``_splits``
+    order.  The tuple of pairs is kept on t and returned again by later calls,
+    except where t is a lone ket |>_P or |v>_P of coefficient 1: then t is
+    itself a factor, (t, t) or (|>_P, t), (t, |>_P), built on each call, since
+    kept on t it would hold t, a cycle that only the garbage collector frees.
     """
     if len(t.terms) == 1:
         (k, c), = t.terms.items()
-        if not k.tangents and c == 1:
-            return [(t, t)]
+        if c == 1 and len(k.tangents) <= 1:
+            if not k.tangents:
+                return ((t, t),)
+            k0 = unit(t.space, Ket(k.point, ()))
+            return ((k0, t), (t, k0))
+    try:
+        return t._pairs
+    except AttributeError:
+        pass
     rights = {}
     for k, c in t.terms.items():
         if not k.tangents:
@@ -449,7 +477,10 @@ def coproduct_pairs(t: BangElement):
             right = rights.setdefault(k1, {})
             c0 = right.get(k2)
             right[k2] = c if c0 is None else c0 + c
-    return [(unit(t.space, k1), BangElement(t.space, right)) for k1, right in rights.items()]
+    pairs = tuple([(unit(t.space, k1), BangElement(t.space, right))
+                   for k1, right in rights.items()])
+    object.__setattr__(t, "_pairs", pairs)
+    return pairs
 
 
 def counit(t: BangElement) -> Fraction:
@@ -464,7 +495,12 @@ def dereliction(t: BangElement):
 
 
 def derelict(t: BangElement):
-    """d of t read in one pass, or None when t has no ket of order <= 1."""
+    """d of t read in one pass, or None when t has no ket of order <= 1; the
+    result is kept on t and returned again by later calls."""
+    try:
+        return t._d
+    except AttributeError:
+        pass
     acc = None
     for k, c in t.terms.items():
         if len(k.tangents) > 1:
@@ -472,6 +508,7 @@ def derelict(t: BangElement):
         v = k.tangents[0] if k.tangents else k.point
         v = v if c == 1 else v.scale(c)
         acc = v if acc is None else acc + v
+    object.__setattr__(t, "_d", acc)
     return acc
 
 

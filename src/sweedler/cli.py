@@ -24,13 +24,14 @@ import argparse
 import json
 import math
 import random
+import re
 import sys
 from functools import cache, partial
 
 from . import bang as bg
 from . import encodings as enc
 from .exact import MAX_DIM, Matrix, scalar_str
-from .sexpr import ParseError, parse_proof
+from .sexpr import MAX_DEPTH, ParseError, parse_proof
 from .syntax import ProofError, check_proof, require_nl_shape
 from .semantics import (
     HomSpace, MapVal, ProbeConfig, ProbeDepthError, SpaceMismatch, apply_hom, denote_formula,
@@ -166,15 +167,30 @@ class FlagError(ValueError):
     """A flag value that cannot be read: a usage error, so exit code 2."""
 
 
+# JSON flags nest at most this deep, checked before reading, so the outcome does
+# not depend on the caller's stack: a value of a formula at the proof-file bound
+# takes about two levels (a ket list and a ket object) per '!'.
+MAX_JSON_DEPTH = 2 * MAX_DEPTH
+_JSON_NESTING = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')  # strings hide brackets
+
+
 def _parse_json_arg(text, what):
     def inexact(token):
         raise FlagError("%s holds the inexact number %s; write scalars as integers "
                         "or strings such as \"3/2\"" % (what, token))
+    depth = 0
+    for token in _JSON_NESTING.findall(text):
+        if token in "[{":
+            depth += 1
+            if depth > MAX_JSON_DEPTH:
+                raise FlagError("%s nests too deeply to read" % what)
+        elif token in "]}":
+            depth -= 1
     try:
         return json.loads(text, parse_float=inexact, parse_constant=inexact)
     except json.JSONDecodeError as e:
         raise FlagError("%s is not valid JSON: %s" % (what, e))
-    except RecursionError:
+    except RecursionError:  # a caller deep in its own stack
         raise FlagError("%s nests too deeply to read" % what) from None
 
 

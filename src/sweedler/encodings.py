@@ -27,6 +27,7 @@ acceptance suite both check.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from fractions import Fraction
 
 from .bang import BangElement, BaseSpace
@@ -61,7 +62,7 @@ def bint_formula(dim=DEFAULT_DIM):
 def parse_bits(s) -> tuple:
     """A 0/1 string or sequence (leftmost entry acts first) to a bit tuple."""
     if not all(b in ("0", "1", 0, 1) and not isinstance(b, bool) for b in s):
-        raise ValueError("binary sequences use only 0 and 1, got %r" % (s,))
+        raise ValueError("binary sequences use only 0 and 1, got %s" % reprlib.repr(s))
     return tuple(int(b) for b in s)
 
 

@@ -24,6 +24,7 @@ dot product return) and ``scale(1)`` returning ``self`` are safe to share.
 
 from __future__ import annotations
 
+import reprlib
 from fractions import Fraction
 
 from .record import record, trusted_maker
@@ -71,7 +72,9 @@ def json_scalar(value) -> Fraction:
         return parse_scalar(value)
     if type(value) is int:
         return _int_scalar(value)
-    raise JSONScalarError("expected an integer or a \"p/q\" string, got %r" % (value,))
+    # reprlib: a bad value may nest hundreds deep, its message stays short
+    raise JSONScalarError("expected an integer or a \"p/q\" string, got %s"
+                          % reprlib.repr(value))
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -158,7 +161,10 @@ class Vec:
         return len(self.coords)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        for c in self.coords:
+            if c.numerator:  # an int test, not Fraction.__eq__
+                return False
+        return True
 
     def __add__(self, other):
         if not isinstance(other, Vec):
@@ -191,7 +197,7 @@ class Vec:
     @classmethod
     def from_json(cls, data):
         if not isinstance(data, list):
-            raise ValueError("vector JSON must be an array, got %r" % (data,))
+            raise ValueError("vector JSON must be an array, got %s" % reprlib.repr(data))
         return cls([json_scalar(c) for c in data])
 
 
@@ -244,7 +250,7 @@ class Matrix:
         return len(self.rows[0])
 
     def is_zero(self):
-        return all(c == 0 for row in self.rows for c in row)
+        return not any(c.numerator for row in self.rows for c in row)
 
     def apply(self, v: Vec) -> Vec:
         if v.dim != self.ncols:
@@ -302,7 +308,8 @@ class Matrix:
     @classmethod
     def from_json(cls, data):
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
-            raise ValueError("matrix JSON must be an array of arrays, got %r" % (data,))
+            raise ValueError("matrix JSON must be an array of arrays, got %s"
+                             % reprlib.repr(data))
         return cls([[json_scalar(c) for c in row] for row in data])
 
 

@@ -9,7 +9,9 @@ Everything is exact; this module is the independent witness that the
 coalgebra maps are the duals of ordinary polynomial calculus.  A polynomial is
 a ``bang._TermSum`` over its variable count, so it shares ``+``, ``-``,
 ``scale``, ``==`` and ``hash`` with the kets it is paired with and adds only
-its validating constructor, product and calculus.
+its validating constructor, product and calculus.  Only outside input is
+validated: sums, scalings, products, derivatives and reflections are valid by
+construction and are built through the trusted ``_TermSum._of``.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ class Polynomial(_TermSum):
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.nvars, acc)
+        return Polynomial._of(self.nvars, {e: c for e, c in acc.items() if c != 0})
 
     def partial(self, i):
         """d/dx_{i+1}."""
@@ -71,8 +73,8 @@ class Polynomial(_TermSum):
             if e[i] == 0:
                 continue
             e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-            acc[e2] = acc.get(e2, Fraction(0)) + c * e[i]
-        return Polynomial(self.nvars, acc)
+            acc[e2] = c * e[i]  # distinct terms stay distinct, none vanishes
+        return Polynomial._of(self.nvars, acc)
 
     def directional(self, v: Vec):
         """Directional derivative along a vector."""
@@ -98,8 +100,8 @@ class Polynomial(_TermSum):
 
     def reflect(self):
         """Substitute x -> -x."""
-        return Polynomial(self.nvars,
-                          {e: (c if sum(e) % 2 == 0 else -c) for e, c in self.terms.items()})
+        return Polynomial._of(self.nvars,
+                              {e: (c if sum(e) % 2 == 0 else -c) for e, c in self.terms.items()})
 
     def to_str(self):
         if not self.terms:

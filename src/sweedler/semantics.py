@@ -11,6 +11,12 @@ precompose the premise with one map of ``bang``: the pair split, d, Delta,
 epsilon, dbar, nabla and u.  One table (``_STRUCTURAL``) gives each its slots
 and its own closure, which calls the premise once per term of that map.
 
+A denotation is linear in each slot, so a zero argument gives a zero value.
+``LolliL`` and ``Cut`` pass a premise a value they computed themselves, h(x)
+and the left premise's value; when that value is zero they return the target's
+zero and make no premise call.  Every value answers ``is_zero``; a ``MapVal``
+answers ``False``, since a closure is decided only by probing it.
+
 Every formula space is an entry space of ``bang``, so elements of !A are
 canonical ket sums over the space of A itself.  Values are plain objects:
 a ``Vec`` for a base space, a ``Matrix`` for a map between base spaces, a
@@ -34,6 +40,7 @@ import functools
 import itertools
 import operator
 import random
+import reprlib
 import weakref
 from fractions import Fraction
 
@@ -171,6 +178,9 @@ class MapVal:
 
     def __neg__(self):
         return self.scale(-1)
+
+    def is_zero(self):
+        return False  # a closure is never decided zero without probing it
 
     def scale(self, c):
         c = as_scalar(c)
@@ -374,9 +384,12 @@ def _build(p) -> Denotation:
         def fn(*vals):
             # h lies in hom, so h(x) lies in b: a matrix of hom has b.dim rows,
             # and every map of hom (lazy LolliR, +, scale, zero) returns into b;
-            # an axiom argument (every comp_proof link) passes its value as is
+            # an axiom argument (every comp_proof link) passes its value as is;
+            # the body is linear in slot i, so h(x) = 0 makes it 0 uncalled
             head, rest = vals[:na], vals[na:]
             x = apply_hom(rest[i], head[0] if argd.fn is _identity else argd.fn(*head))
+            if x.is_zero():
+                return bodyd.target.zero()
             return bodyd.fn(*rest[:i], x, *rest[i + 1:])
         return Denotation(src, bodyd.target, fn)
 
@@ -407,6 +420,8 @@ def _build(p) -> Denotation:
 
         def fn(*vals):
             x = ld.fn(*vals[:nl])
+            if x.is_zero():  # rd is linear in slot i
+                return rd.target.zero()
             rest = vals[nl:]
             return rd.fn(*rest[:i], x, *rest[i:])
         return Denotation(src, rd.target, fn)
@@ -585,7 +600,8 @@ def parse_value(space, data, named=None):
             point = parse_value(space.inner, entry["point"], named)
             tangents = entry.get("tangents", [])
             if not isinstance(tangents, list):
-                raise SpaceMismatch("a ket's tangents must be a list, got %r" % (tangents,))
+                raise SpaceMismatch("a ket's tangents must be a list, got %s"
+                                    % reprlib.repr(tangents))
             items.append((coeff, point, tuple(parse_value(space.inner, t, named)
                                               for t in tangents)))
         return bg.BangElement.from_terms(space.inner, items)

@@ -171,7 +171,7 @@ def test_coproduct_pairs_fast_paths_match_the_subset_enumeration():
         orders |= {k.order for k in t.terms}
     assert orders == {0, 1, 2, 3}
     t = ket((1, 2))
-    assert coproduct_pairs(t) == [(t, t)]
+    assert coproduct_pairs(t) == ((t, t),)
 
 
 def test_two_slot_promotion_calls_the_block_once_per_distinct_block():
@@ -321,3 +321,45 @@ def test_repr_is_deterministic():
     t = ket((1, 0), (0, 1)) + ket((-1, 2), coeff=-2) + ket((1, 0), (1, 0))
     assert repr(t) == repr(ket((1, 0), (1, 0)) + ket((-1, 2), coeff=-2) + ket((1, 0), (0, 1)))
     assert "|" in repr(t) and ">_" in repr(t)
+
+
+# -- coproduct_pairs and derelict are kept on the element -----------------------
+
+
+def test_stored_pairs_and_dereliction_are_returned_again():
+    t = ket((1, 2), (1, 0)) + ket((3, 4))
+    pairs = coproduct_pairs(t)
+    assert isinstance(pairs, tuple) and coproduct_pairs(t) is pairs
+    d = bg.derelict(t)
+    assert d == Vec((4, 4)) and bg.derelict(t) is d
+    high = ket((1, 2), (1, 0), (0, 1))
+    assert bg.derelict(high) is None and bg.derelict(high) is None
+    assert dereliction(high) == Vec((0, 0))
+    # a lone unit ket of order <= 1 is itself a factor, and its pairs are not
+    # kept: kept on it, they would hold it
+    u = ket((1, 2))
+    assert coproduct_pairs(u) == ((u, u),) and coproduct_pairs(u)[0][1] is u
+    v = ket((1, 2), (0, 1))
+    (p0, r0), (l1, p1) = coproduct_pairs(v)
+    assert r0 is v and l1 is v and p0 == p1 == u
+    assert not hasattr(u, "_pairs") and not hasattr(v, "_pairs")
+
+
+def test_stored_pairs_and_dereliction_match_a_fresh_computation():
+    rng = random.Random(17)
+    for dim in (1, 2, 3):
+        for _ in range(12):
+            t = _random_element(rng, dim=dim, max_tangents=3, nterms=rng.randint(1, 3))
+            first_pairs, first_d = coproduct_pairs(t), bg.derelict(t)
+            stored_pairs, stored_d = coproduct_pairs(t), bg.derelict(t)
+            fresh = BangElement(t.space, t.terms)   # equal, with nothing stored
+            assert fresh == t and fresh is not t
+            lone = len(t.terms) == 1 and all(   # pairs built on each call
+                c == 1 and k.order <= 1 for k, c in t.terms.items())
+            assert (stored_pairs is first_pairs) != lone and stored_d is first_d
+            assert stored_pairs == coproduct_pairs(fresh)
+            assert stored_d == bg.derelict(fresh)
+            total = TensorElement.from_terms((t.space, t.space), [])
+            for left, right in stored_pairs:
+                total = total + tensor_pair(left, right)
+            assert total == coproduct(t)

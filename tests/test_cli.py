@@ -473,6 +473,35 @@ def test_json_nested_past_the_stack_is_a_usage_error(capsys, flag):
     assert run(capsys, *argv) == (2, "", "error: %s nests too deeply to read\n" % flag)
 
 
+def _at_stack_depth(frames, fn):
+    return fn() if frames == 0 else _at_stack_depth(frames - 1, fn)
+
+
+@pytest.mark.parametrize("pad", [0, 300])
+def test_json_depth_has_one_bound_whatever_the_callers_stack(capsys, pad):
+    """Up to cli.MAX_JSON_DEPTH a nested --point is read, and rejected as a
+    wrong-typed scalar (exit 1); past it, it is not read (exit 2).  Either way
+    the error is one short line, also just short of Python's own limit."""
+    bound = cli.MAX_JSON_DEPTH
+    for depth in (3, bound - 1, bound, bound + 1, 988, 990, 991, 992, 2000):
+        point = "[" * depth + "1" + "]" * depth
+        argv = ["derive", proof("church-2"), "--point", point, "--tangent", NILP]
+        code, out, err = _at_stack_depth(pad, lambda: run(capsys, *argv))
+        assert (code, out) == ((1, "") if depth <= bound else (2, "")), depth
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 100, depth
+        if depth > bound:
+            assert err == "error: --point nests too deeply to read\n"
+    deep_dict = '{"a": ' * bound + "1" + "}" * bound
+    for argv in (["--point", deep_dict, "--tangent", NILP],
+                 ["--point", "[[1,1],[0,1]]", "--tangent", NILP,
+                  "--input", '[{"bint": [%s]}]' % ("[" * (bound - 3) + "]" * (bound - 3))]):
+        code, out, err = run(capsys, "derive", proof("church-2"), *argv)
+        assert code == 1 and out == "" and err.count("\n") == 1 and len(err) < 120, err
+    # brackets inside strings do not count
+    code, _, err = run(capsys, "eval", proof("church-2"), "--input", '["%s"]' % ("[" * 1000))
+    assert code == 1 and "nests" not in err
+
+
 @pytest.mark.parametrize("argv,message", [
     (("axioms", "--dim", "9"), "--dim: expected an integer in 1..8, got '9'"),
     (("axioms", "--dim", "0"), "--dim: expected an integer in 1..8, got '0'"),
