@@ -401,12 +401,14 @@ def test_one_table_holds_the_context_rules():
 
 
 def _build_counted(rule, premise, monkeypatch):
-    """The rule's denotation over a premise that records each of its calls."""
+    """The rule's denotation over a premise that records each of its calls;
+    the premise is matched by identity, since an equal sub-proof may sit
+    beside it."""
     prem = denote_proof(premise)
     calls = []
     counted = Denotation(prem.source, prem.target, lambda *a: calls.append(a) or prem.fn(*a))
     den = sem._den
-    monkeypatch.setattr(sem, "_den", lambda p: counted if p == premise else den(p))
+    monkeypatch.setattr(sem, "_den", lambda p: counted if p is premise else den(p))
     return sem._build(rule(premise)), calls
 
 
@@ -503,28 +505,15 @@ def test_co_rules_call_the_premise_once(monkeypatch):
 # -- LolliL and Cut skip a premise whose argument they computed as zero --------
 
 
-def _build_counting(proof, counted_premise, monkeypatch):
-    """``proof`` denoted with ``counted_premise`` (matched by identity, since
-    an equal sub-proof may sit beside it) recording each call."""
-    prem = denote_proof(counted_premise)
-    calls = []
-    counted = Denotation(prem.source, prem.target, lambda *a: calls.append(a) or prem.fn(*a))
-    den = sem._den
-    monkeypatch.setattr(sem, "_den", lambda p: counted if p is counted_premise else den(p))
-    return sem._build(proof), calls
-
-
 def test_lolli_l_skips_the_body_when_the_map_gives_zero(monkeypatch):
-    body = Axiom(A)
-    lolli, calls = _build_counting(LolliL(0, Axiom(A), body), body, monkeypatch)
+    lolli, calls = _build_counted(partial(LolliL, 0, Axiom(A)), Axiom(A), monkeypatch)
     nil = Matrix(((0, 1), (0, 0)))
     assert lolli.fn(Vec((3, 0)), nil) == Vec((0, 0)) and calls == []
     assert lolli.fn(Vec((3, 5)), Matrix.zero(2, 2)) == Vec((0, 0)) and calls == []
     assert lolli.fn(Vec((3, 5)), nil) == Vec((5, 0)) and calls == [(Vec((5, 0)),)]
     monkeypatch.undo()
     # !A, (!A -o !A) |- !A: a zero ket sum is skipped, the group-like |>_0 is not
-    body = Axiom(NA)
-    lolli, calls = _build_counting(LolliL(0, Axiom(NA), body), body, monkeypatch)
+    lolli, calls = _build_counted(partial(LolliL, 0, Axiom(NA)), Axiom(NA), monkeypatch)
     ident = denote_proof(LolliR(Axiom(NA))).eval()
     assert lolli.fn(bval((1, 2)).scale(0), ident).is_zero() and calls == []
     u = bg.coweaken(Base(2))
@@ -535,8 +524,7 @@ def test_lolli_l_skips_the_body_when_the_map_gives_zero(monkeypatch):
 def test_lolli_l_passes_a_lazy_map_on_even_when_it_is_zero(monkeypatch):
     # C, (C -o C) |- C with C = !A -o A: closures are never decided zero
     c = Lolli(NA, A)
-    body = Axiom(c)
-    lolli, calls = _build_counting(LolliL(0, Axiom(c), body), body, monkeypatch)
+    lolli, calls = _build_counted(partial(LolliL, 0, Axiom(c)), Axiom(c), monkeypatch)
     zero_map = denote_formula(c).zero()
     assert isinstance(zero_map, MapVal) and not zero_map.is_zero()
     ident = denote_proof(LolliR(Axiom(c))).eval()
@@ -546,23 +534,20 @@ def test_lolli_l_passes_a_lazy_map_on_even_when_it_is_zero(monkeypatch):
 
 
 def test_cut_skips_the_right_premise_when_the_left_gives_zero(monkeypatch):
-    right = Axiom(A)
-    cut, calls = _build_counting(Cut(0, Der(0, Axiom(A)), right), right, monkeypatch)
+    cut, calls = _build_counted(partial(Cut, 0, Der(0, Axiom(A))), Axiom(A), monkeypatch)
     assert cut.fn(bval((1, 2), (1, 0), (0, 1))) == Vec((0, 0)) and calls == []
     assert cut.fn(bval((1, 2), (1, 0)) - bval((3, 4), (1, 0))) == Vec((0, 0)) and calls == []
     assert cut.fn(bval((1, 2), (0, 3))) == Vec((0, 3)) and calls == [(Vec((0, 3)),)]
     monkeypatch.undo()
     # the group-like ket |>_0 is u, not zero: the right premise sees it
-    right = Weak(0, NA, Axiom(B3))
-    cut, calls = _build_counting(Cut(0, Axiom(NA), right), right, monkeypatch)
+    cut, calls = _build_counted(partial(Cut, 0, Axiom(NA)), Weak(0, NA, Axiom(B3)), monkeypatch)
     b = Vec((1, 2, 3))
     assert cut.fn(bg.coweaken(Base(2)), b) == b and len(calls) == 1
     assert cut.fn(bval((1, 2)).scale(0), b) == Vec((0, 0, 0)) and len(calls) == 1
     monkeypatch.undo()
     # a lazy map is passed on
     c = Lolli(NA, A)
-    right = Axiom(c)
-    cut, calls = _build_counting(Cut(0, Axiom(c), right), right, monkeypatch)
+    cut, calls = _build_counted(partial(Cut, 0, Axiom(c)), Axiom(c), monkeypatch)
     zero_map = denote_formula(c).zero()
     assert cut.fn(zero_map) is zero_map and calls == [(zero_map,)]
 
