@@ -19,19 +19,21 @@ dict from terms to nonzero coefficients and a cached hash, with the arithmetic
 on them.  A subclass adds only its constructor or canonicaliser, its key order
 or products, and its ``repr``.
 
-Two splittings serve the exponential rules of the proof semantics.
-``coproduct_pairs`` is Delta grouped by left factor, for contraction: one
-pair (unit ket, sum of right kets) per distinct left factor; a lone unit ket
-|>_P or |v>_P is itself a factor of its pairs, and kets of order 0 and 1 split
-without the subset enumeration.  ``promote_blocks`` is delta on several slots at
-once followed by a map on blocks, for promotion: the map sees one canonical
-ket per slot and runs once per distinct block; ``promote`` is the one-slot
-case with unit kets.  Dereliction reads d in one pass (``derelict``).  A
-``BangElement`` keeps its ``coproduct_pairs`` tuple and its ``derelict`` value
-in two slots filled on first use, as it keeps its hash (a lone unit ket of
-order <= 1 keeps no pairs: they hold it): an inner contraction splits one
-factor again for every split of the other, and derelictions meet the same
-factors again, and both read the stored result.  Nothing is hashed and no
+Two splittings serve the exponential rules of the proof semantics, and each
+ket operation has one home.  ``_splits`` is Delta on one ket (kets of order
+0 and 1 split without the subset enumeration), shared by ``coproduct``,
+``coproduct_factor`` and ``coproduct_pairs``, Delta grouped by left factor
+for contraction: one pair (unit ket, sum of right kets) per distinct left
+factor; a lone unit ket |>_P or |v>_P is itself a factor of its pairs.
+``promote_blocks`` is delta on several slots at once followed by a map on
+blocks, for promotion: the map runs once per distinct block and, like the
+map of ``map_factor``, receives unit elements, one per slot; ``promote`` is
+the one-slot case with the identity.  ``BangElement.ket`` builds every
+single-ket value, and ``derelict`` reads d in one pass.  A ``BangElement``
+keeps its ``coproduct_pairs`` tuple and its ``derelict`` value in two slots
+filled on first use, as it keeps its hash (a lone unit ket of order <= 1
+keeps no pairs: they hold it): inner contractions and derelictions meet the
+same factors again and read the stored result.  Nothing is hashed and no
 cache is keyed by arguments.
 
 Tangent expansion, subset and partition enumerations are guarded; blowing a
@@ -43,7 +45,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import partial
 from operator import itemgetter
 
 from .exact import Vec, as_scalar, check_dim, scalar_str
@@ -173,9 +174,6 @@ class Ket:
     @property
     def order(self):
         return len(self.tangents)
-
-    def __repr__(self):
-        return "|%s>_%r" % (",".join(repr(t) for t in self.tangents), self.point)
 
 
 # loops, not generators or map: nested !-values recurse here once per level
@@ -406,15 +404,13 @@ def tensor_pair(a: BangElement, b: BangElement) -> TensorElement:
 
 
 def map_factor(te: TensorElement, i, fn, out_space) -> TensorElement:
-    """Apply a linear map (given on kets, returning BangElement) to factor i."""
-    spaces = list(te.space)
-    spaces[i] = out_space
+    """Apply a linear map (given on unit elements, returning BangElement) to factor i."""
     items = []
     for kets, c in te.terms.items():
-        image = fn(kets[i])
+        image = fn(unit(te.space[i], kets[i]))
         for k2, c2 in image.terms.items():
             items.append((c * c2, kets[:i] + (k2,) + kets[i + 1:]))
-    return TensorElement.from_terms(tuple(spaces), items)
+    return TensorElement.from_terms(te.space[:i] + (out_space,) + te.space[i + 1:], items)
 
 
 def coproduct_factor(te: TensorElement, i) -> TensorElement:
@@ -430,10 +426,16 @@ def coproduct_factor(te: TensorElement, i) -> TensorElement:
 
 
 def _splits(k: Ket):
-    """The 2^s splittings of a ket's tangents into a (chosen, rest) pair of kets."""
+    """The 2^s splittings of a ket's tangents into a (chosen, rest) pair of
+    kets, in ``index_subsets`` order; kets of order 0 and 1 split directly."""
     point, ts = k.point, k.tangents
-    for chosen, rest in index_subsets(len(ts)):
-        yield Ket(point, tuple([ts[j] for j in chosen])), Ket(point, tuple([ts[j] for j in rest]))
+    if not ts:
+        return ((k, k),)
+    if len(ts) == 1:
+        k0 = Ket(point, ())
+        return ((k0, k), (k, k0))
+    return [(Ket(point, tuple([ts[j] for j in chosen])), Ket(point, tuple([ts[j] for j in rest])))
+            for chosen, rest in index_subsets(len(ts))]
 
 
 def coproduct(t: BangElement) -> TensorElement:
@@ -447,11 +449,11 @@ def coproduct_pairs(t: BangElement):
 
     The pure tensors of the pairs sum to ``coproduct(t)``.  Distinct kets of
     t share no splitting and equal splittings of one ket add up, so no right
-    factor cancels.  Kets of order 0 and 1 split directly, in ``_splits``
-    order.  The tuple of pairs is kept on t and returned again by later calls,
-    except where t is a lone ket |>_P or |v>_P of coefficient 1: then t is
-    itself a factor, (t, t) or (|>_P, t), (t, |>_P), built on each call, since
-    kept on t it would hold t, a cycle that only the garbage collector frees.
+    factor cancels.  The tuple of pairs is kept on t and returned again by
+    later calls, except where t is a lone ket |>_P or |v>_P of coefficient 1:
+    then t is itself a factor, (t, t) or (|>_P, t), (t, |>_P), built on each
+    call, since kept on t it would hold t, a cycle that only the garbage
+    collector frees.
     """
     if len(t.terms) == 1:
         (k, c), = t.terms.items()
@@ -466,14 +468,7 @@ def coproduct_pairs(t: BangElement):
         pass
     rights = {}
     for k, c in t.terms.items():
-        if not k.tangents:
-            splits = ((k, k),)
-        elif len(k.tangents) == 1:
-            k0 = Ket(k.point, ())
-            splits = ((k0, k), (k, k0))
-        else:
-            splits = _splits(k)
-        for k1, k2 in splits:
+        for k1, k2 in _splits(k):
             right = rights.setdefault(k1, {})
             c0 = right.get(k2)
             right[k2] = c if c0 is None else c0 + c
@@ -517,12 +512,12 @@ def promote_blocks(vals, block, space) -> BangElement:
 
     For each choice of one ket per slot, the tangents of all the chosen kets
     are split over their set partitions.  A block is one part, read back as
-    one canonical ket per slot (same point, the block's tangents from that
-    slot); ``block`` maps such kets to an entry of ``space``.  Each partition
-    gives the ket of !B whose point is ``block`` at the tangent-free kets and
-    whose tangents are ``block`` at its parts.  Bell(s) partitions share at
-    most 2^s - 1 distinct parts, so ``block`` is called, and its value
-    expanded, once per distinct part and once at the point.
+    one unit element per slot (that slot's point, the block's tangents from
+    that slot); ``block`` maps such elements to an entry of ``space``.  Each
+    partition gives the ket of !B whose point is ``block`` at the tangent-free
+    kets and whose tangents are ``block`` at its parts.  Bell(s) partitions
+    share at most 2^s - 1 distinct parts, so ``block`` is called, and its
+    value expanded, once per distinct part and once at the point.
     """
     acc = {}
     for combo in itertools.product(*(v.sorted_terms() for v in vals)):
@@ -531,7 +526,7 @@ def promote_blocks(vals, block, space) -> BangElement:
             coeff *= c
         kets = [k for k, _ in combo]
         tagged = [(si, x) for si, k in enumerate(kets) for x in k.tangents]
-        point = block(*(Ket(k.point, ()) for k in kets))
+        point = block(*(unit(v.space, Ket(k.point, ())) for v, k in zip(vals, kets)))
         if not space.contains(point):
             raise SpaceError("point %r does not lie in %s" % (point, space.label()))
         parts = {}
@@ -545,7 +540,8 @@ def promote_blocks(vals, block, space) -> BangElement:
                         si, x = tagged[j]
                         picked[si].append(x)
                     keyed = parts[part] = _keyed(space, block(*(
-                        Ket(k.point, tuple(xs)) for k, xs in zip(kets, picked))))
+                        unit(v.space, Ket(k.point, tuple(xs)))
+                        for v, k, xs in zip(vals, kets, picked))))
                 expansions.append(keyed)
             _add_kets(acc, space, coeff, point, expansions)
     return BangElement(space, {k: c for k, c in acc.items() if c != 0})
@@ -553,7 +549,7 @@ def promote_blocks(vals, block, space) -> BangElement:
 
 def promote(t: BangElement) -> BangElement:
     """delta: !V -> !!V, each block read back as its unit ket."""
-    return promote_blocks((t,), partial(unit, t.space), BangSpace(t.space))
+    return promote_blocks((t,), lambda u: u, BangSpace(t.space))
 
 
 def deriving(t: BangElement, v) -> BangElement:
@@ -585,7 +581,7 @@ def coweaken(space) -> BangElement:
 
 def codereliction(space, v) -> BangElement:
     """dbar: a single tangent at the origin."""
-    return BangElement.from_terms(space, [(1, space.zero(), (v,))])
+    return BangElement.ket(space, space.zero(), (v,))
 
 
 def split_merge(a: BangElement, b: BangElement) -> BangElement:
@@ -633,5 +629,4 @@ def split_inverse(t: BangElement, d1, d2) -> TensorElement:
 
 def tangent_lift(space, point, direction):
     """The curve-of-kets pair (|>_P, |v>_P) induced by a tangent vector."""
-    return (BangElement.ket(space, point),
-            BangElement.from_terms(space, [(1, point, (direction,))]))
+    return BangElement.ket(space, point), BangElement.ket(space, point, (direction,))

@@ -82,8 +82,9 @@ def parse_scalar(text: str) -> Fraction:
     s = text.strip()
     try:
         c = Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError("bad scalar %r: %s" % (text, exc)) from None
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("bad scalar %s: expected p or p/q, q nonzero"
+                         % reprlib.repr(text)) from None
     return _int_scalar(c.numerator) if c.denominator == 1 else c
 
 

@@ -10,6 +10,8 @@ contraction, weakening, codereliction, cocontraction and coweakening --
 precompose the premise with one map of ``bang``: the pair split, d, Delta,
 epsilon, dbar, nabla and u.  One table (``_STRUCTURAL``) gives each its slots
 and its own closure, which calls the premise once per term of that map.
+Promotion hands its premise to ``bang.promote_blocks`` as the block map, and
+evaluation at a ket builds it with ``bang.BangElement.ket``; kets come from ``bang``.
 
 A denotation is linear in each slot, so a zero argument gives a zero value.
 ``LolliL`` and ``Cut`` pass a premise a value they computed themselves, h(x)
@@ -173,8 +175,6 @@ class MapVal:
         if not self.space.contains(other):
             return NotImplemented
         return MapVal(self.space, lambda x: apply_hom(self, x) + apply_hom(other, x))
-
-    __radd__ = __add__
 
     def __neg__(self):
         return self.scale(-1)
@@ -404,13 +404,9 @@ def _build(p) -> Denotation:
 
     if isinstance(p, syn.Prom):
         prem = _den(p.premise)
-        spaces = tuple(s.inner for s in prem.source)
-
-        def block(*kets):
-            return prem.fn(*map(bg.unit, spaces, kets))
 
         def fn(*vals):
-            return bg.promote_blocks(vals, block, prem.target)
+            return bg.promote_blocks(vals, prem.fn, prem.target)
         return Denotation(prem.source, BangSpace(prem.target), fn)
 
     if isinstance(p, syn.Cut):
@@ -443,25 +439,20 @@ def _build(p) -> Denotation:
 # -- evaluation at a ket, the entry points used everywhere --------------------
 
 
-def ket_eval(d: Denotation, point, tangents):
-    """The denotation of a proof of !A |- B at the ket |tangents>_point."""
-    return d.fn(bg.BangElement.from_terms(d.source[0].inner, [(1, point, tangents)]))
-
-
 def nl_eval(p: syn.Proof, point):
     """Evaluate a proof of !A |- B at the group-like ket over the given point."""
-    return ket_eval(_nl_denotation(p), point, ())
+    return _eval_at(p, point, ())
 
 
 def derivative_eval(p: syn.Proof, point, tangent):
     """Evaluate a proof of !A |- B at the single-tangent ket |tangent>_point."""
-    return ket_eval(_nl_denotation(p), point, (tangent,))
+    return _eval_at(p, point, (tangent,))
 
 
-def _nl_denotation(p):
+def _eval_at(p, point, tangents):
     s, d = denote_sequent(p)
     syn.require_nl_shape(s, "evaluation at a ket")
-    return d
+    return d.fn(bg.BangElement.ket(d.source[0].inner, point, tangents))
 
 
 # -- extensional comparison ---------------------------------------------------
@@ -505,7 +496,7 @@ def probes(space, rng, cfg, depth, budget):
             for _ in range(max(1, cfg.samples - 1)):
                 point = rng.choice(inner_probes)[0]
                 tangents = tuple(rng.choice(inner_probes)[0] for _ in range(s))
-                out.append((bg.BangElement.from_terms(space.inner, [(1, point, tangents)]), s))
+                out.append((bg.BangElement.ket(space.inner, point, tangents), s))
         return out
     if isinstance(space, TensorSpace):
         left = probes(space.left, rng, cfg, depth - 1, budget)

@@ -140,10 +140,12 @@ def test_coproduct_pairs_merge_equal_right_factors():
 
 
 def _pairs_by_splits(t):
-    """Reference Delta grouped by left factor, every ket through ``_splits``."""
+    """Reference Delta grouped by left factor, every ket through ``index_subsets``."""
     rights = {}
     for k, c in t.terms.items():
-        for k1, k2 in bg._splits(k):
+        for chosen, rest in index_subsets(k.order):
+            k1 = Ket(k.point, tuple(k.tangents[j] for j in chosen))
+            k2 = Ket(k.point, tuple(k.tangents[j] for j in rest))
             right = rights.setdefault(k1, {})
             right[k2] = right.get(k2, 0) + c
     return [(k1, BangElement(t.space, right)) for k1, right in rights.items()]
@@ -177,9 +179,9 @@ def test_coproduct_pairs_fast_paths_match_the_subset_enumeration():
 def test_two_slot_promotion_calls_the_block_once_per_distinct_block():
     calls = []
 
-    def merged(k1, k2):
-        calls.append((k1, k2))
-        return cocontract(unit(V2, k1), unit(V2, k2))
+    def merged(u1, u2):
+        calls.append((u1, u2))
+        return cocontract(u1, u2)
 
     x, y = ket((1, 0), (1, 0)), ket((0, 2), (0, 1))
     got = promote_blocks((x, y), merged, BangSpace(V2))

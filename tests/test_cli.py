@@ -1,5 +1,6 @@
 import json
 import os
+import reprlib
 import subprocess
 import sys
 import time
@@ -395,6 +396,16 @@ NILP = "[[0,0],[1,0]]"
 def test_json_of_the_wrong_type_is_one_error_line(capsys, argv, message):
     command, *flags = argv
     assert run(capsys, command, proof("church-2"), *flags) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("scalar", ["1/" + "x" * 300, "9" * 300 + "/0"],
+                         ids=["letters", "zero denominator"])
+def test_a_long_bad_scalar_is_shown_once_and_short(capsys, scalar):
+    code, out, err = run(capsys, "derive", proof("church-2"), "--point",
+                         '[["%s",1],[0,1]]' % scalar, "--tangent", NILP)
+    assert (code, out) == (1, "")
+    assert err == "error: bad scalar %s: expected p or p/q, q nonzero\n" % reprlib.repr(scalar)
+    assert len(err.encode()) < 100
 
 
 @pytest.mark.parametrize("command,flag", [

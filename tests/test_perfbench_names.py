@@ -1,0 +1,69 @@
+"""Every span the benchmark reads names a function of sweedler.
+
+``perfbench/run.py`` reads its per-layer metrics off spans named
+``layer.function`` or ``layer.Class.method``, and ``perfbench/tracer.py``
+counts the yields of the enumerators named in ``ENUMERATORS``.  A span whose
+function was renamed away reads 0 without any error, so each name must
+resolve.  The files are read as text: the benchmark is not imported.
+"""
+
+import ast
+import importlib
+import inspect
+import os
+
+BENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+
+
+def _tree(name):
+    with open(os.path.join(BENCH, name), encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def _constants(tree, *targets):
+    """The literal values assigned at module level to the given names."""
+    return {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name) and node.targets[0].id in targets}
+
+
+def span_names():
+    """Literal arguments of ``t.calls``/``t.self_pct``, ``FROM_TERMS`` and ``ORACLES``."""
+    tree = _tree("run.py")
+    names = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("calls", "self_pct")
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "t"):
+            names.update(a.value for a in node.args
+                         if isinstance(a, ast.Constant) and isinstance(a.value, str))
+    consts = _constants(tree, "FROM_TERMS", "ORACLES")
+    return names | {consts["FROM_TERMS"]} | set(consts["ORACLES"])
+
+
+def resolve(name):
+    layer, *path = name.split(".")
+    obj = importlib.import_module("sweedler." + layer)
+    for attr in path:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_every_span_name_resolves_to_a_function():
+    # the Prom rule's span wraps closures, not a named function
+    prom = _constants(_tree("tracer.py"), "PROM")["PROM"]
+    names = span_names() - {prom}
+    for short in ("semantics.nl_eval", "semantics.derivative_eval", "semantics.apply_hom",
+                  "bang.coproduct", "bang.promote", "semantics.denote_proof",
+                  "syntax.check_proof"):
+        assert short in names
+    for name in sorted(names):
+        obj = resolve(name)
+        assert callable(obj) and obj.__module__ == "sweedler." + name.split(".")[0], name
+
+
+def test_every_counted_enumerator_is_a_generator_of_bang():
+    enumerators = _constants(_tree("tracer.py"), "ENUMERATORS")["ENUMERATORS"]
+    assert set(enumerators) == {"index_subsets", "set_partitions"}
+    for attr in enumerators:
+        assert inspect.isgeneratorfunction(resolve("bang." + attr)), attr

@@ -569,3 +569,80 @@ def test_doubling_derivative_check_pins_its_matrix_applications(monkeypatch):
     want = bint_value("0110", 2) + bint_value("1001", 2)
     assert extensional_equal(got, want, denote_formula(bint_formula(2)), cfg)
     assert len(calls) == 1100
+
+
+def _closed(text):
+    """Value and target space of a closed proof given as text, A = (pvar A 1)."""
+    d = denote_proof(parse_proof(text.replace("A", "(pvar A 1)")))
+    return d.eval(), d.target
+
+
+def test_promotion_into_a_tensor():
+    p = parse_proof(
+        "(prom (tensor-r (der 0 (axiom (pvar A 1))) (der 0 (axiom (pvar B 1)))))")
+    d = denote_proof(p)
+    V1 = Base(1)
+    space = TensorSpace(V1, V1)
+    assert d.target == BangSpace(space) and d.target.label() == "!(1 * 1)"
+
+    def pure(a, b):
+        return TensorVal.make(space, [(1, (Vec((a,)), Vec((b,))))])
+
+    # Delta of |5>_2 (x) |7>_3: the block {5, 7}, or the blocks {5} and {7}
+    x = bg.BangElement.ket(V1, Vec((2,)), (Vec((5,)),))
+    y = bg.BangElement.ket(V1, Vec((3,)), (Vec((7,)),))
+    got = d.eval(x, y)
+    point = pure(2, 3)
+    assert got == bg.BangElement.from_terms(
+        space, [(1, point, (pure(5, 7),)), (1, point, (pure(5, 3), pure(2, 7)))])
+    unit = [{"coeff": "1", "factors": [["1"], ["1"]]}]
+    at = [{"coeff": "6", "factors": [["1"], ["1"]]}]
+    assert value_to_json(got) == [{"coeff": "35", "point": at, "tangents": [unit]},
+                                  {"coeff": "210", "point": at, "tangents": [unit, unit]}]
+    # group-likes promote to the group-like at the tensor of the points
+    got = d.eval(bg.BangElement.ket(V1, Vec((2,))), bg.BangElement.ket(V1, Vec((3,))))
+    assert got == bg.BangElement.ket(space, point)
+    assert value_to_json(got) == [{"coeff": "1", "point": at, "tangents": []}]
+
+
+def test_probes_over_a_tensor_domain():
+    v, space = _closed("(lolli-r (axiom (tensor A (pvar B 2))))")
+    assert space == HomSpace(TensorSpace(Base(1), Base(2)), TensorSpace(Base(1), Base(2)))
+    cfg = ProbeConfig(seed=3)
+    rows = sem.probes(space.dom, random.Random(3), cfg, cfg.depth, cfg.max_tangents)
+    assert len(rows) == cfg.samples
+    for probe, used in rows:
+        assert used == 0 and space.dom.contains(probe) and not probe.is_zero()
+        assert sem.apply_hom(v, probe) == probe
+        data = value_to_json(probe)
+        assert [len(term["factors"][0]) for term in data] == [1] * len(data)
+        assert [len(term["factors"][1]) for term in data] == [2] * len(data)
+    assert extensional_equal(v, v, space)
+
+
+def test_extensional_equality_with_a_bang_valued_codomain():
+    ident, space = _closed("(lolli-r (axiom (bang A)))")
+    assert space == HomSpace(BangSpace(Base(1)), BangSpace(Base(1)))
+    # !d after delta is the identity of !A
+    prom_der, _ = _closed("(lolli-r (prom (der 0 (axiom A))))")
+    assert extensional_equal(prom_der, ident, space)
+    # nabla after Delta multiplies a ket of order s by 2^s
+    doubled, _ = _closed("(lolli-r (ctr 0 (coctr 0 (axiom (bang A)))))")
+    assert not extensional_equal(doubled, ident, space)
+    # kets whose entries are closures: equal only by probing, which ends here
+    lazy, space = _closed("(lolli-r (prom (lolli-r (weak 0 (bang A) (der 0 (axiom A))))))")
+    assert space.cod == BangSpace(HomSpace(BangSpace(Base(1)), Base(1)))
+    with pytest.raises(ProbeDepthError, match="opaque values"):
+        extensional_equal(lazy, lazy, space)
+
+
+def test_lazy_maps_scale_and_negate():
+    ident, space = _closed("(lolli-r (axiom (bang A)))")
+    x = bg.BangElement.ket(Base(1), Vec((2,)), (Vec((5,)),), coeff=3)
+    assert ident.scale(1) is ident
+    assert sem.apply_hom(ident.scale(Fraction(-3, 2)), x) == x.scale(Fraction(-3, 2))
+    assert sem.apply_hom(-ident, x) == -x
+    assert value_to_json(sem.apply_hom(-ident, x)) == [
+        {"coeff": "-15", "point": ["2"], "tangents": [["1"]]}]
+    assert extensional_equal(ident.scale(2), ident + ident, space)
+    assert not extensional_equal(-ident, ident, space)
