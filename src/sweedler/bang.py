@@ -9,9 +9,10 @@ structural map is linear in the point.  The same machinery runs one level
 up, for !!V, with unit kets playing the role of basis vectors.
 
 Any space with ``contains``, ``expand`` (into canonical units), ``key``,
-``zero``, ``render`` and ``label`` can carry kets; ``BaseSpace`` and
-``BangSpace`` here, the map and tensor spaces of ``semantics``.  Entries do
-their own arithmetic: ``+``, unary ``-`` and ``scale``.
+``zero`` and ``label`` can carry kets; ``BaseSpace`` and ``BangSpace`` here,
+the map and tensor spaces of ``semantics``.  Entries do their own arithmetic:
+``+``, unary ``-`` and ``scale``, and print as their ``repr``, in parentheses
+when the entry is itself a sum of terms.
 
 Every exact sum of terms, ``BangElement`` here as much as ``TensorElement``,
 ``semantics.TensorVal`` and ``poly.Polynomial``, is a ``_TermSum``: a space, a
@@ -20,21 +21,21 @@ on them.  A subclass adds only its constructor or canonicaliser, its key order
 or products, and its ``repr``.
 
 Two splittings serve the exponential rules of the proof semantics, and each
-ket operation has one home.  ``_splits`` is Delta on one ket (kets of order
-0 and 1 split without the subset enumeration), shared by ``coproduct``,
-``coproduct_factor`` and ``coproduct_pairs``, Delta grouped by left factor
-for contraction: one pair (unit ket, sum of right kets) per distinct left
-factor; a lone unit ket |>_P or |v>_P is itself a factor of its pairs.
-``promote_blocks`` is delta on several slots at once followed by a map on
-blocks, for promotion: the map runs once per distinct block and, like the
-map of ``map_factor``, receives unit elements, one per slot; ``promote`` is
-the one-slot case with the identity.  ``BangElement.ket`` builds every
-single-ket value, and ``derelict`` reads d in one pass.  A ``BangElement``
-keeps its ``coproduct_pairs`` tuple and its ``derelict`` value in two slots
-filled on first use, as it keeps its hash (a lone unit ket of order <= 1
-keeps no pairs: they hold it): inner contractions and derelictions meet the
-same factors again and read the stored result.  Nothing is hashed and no
-cache is keyed by arguments.
+ket operation has one home.  ``coproduct_pairs`` is the one Delta, grouped by
+left factor: one pair (unit ket, sum of right kets) per distinct left factor,
+split ket by ket by ``_splits`` (kets of order 0 and 1 split without the
+subset enumeration); a lone unit ket |>_P or |v>_P is itself a factor of its
+pairs.  Contraction sums over the pairs, so do the laws, and ``coproduct`` is
+their pure tensors as one ``TensorElement``.  ``promote_blocks`` is delta on
+several slots at once followed by a map on blocks, for promotion: the map
+runs once per distinct block and receives unit elements, one per slot;
+``promote`` is the one-slot case with the identity.  ``BangElement.ket``
+builds every single-ket value, and ``derelict`` reads d in one pass.  A
+``BangElement`` keeps its ``coproduct_pairs`` tuple and its ``derelict`` value
+in two slots filled on first use, as it keeps its hash (a lone unit ket of
+order <= 1 keeps no pairs: they hold it): inner contractions and derelictions
+meet the same factors again and read the stored result.  Nothing is hashed
+and no cache is keyed by arguments.
 
 Tangent expansion, subset and partition enumerations are guarded; blowing a
 guard raises ``EnumerationLimitError`` rather than silently truncating.
@@ -126,9 +127,6 @@ class BaseSpace:
     def zero(self):
         return Vec.zero(self.dim)
 
-    def render(self, entry):
-        return repr(entry)
-
     def label(self):
         return str(self.dim)
 
@@ -157,9 +155,6 @@ class BangSpace:
     def zero(self):
         return BangElement(self.inner, {})
 
-    def render(self, entry):
-        return "(%s)" % entry
-
     def label(self):
         return "!%s" % self.inner.label()
 
@@ -184,12 +179,12 @@ def ket_key(space, k: Ket):
     return (space.key(k.point), tuple(keys))
 
 
-def ket_str(space, k: Ket):
-    """|t1, ..., ts>_P, each entry rendered by the space."""
+def ket_str(k: Ket):
+    """|t1, ..., ts>_P, each entry its repr, parenthesized if it is a sum of terms."""
     entries = []
-    for t in k.tangents:
-        entries.append(space.render(t))
-    return "|%s>_%s" % (", ".join(entries), space.render(k.point))
+    for e in k.tangents + (k.point,):
+        entries.append("(%r)" % (e,) if isinstance(e, _TermSum) else repr(e))
+    return "|%s>_%s" % (", ".join(entries[:-1]), entries[-1])
 
 
 def _keyed(space, entry):
@@ -351,10 +346,14 @@ class BangElement(_TermSum):
         if not self.terms:
             return "0"
         bits = []
-        for k, c in self.sorted_terms():
-            coeff = "" if c == 1 else "-" if c == -1 else scalar_str(c) + " "
-            bits.append(coeff + ket_str(self.space, k))
-        return " + ".join(bits).replace("+ -", "- ")
+        for i, (k, c) in enumerate(self.sorted_terms()):
+            if c < 0:
+                bits.append(" - " if i else "-")
+            elif i:
+                bits.append(" + ")
+            c = abs(c)
+            bits.append(("" if c == 1 else scalar_str(c) + " ") + ket_str(k))
+        return "".join(bits)
 
 
 def unit(space, k: Ket) -> BangElement:
@@ -393,7 +392,7 @@ class TensorElement(_TermSum):
         bits = []
         for kets, c in self.sorted_terms():
             coeff = "" if c == 1 else scalar_str(c) + " "
-            bits.append(coeff + " (x) ".join(map(ket_str, self.space, kets)))
+            bits.append(coeff + " (x) ".join(map(ket_str, kets)))
         return " + ".join(bits)
 
 
@@ -401,16 +400,6 @@ def tensor_pair(a: BangElement, b: BangElement) -> TensorElement:
     return TensorElement.from_terms(
         (a.space, b.space),
         ((ca * cb, (ka, kb)) for ka, ca in a.terms.items() for kb, cb in b.terms.items()))
-
-
-def map_factor(te: TensorElement, i, fn, out_space) -> TensorElement:
-    """Apply a linear map (given on unit elements, returning BangElement) to factor i."""
-    items = []
-    for kets, c in te.terms.items():
-        image = fn(unit(te.space[i], kets[i]))
-        for k2, c2 in image.terms.items():
-            items.append((c * c2, kets[:i] + (k2,) + kets[i + 1:]))
-    return TensorElement.from_terms(te.space[:i] + (out_space,) + te.space[i + 1:], items)
 
 
 def coproduct_factor(te: TensorElement, i) -> TensorElement:
@@ -438,16 +427,11 @@ def _splits(k: Ket):
             for chosen, rest in index_subsets(len(ts))]
 
 
-def coproduct(t: BangElement) -> TensorElement:
-    """Delta: split the tangent multiset over all 2^s subsets, same point."""
-    return TensorElement.from_terms(
-        (t.space, t.space), ((c, pair) for k, c in t.terms.items() for pair in _splits(k)))
-
-
 def coproduct_pairs(t: BangElement):
     """Delta grouped by left factor: pairs (|k1>, sum c |k2>), one per distinct k1.
 
-    The pure tensors of the pairs sum to ``coproduct(t)``.  Distinct kets of
+    This is the one Delta: ``coproduct`` reads its pure tensors off the
+    pairs, and contraction and the laws sum over them.  Distinct kets of
     t share no splitting and equal splittings of one ket add up, so no right
     factor cancels.  The tuple of pairs is kept on t and returned again by
     later calls, except where t is a lone ket |>_P or |v>_P of coefficient 1:
@@ -476,6 +460,13 @@ def coproduct_pairs(t: BangElement):
                    for k1, right in rights.items()])
     object.__setattr__(t, "_pairs", pairs)
     return pairs
+
+
+def coproduct(t: BangElement) -> TensorElement:
+    """Delta as one tensor: the pure tensors of ``coproduct_pairs(t)``."""
+    return TensorElement._of((t.space, t.space), {
+        (k1, k2): c for left, right in coproduct_pairs(t)
+        for k1 in left.terms for k2, c in right.terms.items()})
 
 
 def counit(t: BangElement) -> Fraction:

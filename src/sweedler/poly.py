@@ -6,7 +6,9 @@ directional derivative of f along the tangents, evaluated at the point:
     <|v1,...,vs>_P, f>  =  (d_{v1} ... d_{vs} f)(P).
 
 Everything is exact; this module is the independent witness that the
-coalgebra maps are the duals of ordinary polynomial calculus.  A polynomial is
+coalgebra maps are the duals of ordinary polynomial calculus.  A tensor of
+kets pairs factor by factor: the law for Delta multiplies ``residue_pairing``
+of the two factors of each of ``bang.coproduct_pairs``.  A polynomial is
 a ``bang._TermSum`` over its variable count, so it shares ``+``, ``-``,
 ``scale``, ``==`` and ``hash`` with the kets it is paired with and adds only
 its validating constructor, product and calculus.  Only outside input is
@@ -20,7 +22,7 @@ import math
 from fractions import Fraction
 
 from .exact import DimensionError, Vec, as_scalar, scalar_str
-from .bang import BangElement, BaseSpace, Ket, SpaceError, TensorElement, _TermSum
+from .bang import BangElement, BaseSpace, Ket, SpaceError, _TermSum
 
 
 class Polynomial(_TermSum):
@@ -170,23 +172,4 @@ def residue_pairing(t: BangElement, f: Polynomial) -> Fraction:
     total = Fraction(0)
     for k, c in t.terms.items():
         total += c * _ket_pair(k, f)
-    return total
-
-
-def residue_pairing_tensor(te: TensorElement, fs) -> Fraction:
-    """<t1 (x) ... (x) tk, f1 (x) ... (x) fk> = product of factor pairings."""
-    fs = tuple(fs)
-    if len(fs) != len(te.space):
-        raise DimensionError("need one polynomial per tensor factor")
-    for s, f in zip(te.space, fs):
-        if not isinstance(s, BaseSpace) or f.nvars != s.dim:
-            raise SpaceError("tensor factor/polynomial mismatch")
-    total = Fraction(0)
-    for kets, c in te.terms.items():
-        val = c
-        for k, f in zip(kets, fs):
-            val *= _ket_pair(k, f)
-            if val == 0:
-                break
-        total += val
     return total

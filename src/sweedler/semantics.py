@@ -101,9 +101,6 @@ class HomSpace:
             return Matrix.zero(self.cod.dim, self.dom.dim)
         return MapVal(self, lambda x: self.cod.zero())
 
-    def render(self, v):
-        return repr(v)
-
     def label(self):
         return "(%s -o %s)" % (self.dom.label(), self.cod.label())
 
@@ -128,9 +125,6 @@ class TensorSpace:
 
     def zero(self):
         return TensorVal(self, {})
-
-    def render(self, v):
-        return repr(v)
 
     def label(self):
         return "(%s * %s)" % (self.left.label(), self.right.label())

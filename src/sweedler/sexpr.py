@@ -145,12 +145,12 @@ def _parse(text, sort):
                 values.append(int_atom(arg, kind))
             elif kind == "name":
                 if tokens[arg][0] == "(":
-                    raise ParseError("%s name must be an atom" % head, line, col)
+                    raise ParseError("%s name must be an atom" % head, *tokens[arg][1:])
                 values.append(tokens[arg][0])
             else:
                 if tokens[arg][0] != "(":
                     raise ParseError("%s needs a parenthesized permutation" % head,
-                                     line, col)
+                                     *tokens[arg][1:])
                 values.append(tuple(int_atom(a, "permutation entry") for a in items(arg)))
         try:
             return cls(*values)

@@ -121,11 +121,24 @@ def test_coproduct_pairs_sum_to_the_coproduct():
         pairs = coproduct_pairs(t)
         lefts = [left for left, _ in pairs]
         assert all(len(left.terms) == 1 and set(left.terms.values()) == {1} for left in lefts)
-        assert len(set(lefts)) == len(pairs) == len({k1 for k1, _ in coproduct(t).terms})
+        reference = _coproduct_by_subsets(t)
+        assert len(set(lefts)) == len(pairs) == len({k1 for k1, _ in reference.terms})
         total = TensorElement.from_terms((V2, V2), [])
         for left, right in pairs:
             total = total + tensor_pair(left, right)
-        assert total == coproduct(t)
+        assert total == reference
+
+
+def test_coproduct_matches_the_subset_enumeration():
+    rng = random.Random(2017)
+    lone = [ket((1, 2), coeff=c) for c in (1, Fraction(-3, 2))] \
+        + [ket((1, 2), (0, 1), coeff=c) for c in (1, 5)]
+    drawn = [_random_element(rng, max_tangents=4, nterms=n) for n in (1, 2, 3) for _ in range(8)]
+    for t in [BangElement.zero(V2)] + lone + drawn:
+        got = coproduct(t)
+        assert got == _coproduct_by_subsets(t)
+        assert got.space == (t.space, t.space) and 0 not in got.terms.values()
+    assert coproduct(BangElement.zero(V2)).is_zero()
 
 
 def test_coproduct_pairs_merge_equal_right_factors():
@@ -137,6 +150,16 @@ def test_coproduct_pairs_merge_equal_right_factors():
     assert pairs[Ket(p, ())] == ket((1, 2), (1, 0), (1, 0), coeff=3)
     assert pairs[Ket(p, (E0, E0))] == ket((1, 2), coeff=3)
     assert len(pairs) == 3
+
+
+def _coproduct_by_subsets(t):
+    """Reference Delta as one tensor, every ket through ``index_subsets``."""
+    items = []
+    for k, c in t.terms.items():
+        for chosen, rest in index_subsets(k.order):
+            items.append((c, (Ket(k.point, tuple(k.tangents[j] for j in chosen)),
+                              Ket(k.point, tuple(k.tangents[j] for j in rest)))))
+    return TensorElement.from_terms((t.space, t.space), items)
 
 
 def _pairs_by_splits(t):
@@ -323,6 +346,18 @@ def test_repr_is_deterministic():
     t = ket((1, 0), (0, 1)) + ket((-1, 2), coeff=-2) + ket((1, 0), (1, 0))
     assert repr(t) == repr(ket((1, 0), (1, 0)) + ket((-1, 2), coeff=-2) + ket((1, 0), (0, 1)))
     assert "|" in repr(t) and ">_" in repr(t)
+
+
+def test_each_term_prints_its_own_sign():
+    t = ket((-1, 2), coeff=-1) + ket((1, 0), (0, 1), coeff=Fraction(-3, 2)) \
+        + ket((1, 0), coeff=2) + ket((0, 0), (1, 0), coeff=-1)
+    assert repr(t) == "-|>_(-1, 2) - |(1, 0)>_(0, 0) + 2 |>_(1, 0) - 3/2 |(0, 1)>_(1, 0)"
+    assert repr(ket((1, 0), coeff=-2) + ket((0, 0))) == "|>_(0, 0) - 2 |>_(1, 0)"
+    assert repr(ket((1, 0), coeff=Fraction(-3, 2))) == "-3/2 |>_(1, 0)"
+    # entries of !!V are sums of kets: in parentheses
+    assert repr(promote(ket((1, 0), (1, 0), (0, 1), coeff=-1))) == (
+        "-|(|(0, 1)>_(1, 0)), (|(1, 0)>_(1, 0))>_(|>_(1, 0))"
+        " - |(|(0, 1), (1, 0)>_(1, 0))>_(|>_(1, 0))")
 
 
 # -- coproduct_pairs and derelict are kept on the element -----------------------

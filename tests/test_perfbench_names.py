@@ -67,3 +67,53 @@ def test_every_counted_enumerator_is_a_generator_of_bang():
     assert set(enumerators) == {"index_subsets", "set_partitions"}
     for attr in enumerators:
         assert inspect.isgeneratorfunction(resolve("bang." + attr)), attr
+
+
+# Names bound to sweedler modules in the benchmark: the ``m``/``mods``
+# namespace of layers, the short aliases of ``build_doubling``,
+# ``build_numerals`` and the Prom span, and the module parameters of the
+# verdict functions.
+ALIASES = {"enc": "encodings", "sem": "semantics", "syn": "syntax", "sx": "sexpr",
+           "cli": "cli"}
+
+
+def module_reads(name):
+    """``layer.attribute`` for every sweedler attribute the file reads."""
+    reads = set()
+    for node in ast.walk(_tree(name)):
+        if not isinstance(node, ast.Attribute):
+            continue
+        base = node.value
+        if isinstance(base, ast.Name) and base.id in ALIASES:
+            reads.add(ALIASES[base.id] + "." + node.attr)
+        elif (isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name)
+              and base.value.id in ("m", "mods")):
+            reads.add(base.attr + "." + node.attr)
+    return reads
+
+
+def test_every_attribute_the_benchmark_reads_resolves():
+    names = module_reads("workloads.py") | module_reads("tracer.py")
+    for expected in ("cli.main", "semantics.add_values", "semantics._den",
+                     "semantics.Denotation", "laws.LAWS", "laws.RunConfig",
+                     "semantics.ProbeConfig", "exact.Matrix", "sexpr.print_proof"):
+        assert expected in names
+    for layer in _constants(_tree("tracer.py"), "LAYERS")["LAYERS"]:
+        importlib.import_module("sweedler." + layer)
+    for name in sorted(names):
+        resolve(name)
+
+
+def test_the_benchmark_configs_construct():
+    consts = _constants(_tree("workloads.py"), "DOUBLING_PROBES", "LAW_MAX_TANGENTS")
+    semantics = importlib.import_module("sweedler.semantics")
+    laws = importlib.import_module("sweedler.laws")
+    semantics.ProbeConfig(seed=0, **consts["DOUBLING_PROBES"])
+    laws.RunConfig(seed=0, dim=1, max_tangents=consts["LAW_MAX_TANGENTS"])
+
+
+def test_every_law_is_reachable_by_its_function_name():
+    # the laws workload calls each trial as getattr(laws, law.fn.__name__)
+    laws = importlib.import_module("sweedler.laws")
+    for l in laws.LAWS:
+        assert getattr(laws, l.fn.__name__) is l.fn, l.name

@@ -634,6 +634,11 @@ def test_extensional_equality_with_a_bang_valued_codomain():
     assert space.cod == BangSpace(HomSpace(BangSpace(Base(1)), Base(1)))
     with pytest.raises(ProbeDepthError, match="opaque values"):
         extensional_equal(lazy, lazy, space)
+    # a pure tensor whose left factor is a closure is opaque too
+    pair, space = _closed("(lolli-r (tensor-r (lolli-r (axiom (bang A))) (axiom (pvar B 1))))")
+    assert space.cod == TensorSpace(HomSpace(BangSpace(Base(1)), BangSpace(Base(1))), Base(1))
+    with pytest.raises(ProbeDepthError, match="opaque values"):
+        extensional_equal(pair, pair, space)
 
 
 def test_lazy_maps_scale_and_negate():

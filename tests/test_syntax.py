@@ -188,6 +188,11 @@ PARSE_ERROR_POSITIONS = [
     ("\n\t)", 2, 1, "unmatched"),
     ("(axiom (pvar A 2)))", 1, 18, "trailing input"),
     ("(axiom (pvar A 2))\n  junk ; comment", 2, 2, "trailing input"),
+    # a bad argument is reported where it starts, not at its form's '('
+    ("(axiom (pvar (A) 2))", 1, 13, "pvar name must be an atom"),
+    ("(exch 0\n(axiom (pvar A 2)))", 1, 6, "exch needs a parenthesized permutation"),
+    ("(der (0) (axiom (pvar A 2)))", 1, 5, "expected an integer index"),
+    ("(der 0 x)", 1, 7, "expected a proof form"),
 ]
 
 
