@@ -138,7 +138,6 @@ def test_coproduct_matches_the_subset_enumeration():
         got = coproduct(t)
         assert got == _coproduct_by_subsets(t)
         assert got.space == (t.space, t.space) and 0 not in got.terms.values()
-    assert coproduct(BangElement.zero(V2)).is_zero()
 
 
 def test_coproduct_pairs_merge_equal_right_factors():
@@ -165,12 +164,8 @@ def _coproduct_by_subsets(t):
 def _pairs_by_splits(t):
     """Reference Delta grouped by left factor, every ket through ``index_subsets``."""
     rights = {}
-    for k, c in t.terms.items():
-        for chosen, rest in index_subsets(k.order):
-            k1 = Ket(k.point, tuple(k.tangents[j] for j in chosen))
-            k2 = Ket(k.point, tuple(k.tangents[j] for j in rest))
-            right = rights.setdefault(k1, {})
-            right[k2] = right.get(k2, 0) + c
+    for (k1, k2), c in _coproduct_by_subsets(t).terms.items():
+        rights.setdefault(k1, {})[k2] = c
     return [(k1, BangElement(t.space, right)) for k1, right in rights.items()]
 
 
