@@ -164,8 +164,12 @@ def _coproduct_by_subsets(t):
 def _pairs_by_splits(t):
     """Reference Delta grouped by left factor, every ket through ``index_subsets``."""
     rights = {}
-    for (k1, k2), c in _coproduct_by_subsets(t).terms.items():
-        rights.setdefault(k1, {})[k2] = c
+    for k, c in t.terms.items():
+        for chosen, rest in index_subsets(k.order):
+            k1 = Ket(k.point, tuple(k.tangents[j] for j in chosen))
+            k2 = Ket(k.point, tuple(k.tangents[j] for j in rest))
+            right = rights.setdefault(k1, {})
+            right[k2] = right.get(k2, 0) + c
     return [(k1, BangElement(t.space, right)) for k1, right in rights.items()]
 
 
