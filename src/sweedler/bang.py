@@ -17,16 +17,20 @@ when the entry is itself a sum of terms.
 Every exact sum of terms, ``BangElement`` here as much as ``TensorElement``,
 ``semantics.TensorVal`` and ``poly.Polynomial``, is a ``_TermSum``: a space, a
 dict from terms to nonzero coefficients and a cached hash, with the arithmetic
-on them.  A subclass adds only its constructor or canonicaliser, its key order
-or products, and its ``repr``.
+on them, one builder from (term, coefficient) pairs (``_sum``), one key
+(``term_key``) and one printer, in which each term writes its own sign.  A
+subclass adds only its constructor or canonicaliser, its products, its term
+order (``_sort_key``) and how one term prints (``_term_str``).  ``tensor`` is
+the pure tensor of n elements.
 
 Two splittings serve the exponential rules of the proof semantics, and each
 ket operation has one home.  ``coproduct_pairs`` is the one Delta, grouped by
 left factor: one pair (unit ket, sum of right kets) per distinct left factor,
 split ket by ket by ``_splits`` (kets of order 0 and 1 split without the
 subset enumeration); a lone unit ket |>_P or |v>_P is itself a factor of its
-pairs.  Contraction sums over the pairs, so do the laws, and ``coproduct`` is
-their pure tensors as one ``TensorElement``.  ``promote_blocks`` is delta on
+pairs.  Contraction sums over the pairs, so do the laws (coassociativity
+splits the factors of the pairs once more), and ``coproduct`` is their pure
+tensors as one ``TensorElement``.  ``promote_blocks`` is delta on
 several slots at once followed by a map on blocks, for promotion: the map
 runs once per distinct block and receives unit elements, one per slot;
 ``promote`` is the one-slot case with the identity.  ``BangElement.ket``
@@ -224,7 +228,7 @@ class _TermSum(Immutable):
     pairs of canonical units over a ``TensorSpace``) and ``poly.Polynomial``
     (terms are exponent tuples, its space the variable count).  The
     constructor trusts its term dict; subclasses add only their canonicaliser
-    or validating constructor, key order or products, and ``repr``.  The
+    or validating constructor, products, ``_sort_key`` and ``_term_str``.  The
     arithmetic builds its results through ``_of``, which runs no subclass
     ``__init__``.
     """
@@ -242,6 +246,15 @@ class _TermSum(Immutable):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "terms", terms)
         return self
+
+    @classmethod
+    def _sum(cls, space, pairs):
+        """Trusted: adds up (term, coefficient) pairs of valid terms, drops zeros."""
+        acc = {}
+        for k, c in pairs:
+            c0 = acc.get(k)
+            acc[k] = c if c0 is None else c0 + c
+        return cls._of(space, {k: c for k, c in acc.items() if c != 0})
 
     def is_zero(self):
         return not self.terms
@@ -293,6 +306,31 @@ class _TermSum(Immutable):
             object.__setattr__(self, "_hash", h)
             return h
 
+    def term_key(self):
+        # one _sort_key per term: nested !-values would otherwise cost 2^depth
+        keyed = []
+        for item in self.terms.items():
+            keyed.append((self._sort_key(item), item[1]))
+        keyed.sort()  # keys differ for distinct terms: coefficients never compared
+        return tuple(keyed)
+
+    def __repr__(self):
+        """The terms in ``_sort_key`` order, each with its own sign; a
+        coefficient of magnitude 1 is left out where the term prints."""
+        if not self.terms:
+            return "0"
+        bits = []
+        for i, (term, c) in enumerate(self.sorted_terms()):
+            if c < 0:
+                bits.append(" - " if i else "-")
+            elif i:
+                bits.append(" + ")
+            body = self._term_str(term)
+            if abs(c) != 1 or not body:
+                body = scalar_str(abs(c)) + (" " + body if body else "")
+            bits.append(body)
+        return "".join(bits)
+
 
 class BangElement(_TermSum):
     """A finite linear combination of kets over a fixed entry space.
@@ -334,26 +372,7 @@ class BangElement(_TermSum):
     def _sort_key(self, item):
         return ket_key(self.space, item[0])
 
-    def term_key(self):
-        # one ket_key per ket: nested !-values would otherwise cost 2^depth
-        keyed = []
-        for k, c in self.terms.items():
-            keyed.append((ket_key(self.space, k), c))
-        keyed.sort()  # keys differ for distinct kets: coefficients never compared
-        return tuple(keyed)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for i, (k, c) in enumerate(self.sorted_terms()):
-            if c < 0:
-                bits.append(" - " if i else "-")
-            elif i:
-                bits.append(" + ")
-            c = abs(c)
-            bits.append(("" if c == 1 else scalar_str(c) + " ") + ket_str(k))
-        return "".join(bits)
+    _term_str = staticmethod(ket_str)
 
 
 def unit(space, k: Ket) -> BangElement:
@@ -372,42 +391,21 @@ class TensorElement(_TermSum):
 
     @classmethod
     def from_terms(cls, spaces, items):
-        acc = {}
-        for coeff, kets in items:
-            coeff = as_scalar(coeff)
-            if coeff == 0:
-                continue
-            kets = tuple(kets)
-            assert len(kets) == len(spaces)
-            c0 = acc.get(kets)
-            acc[kets] = coeff if c0 is None else c0 + coeff
-        return cls(spaces, {k: c for k, c in acc.items() if c != 0})
+        """Sum raw (coeff, kets) items; the kets must already be canonical."""
+        return cls._sum(spaces, ((tuple(kets), as_scalar(c)) for c, kets in items))
 
     def _sort_key(self, item):
         return tuple(ket_key(s, k) for s, k in zip(self.space, item[0]))
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for kets, c in self.sorted_terms():
-            coeff = "" if c == 1 else scalar_str(c) + " "
-            bits.append(coeff + " (x) ".join(map(ket_str, kets)))
-        return " + ".join(bits)
+    def _term_str(self, kets):
+        return " (x) ".join(map(ket_str, kets))
 
 
-def tensor_pair(a: BangElement, b: BangElement) -> TensorElement:
-    return TensorElement.from_terms(
-        (a.space, b.space),
-        ((ca * cb, (ka, kb)) for ka, ca in a.terms.items() for kb, cb in b.terms.items()))
-
-
-def coproduct_factor(te: TensorElement, i) -> TensorElement:
-    """Apply the coproduct to factor i, splicing in the two new factors."""
-    spaces = te.space[:i] + (te.space[i], te.space[i]) + te.space[i + 1:]
-    return TensorElement.from_terms(spaces, (
-        (c, kets[:i] + pair + kets[i + 1:])
-        for kets, c in te.terms.items() for pair in _splits(kets[i])))
+def tensor(*factors) -> TensorElement:
+    """x1 (x) ... (x) xn for elements x1, ..., xn of !V1, ..., !Vn."""
+    return TensorElement._sum(tuple(x.space for x in factors), (
+        (tuple([k for k, _ in combo]), math.prod([c for _, c in combo]))
+        for combo in itertools.product(*(x.terms.items() for x in factors))))
 
 
 # ---------------------------------------------------------------------------

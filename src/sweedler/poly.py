@@ -10,18 +10,20 @@ coalgebra maps are the duals of ordinary polynomial calculus.  A tensor of
 kets pairs factor by factor: the law for Delta multiplies ``residue_pairing``
 of the two factors of each of ``bang.coproduct_pairs``.  A polynomial is
 a ``bang._TermSum`` over its variable count, so it shares ``+``, ``-``,
-``scale``, ``==`` and ``hash`` with the kets it is paired with and adds only
-its validating constructor, product and calculus.  Only outside input is
-validated: sums, scalings, products, derivatives and reflections are valid by
-construction and are built through the trusted ``_TermSum._of``.
+``scale``, ``==``, ``hash``, the builder ``_sum`` and the printer with the kets
+it is paired with and adds only its validating constructor, product, calculus,
+term order (degree first, descending) and monomial text.  Only outside input
+is validated: sums, scalings, products, derivatives and reflections are valid
+by construction and are built through the trusted ``_TermSum._of``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
-from .exact import DimensionError, Vec, as_scalar, scalar_str
+from .exact import DimensionError, Vec, as_scalar
 from .bang import BangElement, BaseSpace, Ket, SpaceError, _TermSum
 
 
@@ -61,12 +63,9 @@ class Polynomial(_TermSum):
             return NotImplemented
         if other.nvars != self.nvars:
             raise DimensionError("polynomials over different variable counts")
-        acc = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return Polynomial._of(self.nvars, {e: c for e, c in acc.items() if c != 0})
+        return Polynomial._sum(self.nvars, (
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()))
 
     def partial(self, i):
         """d/dx_{i+1}."""
@@ -82,11 +81,9 @@ class Polynomial(_TermSum):
         """Directional derivative along a vector."""
         if v.dim != self.nvars:
             raise DimensionError("direction has dim %d, polynomial has %d vars" % (v.dim, self.nvars))
-        acc = Polynomial.zero(self.nvars)
-        for i, c in enumerate(v.coords):
-            if c != 0:
-                acc = acc + self.partial(i).scale(c)
-        return acc
+        return Polynomial._sum(self.nvars, (
+            (e, c * cd) for i, c in enumerate(v.coords) if c != 0
+            for e, cd in self.partial(i).terms.items()))
 
     def eval_at(self, p: Vec) -> Fraction:
         if p.dim != self.nvars:
@@ -105,51 +102,29 @@ class Polynomial(_TermSum):
         return Polynomial._of(self.nvars,
                               {e: (c if sum(e) % 2 == 0 else -c) for e, c in self.terms.items()})
 
-    def to_str(self):
-        if not self.terms:
-            return "0"
-        def monom(e):
-            bits = []
-            for i, k in enumerate(e):
-                if k == 1:
-                    bits.append("x%d" % (i + 1))
-                elif k > 1:
-                    bits.append("x%d^%d" % (i + 1, k))
-            return " ".join(bits)
-        order = sorted(self.terms, key=lambda e: (-sum(e), tuple(-k for k in e)))
-        out = ""
-        for e, c in ((e, self.terms[e]) for e in order):
-            m = monom(e)
-            mag = scalar_str(abs(c))
-            if m and abs(c) == 1:
-                piece = m
-            elif m:
-                piece = mag + " " + m
-            else:
-                piece = mag
-            if not out:
-                out = ("-" if c < 0 else "") + piece
-            else:
-                out += (" - " if c < 0 else " + ") + piece
-        return out
+    def _sort_key(self, item):
+        """Degree first, descending; then exponents, descending."""
+        e = item[0]
+        return -sum(e), tuple(-k for k in e)
 
-    __repr__ = to_str
+    def _term_str(self, e):
+        bits = []
+        for i, k in enumerate(e):
+            if k == 1:
+                bits.append("x%d" % (i + 1))
+            elif k > 1:
+                bits.append("x%d^%d" % (i + 1, k))
+        return " ".join(bits)
 
 
 def shift_doubling(f: Polynomial) -> Polynomial:
     """Send f(x) over n variables to f(x + y) over 2n variables x1..xn,y1..yn."""
-    n = f.nvars
-    acc = {}
-    for e, c in f.terms.items():
-        # expand prod_i (x_i + y_i)^{e_i} by the binomial theorem
-        factor_terms = [[(math.comb(k, j), j, k - j) for j in range(k + 1)] for k in e]
-        stack = [((), Fraction(1))]
-        for i, options in enumerate(factor_terms):
-            stack = [(done + ((xj, yj),), cc * b) for done, cc in stack for b, xj, yj in options]
-        for done, cc in stack:
-            expo = tuple(xj for xj, _ in done) + tuple(yj for _, yj in done)
-            acc[expo] = acc.get(expo, Fraction(0)) + c * cc
-    return Polynomial(2 * n, acc)
+    # expand prod_i (x_i + y_i)^{e_i} by the binomial theorem, one choice of j per i
+    return Polynomial._sum(2 * f.nvars, (
+        (tuple(js) + tuple(k - j for k, j in zip(e, js)),
+         c * math.prod([math.comb(k, j) for k, j in zip(e, js)]))
+        for e, c in f.terms.items()
+        for js in itertools.product(*(range(k + 1) for k in e))))
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ class TensorSpace:
         return [(c, TensorVal(self, {pair: Fraction(1)})) for pair, c in v.sorted_terms()]
 
     def key(self, v):
-        return tuple([(item[1], v._sort_key(item)) for item in v.sorted_terms()])
+        return v.term_key()
 
     def zero(self):
         return TensorVal(self, {})
@@ -188,36 +188,23 @@ class MapVal:
 
 class TensorVal(bg._TermSum):
     """A sum of pure tensors over a ``TensorSpace``, keyed by their pair of
-    canonical units; ``bang._TermSum`` holds the terms and does the arithmetic."""
+    canonical units; ``bang._TermSum`` holds, sums, keys and prints the terms."""
 
     __slots__ = ()
 
     @classmethod
     def make(cls, space, items):
-        acc = {}
-        for coeff, (a, b) in items:
-            coeff = as_scalar(coeff)
-            if coeff == 0:
-                continue
+        return cls._sum(space, (
+            ((ua, ub), as_scalar(coeff) * ca * cb) for coeff, (a, b) in items
             for (ca, ua), (cb, ub) in itertools.product(space.left.expand(a),
-                                                        space.right.expand(b)):
-                c = coeff * ca * cb
-                prev = acc.get((ua, ub))
-                acc[(ua, ub)] = c if prev is None else prev + c
-        return cls(space, {pair: c for pair, c in acc.items() if c != 0})
+                                                        space.right.expand(b))))
 
     def _sort_key(self, item):
         a, b = item[0]
         return self.space.left.key(a), self.space.right.key(b)
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        # a loop, not nested generators, keeps deep nested tensors printable
-        bits = []
-        for (a, b), c in self.sorted_terms():
-            bits.append(("%s " % c if c != 1 else "") + "%r (x) %r" % (a, b))
-        return " + ".join(bits)
+    def _term_str(self, pair):
+        return "%r (x) %r" % pair
 
 
 # -- generic value operations ------------------------------------------------

@@ -8,10 +8,12 @@ from sweedler import bang as bg
 from sweedler.bang import (
     MAX_SUBSET_TANGENTS, BangElement, BangSpace, BaseSpace, EnumerationLimitError, Ket,
     SpaceError, TensorElement, antipode, cocontract, codereliction, coproduct,
-    coproduct_factor, coproduct_pairs, counit, coweaken, dereliction, deriving,
+    coproduct_pairs, counit, coweaken, dereliction, deriving,
     index_subsets, promote, promote_blocks, set_partitions,
-    split_inverse, split_merge, tangent_lift, tensor_pair, unit)
+    split_inverse, split_merge, tangent_lift, tensor, unit)
 from sweedler.laws import deriving_mutated
+from sweedler.poly import Polynomial
+from sweedler.semantics import TensorSpace, TensorVal
 
 V2 = BaseSpace(2)
 E0 = Vec.basis(2, 0)
@@ -125,7 +127,7 @@ def test_coproduct_pairs_sum_to_the_coproduct():
         assert len(set(lefts)) == len(pairs) == len({k1 for k1, _ in reference.terms})
         total = TensorElement.from_terms((V2, V2), [])
         for left, right in pairs:
-            total = total + tensor_pair(left, right)
+            total = total + tensor(left, right)
         assert total == reference
 
 
@@ -289,7 +291,7 @@ def test_split_merge_frozen():
     W = BaseSpace(2)
     assert m == BangElement.ket(W, Vec((1, 2)), (Vec((1, 0)), Vec((0, 1))), coeff=5)
     back = split_inverse(m, 1, 1)
-    assert back == tensor_pair(a, b)
+    assert back == tensor(a, b)
 
 
 def test_split_inverse_rejects_straddlers():
@@ -318,14 +320,6 @@ def test_space_mismatch_raises():
         BangElement.ket(V2, Vec((0, 0, 0)))
 
 
-def test_coproduct_factor_matches_iterated_coproduct():
-    rng = random.Random(11)
-    for _ in range(20):
-        t = _random_element(rng)
-        d = coproduct(t)
-        assert coproduct_factor(d, 0) == _assoc_other_way(t)
-
-
 def _random_element(rng, dim=2, max_tangents=3, nterms=2):
     space = BaseSpace(dim)
     items = []
@@ -335,10 +329,6 @@ def _random_element(rng, dim=2, max_tangents=3, nterms=2):
         tangents = tuple(Vec(tuple(rng.randint(-2, 2) for _ in range(dim))) for _ in range(s))
         items.append((Fraction(rng.randint(-3, 3)), point, tangents))
     return BangElement.from_terms(space, items)
-
-
-def _assoc_other_way(t):
-    return coproduct_factor(coproduct(t), 1)
 
 
 def test_repr_is_deterministic():
@@ -357,6 +347,29 @@ def test_each_term_prints_its_own_sign():
     assert repr(promote(ket((1, 0), (1, 0), (0, 1), coeff=-1))) == (
         "-|(|(0, 1)>_(1, 0)), (|(1, 0)>_(1, 0))>_(|>_(1, 0))"
         " - |(|(0, 1), (1, 0)>_(1, 0))>_(|>_(1, 0))")
+    assert repr(BangElement.zero(V2)) == "0"
+    # the same printer for tensors of kets, tensor values and polynomials
+    p, q = ket((1, 0)), ket((0, 0), (1, 0))
+    assert repr(tensor(p, q).scale(-2) - tensor(q, p)) == (
+        "-|(1, 0)>_(0, 0) (x) |>_(1, 0) - 2 |>_(1, 0) (x) |(1, 0)>_(0, 0)")
+    assert repr(tensor(p, q) - tensor(q, p)) == (
+        "-|(1, 0)>_(0, 0) (x) |>_(1, 0) + |>_(1, 0) (x) |(1, 0)>_(0, 0)")
+    assert repr(TensorElement.from_terms((V2, V2), [])) == "0"
+    pair = TensorSpace(V2, V2)
+    t = TensorVal.make(pair, [(-1, (E0, E1)), (Fraction(-3, 2), (E1, E0)), (2, (E0, E0))])
+    assert repr(t) == "-3/2 (0, 1) (x) (1, 0) - (1, 0) (x) (0, 1) + 2 (1, 0) (x) (1, 0)"
+    assert repr(TensorVal.make(pair, [])) == "0"
+    assert repr(Polynomial(1, {(1,): 1, (0,): -1})) == "x1 - 1"
+    assert repr(Polynomial(2, {(1, 0): -1, (0, 0): 1})) == "-x1 + 1"
+    assert repr(Polynomial(2, {(0, 2): Fraction(-1, 2), (1, 0): -1})) == "-1/2 x2^2 - x1"
+    assert repr(Polynomial.const(2, -1)) == "-1"
+    assert repr(Polynomial.zero(2)) == "0"
+
+
+def test_term_sums_share_one_printer_key_and_builder():
+    for cls in (BangElement, TensorElement, TensorVal, Polynomial):
+        assert issubclass(cls, bg._TermSum)
+        assert not {"__repr__", "__str__", "term_key", "_sum"} & set(vars(cls)), cls
 
 
 # -- coproduct_pairs and derelict are kept on the element -----------------------
@@ -397,5 +410,5 @@ def test_stored_pairs_and_dereliction_match_a_fresh_computation():
             assert stored_d == bg.derelict(fresh)
             total = TensorElement.from_terms((t.space, t.space), [])
             for left, right in stored_pairs:
-                total = total + tensor_pair(left, right)
+                total = total + tensor(left, right)
             assert total == coproduct(t)

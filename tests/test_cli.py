@@ -282,9 +282,9 @@ def test_a_ket_over_a_tensor_prints_its_point_in_parentheses(capsys, tmp_path):
     path = tmp_path / "pair.sexp"
     path.write_text("(prom (tensor-r (der 0 (axiom (pvar A 2))) (der 0 (axiom (pvar B 1)))))\n")
     inputs = '[[{"point": [-1, 1]}], [{"point": [1]}]]'
-    # the point is a sum of two pure tensors; its own "+ -1" is kept as it is
+    # the point is a sum of two pure tensors, each writing its own sign
     assert run(capsys, "eval", str(path), "--input", inputs) == (
-        0, "|>_((0, 1) (x) (1) + -1 (1, 0) (x) (1))\n", "")
+        0, "|>_((0, 1) (x) (1) - (1, 0) (x) (1))\n", "")
 
 
 def test_proof_file_not_utf8_exits_2(capsys, tmp_path):

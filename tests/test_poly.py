@@ -10,9 +10,9 @@ from sweedler.poly import Polynomial, residue_pairing, shift_doubling
 
 def test_str_round_trip():
     f = Polynomial(3, {(2, 1, 0): Fraction(3, 2), (0, 0, 1): -1, (0, 0, 0): 7})
-    assert f.to_str() == "3/2 x1^2 x2 - x3 + 7"
-    assert Polynomial(1, {(1,): 1, (2,): 1}).to_str() == "x1^2 + x1"
-    assert Polynomial.zero(2).to_str() == "0"
+    assert repr(f) == "3/2 x1^2 x2 - x3 + 7"
+    assert repr(Polynomial(1, {(1,): 1, (2,): 1})) == "x1^2 + x1"
+    assert repr(Polynomial.zero(2)) == "0"
 
 
 def test_term_order_does_not_matter():

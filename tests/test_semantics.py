@@ -86,14 +86,14 @@ def test_tensor_value_repr_and_json_frozen():
     space = TensorSpace(Base(2), Base(2))
     t = TensorVal.make(space, [(Fraction(3, 2), (Vec((0, 1)), Vec((1, 0)))),
                                (-1, (Vec((1, 0)), Vec((0, 2))))])
-    assert repr(t) == "3/2 (0, 1) (x) (1, 0) + -2 (1, 0) (x) (0, 1)"
+    assert repr(t) == "3/2 (0, 1) (x) (1, 0) - 2 (1, 0) (x) (0, 1)"
     assert value_to_json(t) == [
         {"coeff": "3/2", "factors": [["0", "1"], ["1", "0"]]},
         {"coeff": "-2", "factors": [["1", "0"], ["0", "1"]]}]
     mixed = TensorSpace(BangSpace(Base(1)), HomSpace(Base(1), Base(2)))
     u = TensorVal.make(mixed, [(Fraction(-2, 3), (
         bg.BangElement.ket(Base(1), Vec((1,)), (Vec((3,)),)), Matrix(((1,), (2,)))))])
-    assert repr(u) == "-4 |(1)>_(1) (x) [0; 1] + -2 |(1)>_(1) (x) [1; 0]"
+    assert repr(u) == "-4 |(1)>_(1) (x) [0; 1] - 2 |(1)>_(1) (x) [1; 0]"
     assert value_to_json(u) == [
         {"coeff": "-4", "factors": [[{"coeff": "1", "point": ["1"], "tangents": [["1"]]}],
                                     [["0"], ["1"]]]},
