@@ -7,16 +7,20 @@ reduced fractions, never a tolerance.  Dimensions are deliberately small
 
 Invariant: every entry of a ``Vec`` or ``Matrix`` is a reduced ``Fraction``
 (gcd 1, positive denominator).  Both are ``record`` classes.  The public
-constructors validate outside input (ints, 'p/q' strings, shapes and
-dimensions) before ``_fill`` stores it; the private ``_of`` constructors
+constructors validate outside input (ints, 'p' or 'p/q' strings of ASCII
+digits with a sign on p and no decimal point, exponent or underscore, shapes
+and dimensions) before ``_fill`` stores it; the private ``_of`` constructors
 (``record.trusted_maker``) skip ``__init__`` and the checks, trust the
 invariant and are what the arithmetic uses, since Fraction operations on
 Fraction entries of checked shapes yield Fraction entries of the same
 shapes.  The arithmetic skips every product with a zero factor and every sum
 with a zero term, so sparse operands (elementary matrices, basis vectors)
 cost only their nonzero entries.  ``Matrix.apply`` and ``@`` reduce each
-output entry once: its dot product is summed over the plain-int numerators
-and denominators of its factors, and one ``Fraction`` is built at the end.
+output entry once: the one ``_dot`` sums it over the plain-int numerators
+and denominators of its factors and builds one ``Fraction`` at the end.  A
+matrix reads its rows' integers at its first ``apply`` and keeps them in the
+non-field slot ``_int_rows`` for the next; ``@``, ``power``, ``+`` and
+``scale`` read each operand once and keep nothing.
 Values are immutable, so cached ones (basis vectors, zero matrices, the
 ``Fraction`` of each integer up to 64 in size that the scalar readers and the
 dot product return) and ``scale(1)`` returning ``self`` are safe to share.
@@ -24,6 +28,7 @@ dot product return) and ``scale(1)`` returning ``self`` are safe to share.
 
 from __future__ import annotations
 
+import re
 import reprlib
 from fractions import Fraction
 
@@ -77,11 +82,17 @@ def json_scalar(value) -> Fraction:
                           % reprlib.repr(value))
 
 
+_SCALAR = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
 def parse_scalar(text: str) -> Fraction:
-    """Parse 'p' or 'p/q' with optional sign; exact, no floats."""
-    s = text.strip()
+    """Parse 'p' or 'p/q': ASCII digits, an optional sign on p, whitespace
+    around; no decimal point, exponent or underscore, so exact and no floats."""
+    m = _SCALAR.fullmatch(text)
     try:
-        c = Fraction(s)
+        if m is None:
+            raise ValueError
+        c = Fraction(int(m[1]), int(m[2] or 1))  # int() refuses past 4300 digits
     except (ValueError, ZeroDivisionError):
         raise ValueError("bad scalar %s: expected p or p/q, q nonzero"
                          % reprlib.repr(text)) from None
@@ -112,18 +123,19 @@ def _add(a, b):
 
 def _nonzero(entries):
     """(j, numerator, denominator) of each nonzero entry: a ``_dot`` operand."""
-    return [(j, n, x.denominator) for j, x in enumerate(entries) if (n := x.numerator)]
+    return tuple([(j, n, c.denominator) for j, c in enumerate(entries) if (n := c.numerator)])
 
 
-def _dot(row, nonzero):
-    """The sum of row[j] * x over the ``_nonzero`` triples as one int fraction
-    n/d, reduced once at the end; d stays 1 while every factor is an integer."""
+def _dot(nonzero, xs):
+    """The sum of c * xs[j] over the ``_nonzero`` triples (j, cn, cd) of c as
+    one int fraction n/d, reduced once at the end; d stays 1 while every
+    factor is an integer."""
     n, d = 0, 1
-    for j, xn, xd in nonzero:
-        c = row[j]
-        cn = c.numerator  # an int test, not the Python-level Fraction.__bool__
-        if cn:
-            pn, pd = cn * xn, c.denominator * xd
+    for j, cn, cd in nonzero:
+        x = xs[j]
+        xn = x.numerator  # an int test, not the Python-level Fraction.__bool__
+        if xn:
+            pn, pd = cn * xn, cd * x.denominator
             if pd == d:
                 n += pn
             else:
@@ -206,7 +218,7 @@ class Vec:
 Vec._of = staticmethod(trusted_maker(Vec))
 
 
-@record
+@record(slots=("_int_rows",))
 class Matrix:
     """Immutable rational matrix; composition is ordinary matrix product."""
 
@@ -254,10 +266,15 @@ class Matrix:
         return not any(c.numerator for row in self.rows for c in row)
 
     def apply(self, v: Vec) -> Vec:
-        if v.dim != self.ncols:
+        coords = v.coords
+        if len(coords) != len(self.rows[0]):
             raise DimensionError("matrix is %dx%d, vector has dim %d" % (self.nrows, self.ncols, v.dim))
-        nonzero = _nonzero(v.coords)
-        return Vec._of(tuple(_dot(row, nonzero) for row in self.rows))
+        try:
+            rows = self._int_rows
+        except AttributeError:  # the first application reads the integers once
+            rows = tuple(map(_nonzero, self.rows))
+            object.__setattr__(self, "_int_rows", rows)
+        return Vec._of(tuple([_dot(row, coords) for row in rows]))
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
@@ -287,8 +304,8 @@ class Matrix:
                 "cannot compose %dx%d with %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols))
         cols = tuple(zip(*other.rows))
         return Matrix._of(tuple(
-            tuple(_dot(col, nonzero) for col in cols)
-            for nonzero in map(_nonzero, self.rows)))
+            tuple([_dot(row, col) for col in cols])
+            for row in map(_nonzero, self.rows)))
 
     def power(self, n):
         if self.nrows != self.ncols:

@@ -10,7 +10,9 @@ with ``self._fill(*values)``; ``trusted_maker`` gives a one-field record
 built on a hot path a trusted constructor, which skips the checks and
 ``_fill`` and stores the slots directly.  The field tuple also sits in a
 ``_values`` slot, so ``==`` and ``hash`` build none; ``weakref=True`` adds a
-weakref slot.
+weakref slot.  ``slots=`` names slots that hold no field, such as a value
+kept on first use: they stay out of ``_fields``, ``_values``, ``==``,
+``hash`` and the repr, and are set only through ``object.__setattr__``.
 """
 
 from itertools import repeat
@@ -53,13 +55,13 @@ class _Record(Immutable):
         return h
 
 
-def record(cls=None, /, *, eq=True, weakref=False):
+def record(cls=None, /, *, eq=True, weakref=False, slots=()):
     if cls is None:
-        return lambda c: record(c, eq=eq, weakref=weakref)
+        return lambda c: record(c, eq=eq, weakref=weakref, slots=slots)
     ns = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
     names = ns["_fields"] = tuple(ns.get("__annotations__", ()))
     defaults = {n: ns.pop(n) for n in names if n in ns}
-    ns["__slots__"] = names + ("_values", "_hash") + ("__weakref__",) * weakref
+    ns["__slots__"] = names + ("_values", "_hash") + ("__weakref__",) * weakref + slots
     ns["__qualname__"] = cls.__qualname__
     if not eq:
         ns.update(__eq__=object.__eq__, __hash__=object.__hash__)

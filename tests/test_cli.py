@@ -417,6 +417,16 @@ def test_a_long_bad_scalar_is_shown_once_and_short(capsys, scalar):
     assert len(err.encode()) < 100
 
 
+@pytest.mark.parametrize("scalar", ["1e200000000", "1e5000", "1.5", "1_000", ".5", "1" * 5000])
+def test_a_scalar_outside_p_or_p_over_q_is_one_quick_error_line(capsys, scalar):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", proof("church-2"), "--input",
+                         '[[{"point": [["%s","0"],["0","1"]]}]]' % scalar)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == "error: bad scalar %s: expected p or p/q, q nonzero\n" % reprlib.repr(scalar)
+
+
 @pytest.mark.parametrize("command,flag", [
     ("check", "--seed 1"), ("eval", "--derive"), ("eval", "--point [[1,1],[0,1]]"),
     ("derive", "--dim 3"), ("examples", "--format json"), ("examples", "--trials 5")])

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from sweedler.exact import (
     DimensionError, Matrix, Vec, as_scalar, json_scalar, parse_scalar, scalar_str)
+from sweedler.semantics import _matrix_unit
 
 
 def test_scalar_round_trip():
@@ -22,6 +23,26 @@ def test_scalar_rejects_garbage():
         parse_scalar("1.5e3x")
     with pytest.raises(ValueError):
         parse_scalar("1/0")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("7", 7), ("-7", -7), ("+7", 7), ("-0", 0), (" 3/6\n", Fraction(1, 2)),
+    ("\t-10/4 ", Fraction(-5, 2)), ("007/0014", Fraction(1, 2)), ("0/5", 0),
+    ("9" * 300, int("9" * 300))])
+def test_scalar_grammar_accepts_signed_digits_over_digits(text, value):
+    got = parse_scalar(text)
+    assert type(got) is Fraction and got == value
+
+
+@pytest.mark.parametrize("text", [
+    "1.5", "1e3", "1E3", "1_000", ".5", "5.", "1/2.0", "1e200000000", "1e5000", "1/-2",
+    "1/+2", "1 / 2", "- 3", "++1", "1/2/3", "", " ", "+", "/2", "1/", "0x10", "inf", "NaN",
+    "\u0663", "1/0", "-0/0", "1" * 5000, "1/" + "3" * 5000])
+def test_scalar_grammar_refuses_everything_else(text):
+    with pytest.raises(ValueError, match="^bad scalar .*: expected p or p/q, q nonzero$"):
+        parse_scalar(text)
+    with pytest.raises(ValueError):
+        json_scalar(text)
 
 
 def test_vec_arithmetic():
@@ -123,6 +144,10 @@ def _all_reduced_fractions(x):
                for c in coords)
 
 
+def _naive_apply(mat, x):
+    return [sum((c * y for c, y in zip(row, x.coords)), Fraction(0)) for row in mat.rows]
+
+
 @given(st.data(), _dims, _dims, _dims)
 def test_kernels_equal_naive_formulas(data, n, m, k):
     a = Matrix(data.draw(_rows(n, m)))
@@ -130,12 +155,12 @@ def test_kernels_equal_naive_formulas(data, n, m, k):
     c = Matrix(data.draw(_rows(m, k)))
     v = Vec(data.draw(_rows(1, m))[0])
     w = Vec(data.draw(_rows(1, m))[0])
+    vk, wk = (Vec(data.draw(_rows(1, k))[0]) for _ in range(2))
     s = data.draw(st.one_of(st.just(Fraction(0)), st.just(Fraction(1)), _entry))
+    unit = _matrix_unit(n, m, data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, m - 1)))
     zero = Fraction(0)
 
     results = {
-        "apply": (a.apply(v), [sum((a.rows[i][j] * v.coords[j] for j in range(m)), zero)
-                               for i in range(n)]),
         "matmul": (a @ c, [[sum((a.rows[i][j] * c.rows[j][l] for j in range(m)), zero)
                             for l in range(k)] for i in range(n)]),
         "m+": (a + b, [[x + y for x, y in zip(r, q)] for r, q in zip(a.rows, b.rows)]),
@@ -147,12 +172,40 @@ def test_kernels_equal_naive_formulas(data, n, m, k):
         "-v": (-v, [-x for x in v.coords]),
         "v.scale": (v.scale(s), [s * x for x in v.coords]),
     }
+    # each matrix is applied to two vectors in turn: the second application
+    # reads the integer rows the first one stored
+    applied = {"a": (a, v, w), "b": (b, w, v), "c": (c, vk, wk),
+               "matmul": (results["matmul"][0], vk, wk), "m+": (results["m+"][0], v, w),
+               "m-": (results["m-"][0], w, v), "m.scale": (results["m.scale"][0], v, w),
+               "columns": (Matrix._from_columns([Vec(col) for col in zip(*a.rows)]), v, w),
+               "zero": (Matrix.zero(n, m), v, w), "unit": (unit, w, v)}
+    for name, (mat, first, second) in applied.items():
+        twin, shown = Matrix._of(mat.rows), repr(mat)
+        for t, u in enumerate((first, second)):
+            results["%s.apply%d" % (name, t)] = (mat.apply(u), _naive_apply(mat, u))
+        assert mat == twin and twin == mat and hash(mat) == hash(twin), name
+        assert repr(mat) == shown == repr(twin), name
+    assert applied["columns"][0] == a
     for name, (got, want) in results.items():
         assert _all_reduced_fractions(got), name
         if isinstance(got, Vec):
             assert got == Vec(want), name
         else:
             assert got == Matrix(want), name
+
+
+def test_only_apply_stores_integer_rows():
+    """A matrix keeps its rows' integers only once it is applied: ``@``,
+    ``power``, ``+``, ``-`` and ``scale`` read each operand once, so memory
+    is spent only where it is reused, by the next application."""
+    def stored(mat):
+        return hasattr(mat, "_int_rows")
+    f, g = Matrix(((1, "2/3"), (0, -4))), Matrix(((5, 0), ("-1/2", 1)))
+    made = [f @ g, g.power(3), f + g, f - g, f.scale(3), g.scale("1/2"),
+            Matrix._from_columns([Vec((1, 2)), Vec((3, 4))])]
+    assert not any(map(stored, [f, g, *made]))
+    f.apply(Vec((1, 1)))
+    assert stored(f) and not any(map(stored, [g, *made]))
 
 
 def test_shared_small_integer_scalars_equal_fresh_ones():

@@ -11,6 +11,7 @@ from sweedler.bang import Ket
 from sweedler.encodings import church_proof, repeat_proof
 from sweedler.exact import Matrix, Vec
 from sweedler.laws import RunConfig
+from sweedler.record import Immutable, record
 from sweedler.semantics import Base, Denotation, HomSpace, ProbeConfig, denote_proof
 from sweedler.sexpr import parse_proof, print_proof
 from sweedler.syntax import (
@@ -96,3 +97,30 @@ def test_repr_is_unchanged():
     assert repr(ProbeConfig(seed=3, depth=2)) == (
         "ProbeConfig(seed=3, samples=2, max_tangents=3, depth=2)")
     assert repr(HomSpace(Base(1), Base(2))) == "HomSpace(dom=BaseSpace(dim=1), cod=BaseSpace(dim=2))"
+
+
+def test_a_non_field_slot_is_kept_out_of_fields_equality_hash_and_repr():
+    @record(slots=("_memo",))
+    class Point:
+        x: int
+        y: int = 0
+
+    p, q = Point(1), Point(1)
+    object.__setattr__(p, "_memo", ["filled"])
+    assert Point._fields == ("x", "y") and p._values == q._values == (1, 0)
+    assert p == q and q == p and hash(p) == hash(q)
+    assert repr(p) == repr(q) and repr(p).endswith("Point(x=1, y=0)")
+    assert p._memo == ["filled"] and not hasattr(q, "_memo")
+    for value in (p, q):
+        with pytest.raises(AttributeError, match="immutable"):
+            value._memo = 1
+        with pytest.raises(AttributeError, match="immutable"):
+            del value._memo
+    assert isinstance(p, Immutable) and p._memo == ["filled"]
+
+    m = Matrix(((1, "2/3"), (0, -4)))
+    m.apply(Vec((1, 1)))
+    assert Matrix._fields == ("rows",) and m._values == (m.rows,)
+    assert m == Matrix(((1, "2/3"), (0, -4))) and hash(m) == hash(Matrix._of(m.rows))
+    with pytest.raises(AttributeError, match="immutable"):
+        m._int_rows = ()
