@@ -123,7 +123,7 @@ def _add(a, b):
 
 def _nonzero(entries):
     """(j, numerator, denominator) of each nonzero entry: a ``_dot`` operand."""
-    return tuple([(j, n, c.denominator) for j, c in enumerate(entries) if (n := c.numerator)])
+    return tuple([(j, n, x.denominator) for j, x in enumerate(entries) if (n := x.numerator)])
 
 
 def _dot(nonzero, xs):
@@ -304,7 +304,7 @@ class Matrix:
                 "cannot compose %dx%d with %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols))
         cols = tuple(zip(*other.rows))
         return Matrix._of(tuple(
-            tuple([_dot(row, col) for col in cols])
+            tuple(_dot(row, col) for col in cols)
             for row in map(_nonzero, self.rows)))
 
     def power(self, n):
