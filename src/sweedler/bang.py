@@ -24,16 +24,21 @@ order (``_sort_key``) and how one term prints (``_term_str``).  ``tensor`` is
 the pure tensor of n elements.
 
 Two splittings serve the exponential rules of the proof semantics, and each
-ket operation has one home.  ``coproduct_pairs`` is the one Delta, grouped by
-left factor: one pair (unit ket, sum of right kets) per distinct left factor,
-split ket by ket by ``_splits`` (kets of order 0 and 1 split without the
-subset enumeration); a lone unit ket |>_P or |v>_P is itself a factor of its
-pairs.  Contraction sums over the pairs, so do the laws (coassociativity
-splits the factors of the pairs once more), and ``coproduct`` is their pure
-tensors as one ``TensorElement``.  ``promote_blocks`` is delta on
-several slots at once followed by a map on blocks, for promotion: the map
-runs once per distinct block and receives unit elements, one per slot;
-``promote`` is the one-slot case with the identity.  ``BangElement.ket``
+ket operation has one home.  Both read a ket's sorted tangents as a multiset,
+runs of equal units as multiplicities (over the base space a monomial of
+Sym(V)), and enumerate sub-multisets (``index_subsets``) or multiset
+partitions (``set_partitions``) once each, weighted by the number of index
+subsets or set partitions they stand for.  ``coproduct_pairs`` is the one
+Delta, grouped by left factor: one pair (unit ket, sum of right kets) per
+distinct left factor, split ket by ket by ``_splits`` into the binomial
+coproduct (kets of order 0 and 1 split without the enumeration); a lone unit
+ket |>_P or |v>_P is itself a factor of its pairs.  Contraction sums over the
+pairs, so do the laws (coassociativity splits the factors of the pairs once
+more), and ``coproduct`` is their pure tensors as one ``TensorElement``.
+``promote_blocks`` is delta on several slots at once followed by a map on
+blocks, for promotion: the map runs once per distinct sub-multiset and
+receives unit elements, one per slot; ``promote`` is the one-slot case with
+the identity.  ``BangElement.ket``
 builds every single-ket value, and ``derelict`` reads d in one pass.  A
 ``BangElement`` keeps its ``coproduct_pairs`` tuple and its ``derelict`` value
 in two slots filled on first use, as it keeps its hash (a lone unit ket of
@@ -41,8 +46,9 @@ order <= 1 keeps no pairs: they hold it): inner contractions and derelictions
 meet the same factors again and read the stored result.  Nothing is hashed
 and no cache is keyed by arguments.
 
-Tangent expansion, subset and partition enumerations are guarded; blowing a
-guard raises ``EnumerationLimitError`` rather than silently truncating.
+Tangent expansion, subset and partition enumerations are guarded by tangent
+counts, repeated or not; blowing a guard raises ``EnumerationLimitError``
+rather than silently truncating.
 """
 
 from __future__ import annotations
@@ -68,43 +74,56 @@ class EnumerationLimitError(RuntimeError):
     """A subset/partition enumeration exceeded its resource guard."""
 
 
-def index_subsets(n):
-    """All splittings of range(n) into (chosen, rest), deterministic order."""
+def index_subsets(items):
+    """Every sub-multiset of a sorted sequence once, as (chosen, rest, weight).
+
+    chosen and rest are sorted tuples that together make up items; weight is
+    the number of index subsets that give them, prod C(m, b) over the runs
+    of m equal items of which b are chosen, so the weights add up to 2^n.
+    """
+    n = len(items)
     if n > MAX_SUBSET_TANGENTS:
         raise EnumerationLimitError(
             "refusing to enumerate 2^%d subsets (limit %d tangents)" % (n, MAX_SUBSET_TANGENTS))
-    for mask in range(1 << n):
-        chosen = tuple([i for i in range(n) if mask >> i & 1])
-        rest = tuple([i for i in range(n) if not mask >> i & 1])
-        yield chosen, rest
+    splits = [((), (), 1)]
+    for x, run in itertools.groupby(items):
+        m = len(list(run))
+        splits = [(c + (x,) * b, r + (x,) * (m - b), w * math.comb(m, b))
+                  for c, r, w in splits for b in range(m + 1)]
+    yield from splits
 
 
-def set_partitions(items):
-    """All partitions of a sequence into unordered nonempty blocks.
+def set_partitions(counts):
+    """Every partition of a multiset into unordered nonempty blocks once.
 
-    Deterministic order: the first item anchors the first block, later items
-    either join an existing block or open a new one.
+    The multiset holds counts[i] copies of item i, and a block is a tuple of
+    such counts; each partition is yielded as (blocks, weight), its blocks in
+    decreasing order.  weight is the number of set partitions of the
+    sum(counts) copies that it stands for, prod m! / (prod over blocks of
+    prod b! * prod over repeated blocks of r!), so the weights add up to the
+    Bell number.
     """
-    items = list(items)
-    if len(items) > MAX_PARTITION_TANGENTS:
+    n = sum(counts)
+    if n > MAX_PARTITION_TANGENTS:
         raise EnumerationLimitError(
             "refusing to enumerate partitions of %d items (limit %d)"
-            % (len(items), MAX_PARTITION_TANGENTS))
+            % (n, MAX_PARTITION_TANGENTS))
+    top = math.prod(map(math.factorial, counts))
 
-    def rec(rest, blocks):
-        if not rest:
-            yield [tuple(b) for b in blocks]
+    def rec(rest, bound, blocks):
+        i = next((j for j, m in enumerate(rest) if m), None)
+        if i is None:
+            den = math.prod(math.factorial(b) for part in blocks for b in part)
+            den *= math.prod(math.factorial(len(list(r))) for _, r in itertools.groupby(blocks))
+            yield blocks, top // den
             return
-        head, tail = rest[0], rest[1:]
-        for i in range(len(blocks)):
-            blocks[i].append(head)
-            yield from rec(tail, blocks)
-            blocks[i].pop()
-        blocks.append([head])
-        yield from rec(tail, blocks)
-        blocks.pop()
+        ranges = [range(m + 1) for m in rest]
+        ranges[i] = range(1, rest[i] + 1)
+        for part in itertools.product(*ranges):
+            if part <= bound:
+                yield from rec(tuple([m - b for m, b in zip(rest, part)]), part, blocks + (part,))
 
-    yield from rec(items, [])
+    yield from rec(tuple(counts), tuple(counts), ())
 
 
 @record
@@ -413,25 +432,26 @@ def tensor(*factors) -> TensorElement:
 
 
 def _splits(k: Ket):
-    """The 2^s splittings of a ket's tangents into a (chosen, rest) pair of
-    kets, in ``index_subsets`` order; kets of order 0 and 1 split directly."""
+    """A ket's tangents split into (chosen, rest, weight) once per sub-multiset
+    of chosen tangents, in ``index_subsets`` order; weight is the number of
+    index subsets that choose it.  Kets of order 0 and 1 split directly."""
     point, ts = k.point, k.tangents
     if not ts:
-        return ((k, k),)
+        return ((k, k, 1),)
     if len(ts) == 1:
         k0 = Ket(point, ())
-        return ((k0, k), (k, k0))
-    return [(Ket(point, tuple([ts[j] for j in chosen])), Ket(point, tuple([ts[j] for j in rest])))
-            for chosen, rest in index_subsets(len(ts))]
+        return ((k0, k, 1), (k, k0, 1))
+    return [(Ket(point, chosen), Ket(point, rest), w) for chosen, rest, w in index_subsets(ts)]
 
 
 def coproduct_pairs(t: BangElement):
     """Delta grouped by left factor: pairs (|k1>, sum c |k2>), one per distinct k1.
 
     This is the one Delta: ``coproduct`` reads its pure tensors off the
-    pairs, and contraction and the laws sum over them.  Distinct kets of
-    t share no splitting and equal splittings of one ket add up, so no right
-    factor cancels.  The tuple of pairs is kept on t and returned again by
+    pairs, and contraction and the laws sum over them.  A ket splits once per
+    sub-multiset of its tangents, its coefficient times the weight of the
+    split, and distinct kets of t share no splitting, so no right factor
+    adds up or cancels.  The tuple of pairs is kept on t and returned again by
     later calls, except where t is a lone ket |>_P or |v>_P of coefficient 1:
     then t is itself a factor, (t, t) or (|>_P, t), (t, |>_P), built on each
     call, since kept on t it would hold t, a cycle that only the garbage
@@ -450,10 +470,8 @@ def coproduct_pairs(t: BangElement):
         pass
     rights = {}
     for k, c in t.terms.items():
-        for k1, k2 in _splits(k):
-            right = rights.setdefault(k1, {})
-            c0 = right.get(k2)
-            right[k2] = c if c0 is None else c0 + c
+        for k1, k2, w in _splits(k):
+            rights.setdefault(k1, {})[k2] = c if w == 1 else c * w
     pairs = tuple([(unit(t.space, k1), BangElement(t.space, right))
                    for k1, right in rights.items()])
     object.__setattr__(t, "_pairs", pairs)
@@ -499,14 +517,16 @@ def derelict(t: BangElement):
 def promote_blocks(vals, block, space) -> BangElement:
     """delta on every slot, then a map on blocks: !A1 (x) ... (x) !An -> !B.
 
-    For each choice of one ket per slot, the tangents of all the chosen kets
-    are split over their set partitions.  A block is one part, read back as
-    one unit element per slot (that slot's point, the block's tangents from
-    that slot); ``block`` maps such elements to an entry of ``space``.  Each
-    partition gives the ket of !B whose point is ``block`` at the tangent-free
-    kets and whose tangents are ``block`` at its parts.  Bell(s) partitions
-    share at most 2^s - 1 distinct parts, so ``block`` is called, and its
-    value expanded, once per distinct part and once at the point.
+    For each choice of one ket per slot, the multiset of the chosen kets'
+    tangents, each tagged with its slot, is split over its partitions (equal
+    tangents of one slot are copies of one item, of two slots two items).  A
+    block is one part, read back as one unit element per slot (that slot's
+    point, the block's tangents from that slot); ``block`` maps such elements
+    to an entry of ``space``.  Each partition gives the ket of !B whose point
+    is ``block`` at the tangent-free kets and whose tangents are ``block`` at
+    its parts, times its weight: the number of set partitions of the tangents
+    it stands for.  ``block`` is called, and its value expanded, once per
+    distinct sub-multiset of the tangents and once at the point.
     """
     acc = {}
     for combo in itertools.product(*(v.sorted_terms() for v in vals)):
@@ -514,25 +534,24 @@ def promote_blocks(vals, block, space) -> BangElement:
         for _, c in combo:
             coeff *= c
         kets = [k for k, _ in combo]
-        tagged = [(si, x) for si, k in enumerate(kets) for x in k.tangents]
+        runs = [(si, x, len(list(run)))
+                for si, k in enumerate(kets) for x, run in itertools.groupby(k.tangents)]
         point = block(*(unit(v.space, Ket(k.point, ())) for v, k in zip(vals, kets)))
         if not space.contains(point):
             raise SpaceError("point %r does not lie in %s" % (point, space.label()))
         parts = {}
-        for blocks in set_partitions(range(len(tagged))):
+        for blocks, w in set_partitions([m for _, _, m in runs]):
             expansions = []
             for part in blocks:
                 keyed = parts.get(part)
                 if keyed is None:
-                    picked = [[] for _ in kets]
-                    for j in part:
-                        si, x = tagged[j]
-                        picked[si].append(x)
+                    picked = [()] * len(kets)
+                    for (si, x, _), b in zip(runs, part):
+                        picked[si] += (x,) * b
                     keyed = parts[part] = _keyed(space, block(*(
-                        unit(v.space, Ket(k.point, tuple(xs)))
-                        for v, k, xs in zip(vals, kets, picked))))
+                        unit(v.space, Ket(k.point, xs)) for v, k, xs in zip(vals, kets, picked))))
                 expansions.append(keyed)
-            _add_kets(acc, space, coeff, point, expansions)
+            _add_kets(acc, space, coeff if w == 1 else coeff * w, point, expansions)
     return BangElement(space, {k: c for k, c in acc.items() if c != 0})
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 import reprlib
+from decimal import Decimal
 from fractions import Fraction
 
 from .record import record, trusted_maker
@@ -100,11 +101,12 @@ def parse_scalar(text: str) -> Fraction:
 
 
 def scalar_str(c) -> str:
-    """Render 'p/q', omitting the denominator when it is 1."""
+    """Render 'p/q', omitting the denominator when it is 1, at any size:
+    ``Decimal`` has no digit limit, where ``str(int)`` stops at 4300."""
     c = as_scalar(c)
     if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
+        return str(Decimal(c.numerator))
+    return "%s/%s" % (Decimal(c.numerator), Decimal(c.denominator))
 
 
 _ZERO = _int_scalar(0)

@@ -1,7 +1,11 @@
+import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sweedler.exact import Vec
 from sweedler import bang as bg
@@ -153,21 +157,40 @@ def test_coproduct_pairs_merge_equal_right_factors():
     assert len(pairs) == 3
 
 
+def _index_splits(n):
+    """Reference: the 2^n splittings of range(n) into (chosen, rest)."""
+    for mask in range(1 << n):
+        yield ([i for i in range(n) if mask >> i & 1],
+               [i for i in range(n) if not mask >> i & 1])
+
+
+def _set_partitions(items):
+    """Reference: the Bell(n) partitions of a list into blocks, as lists of tuples."""
+    if not items:
+        yield []
+        return
+    head, tail = items[0], items[1:]
+    for blocks in _set_partitions(tail):
+        yield [(head,)] + blocks
+        for i in range(len(blocks)):
+            yield blocks[:i] + [(head,) + blocks[i]] + blocks[i + 1:]
+
+
 def _coproduct_by_subsets(t):
-    """Reference Delta as one tensor, every ket through ``index_subsets``."""
+    """Reference Delta as one tensor, every ket split over its index subsets."""
     items = []
     for k, c in t.terms.items():
-        for chosen, rest in index_subsets(k.order):
+        for chosen, rest in _index_splits(k.order):
             items.append((c, (Ket(k.point, tuple(k.tangents[j] for j in chosen)),
                               Ket(k.point, tuple(k.tangents[j] for j in rest)))))
     return TensorElement.from_terms((t.space, t.space), items)
 
 
 def _pairs_by_splits(t):
-    """Reference Delta grouped by left factor, every ket through ``index_subsets``."""
+    """Reference Delta grouped by left factor, every ket split over its index subsets."""
     rights = {}
     for k, c in t.terms.items():
-        for chosen, rest in index_subsets(k.order):
+        for chosen, rest in _index_splits(k.order):
             k1 = Ket(k.point, tuple(k.tangents[j] for j in chosen))
             k2 = Ket(k.point, tuple(k.tangents[j] for j in rest))
             right = rights.setdefault(k1, {})
@@ -193,7 +216,8 @@ def test_coproduct_pairs_fast_paths_match_the_subset_enumeration():
         pairs = coproduct_pairs(t)
         for left, _ in pairs:
             assert len(left.terms) == 1 and set(left.terms.values()) == {1}
-        assert [(next(iter(left.terms)), right) for left, right in pairs] == _pairs_by_splits(t)
+        got = [(next(iter(left.terms)), right) for left, right in pairs]
+        assert dict(got) == dict(_pairs_by_splits(t)) and len(got) == len(dict(got))
         orders |= {k.order for k in t.terms}
     assert orders == {0, 1, 2, 3}
     t = ket((1, 2))
@@ -225,23 +249,125 @@ def test_two_slot_promotion_calls_the_block_once_per_distinct_block():
 def test_partitions_bell_numbers():
     bells = [1, 1, 2, 5, 15, 52, 203]
     for n, b in enumerate(bells):
-        assert sum(1 for _ in set_partitions(range(n))) == b
+        assert sum(1 for _ in set_partitions([1] * n)) == b
+        assert sum(w for _, w in set_partitions([n])) == b
+
+
+SUBSET_LIMIT = r"refusing to enumerate 2\^13 subsets \(limit 12 tangents\)"
+PARTITION_LIMIT = r"refusing to enumerate partitions of 9 items \(limit 8\)"
 
 
 def test_subsets_count_and_guard():
-    assert sum(1 for _ in index_subsets(5)) == 32
-    with pytest.raises(EnumerationLimitError):
-        list(index_subsets(13))
-    with pytest.raises(EnumerationLimitError):
-        list(set_partitions(range(9)))
+    assert sum(1 for _ in index_subsets(range(5))) == 32
+    with pytest.raises(EnumerationLimitError, match=SUBSET_LIMIT):
+        list(index_subsets((0,) * 13))
+    with pytest.raises(EnumerationLimitError, match=PARTITION_LIMIT):
+        list(set_partitions([1] * 9))
+    with pytest.raises(EnumerationLimitError, match=PARTITION_LIMIT):
+        list(set_partitions([9]))
 
 
 def test_guards_fire_through_maps():
     many = BangElement.ket(V2, Vec((0, 0)), (E0,) * 13)
-    with pytest.raises(EnumerationLimitError):
+    with pytest.raises(EnumerationLimitError, match=SUBSET_LIMIT):
         coproduct(many)
-    with pytest.raises(EnumerationLimitError):
+    with pytest.raises(EnumerationLimitError, match=PARTITION_LIMIT):
         promote(BangElement.ket(V2, Vec((0, 0)), (E0,) * 9))
+
+
+@given(st.lists(st.integers(0, 3), max_size=8).map(sorted))
+def test_index_subsets_yield_each_sub_multiset_once(items):
+    got = {}
+    for chosen, rest, w in index_subsets(items):
+        assert list(chosen) == sorted(chosen) and list(rest) == sorted(rest)
+        assert sorted(chosen + rest) == items and chosen not in got
+        got[chosen] = w
+    # the weight of a sub-multiset is the number of index subsets that choose it
+    assert got == Counter(tuple(items[i] for i in chosen) for chosen, _ in _index_splits(len(items)))
+    assert sum(got.values()) == 2 ** len(items)
+
+
+@given(st.lists(st.integers(1, 3), max_size=4).filter(lambda counts: sum(counts) <= 7))
+def test_set_partitions_yield_each_multiset_partition_once(counts):
+    items = [i for i, m in enumerate(counts) for _ in range(m)]
+
+    def blocks_of(partition):
+        return tuple(sorted((tuple(part.count(i) for i in range(len(counts))) for part in partition),
+                            reverse=True))
+
+    got = {}
+    for blocks, w in set_partitions(counts):
+        assert blocks not in got
+        got[blocks] = w
+    # the weight of a multiset partition is the number of set partitions it
+    # stands for; its blocks come in decreasing order
+    want = Counter(blocks_of(p) for p in _set_partitions(items))
+    assert got == want
+    assert sum(got.values()) == sum(want.values())  # Bell(len(items))
+
+
+def _promote_by_set_partitions(vals, block, space):
+    """Reference promotion: one block call per block of every set partition."""
+    items = []
+    for combo in itertools.product(*(v.terms.items() for v in vals)):
+        kets = [k for k, _ in combo]
+        tagged = [(si, x) for si, k in enumerate(kets) for x in k.tangents]
+        point = block(*(BangElement.ket(v.space, k.point) for v, k in zip(vals, kets)))
+        for partition in _set_partitions(tagged):
+            entries = tuple(block(*(
+                BangElement.ket(v.space, k.point, [x for sj, x in part if sj == si])
+                for si, (v, k) in enumerate(zip(vals, kets)))) for part in partition)
+            items.append((math.prod(c for _, c in combo), point, entries))
+    return BangElement.from_terms(space, items)
+
+
+def _element(kets):
+    return BangElement.from_terms(V2, [(i + 1, Vec((i, 1)), ts) for i, ts in enumerate(kets)])
+
+
+_KETS = st.lists(st.lists(st.sampled_from([E0, E1]), max_size=3), min_size=1, max_size=2)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_KETS, _KETS)
+@example([[E0, E0, E1]], [[E0, E1]])  # e0 in both slots: two different items
+def test_promote_blocks_equals_the_set_partition_reference(xs, ys):
+    x, y = _element(xs), _element(ys)
+    for vals, block in (((x,), lambda u: u), ((x, y), cocontract)):
+        got = promote_blocks(vals, block, BangSpace(V2))
+        ref = _promote_by_set_partitions(vals, block, BangSpace(V2))
+        assert got == ref and repr(got) == repr(ref)
+
+
+def _count_yields(monkeypatch, name):
+    """Rebind bang's enumerator to one that records what it yields."""
+    seen, fn = [], getattr(bg, name)
+
+    def counted(*args):
+        for item in fn(*args):
+            seen.append(item)
+            yield item
+
+    monkeypatch.setattr(bg, name, counted)
+    return seen
+
+
+def test_four_equal_tangents_split_five_ways_and_partition_five_ways(monkeypatch):
+    P = Vec((1, 2))
+    subsets = _count_yields(monkeypatch, "index_subsets")
+    partitions = _count_yields(monkeypatch, "set_partitions")
+    t = BangElement.ket(V2, P, (E1,) * 4)
+    pairs = dict((next(iter(left.terms)), right) for left, right in coproduct_pairs(t))
+    assert len(subsets) == len(pairs) == 5
+    for b in range(5):
+        assert pairs[Ket(P, (E1,) * b)] == BangElement.ket(V2, P, (E1,) * (4 - b), math.comb(4, b))
+    calls = []
+    got = promote_blocks((t,), lambda u: calls.append(u) or u, BangSpace(V2))
+    # 1 call at the point and one per distinct block: e1, e1^2, e1^3, e1^4
+    assert len(partitions) == len(calls) == len(set(calls)) == 5
+    # the partitions 4, 3+1, 2+2, 2+1+1, 1+1+1+1 stand for 1, 4, 3, 6, 1 set partitions
+    assert sorted(got.terms.values()) == [1, 1, 3, 4, 6]
+    assert got == _promote_by_set_partitions((t,), lambda u: u, BangSpace(V2))
 
 
 def test_ket_product_guard_at_2_to_the_subset_limit():

@@ -427,6 +427,20 @@ def test_a_scalar_outside_p_or_p_over_q_is_one_quick_error_line(capsys, scalar):
     assert err == "error: bad scalar %s: expected p or p/q, q nonzero\n" % reprlib.repr(scalar)
 
 
+def test_a_result_past_the_int_string_limit_prints_exactly(capsys):
+    # church 3 at [[n, 1], [0, 1]] is [[n^3, n^2 + n + 1], [0, 1]]; n = 10^1500 - 1
+    # makes both 4500 and 3000 digits, past the 4300 that str(int) prints
+    k = 1500
+    cube = "9" * (k - 1) + "7" + "0" * (k - 1) + "2" + "9" * k
+    square = "9" * k + "0" * (k - 1) + "1"
+    point = '[[{"point": [["%s","1"],["0","1"]]}]]' % ("9" * k)
+    code, out, err = run(capsys, "eval", proof("church-3"), "--input", point)
+    assert (code, out, err) == (0, "[[%s, %s], [0, 1]]\n" % (cube, square), "")
+    code, out, err = run(capsys, "eval", proof("church-3"), "--input", point, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == [[cube, square], ["0", "1"]]
+
+
 @pytest.mark.parametrize("command,flag", [
     ("check", "--seed 1"), ("eval", "--derive"), ("eval", "--point [[1,1],[0,1]]"),
     ("derive", "--dim 3"), ("examples", "--format json"), ("examples", "--trials 5")])

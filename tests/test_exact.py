@@ -18,6 +18,13 @@ def test_scalar_round_trip():
     assert parse_scalar(scalar_str(Fraction(22, 7))) == Fraction(22, 7)
 
 
+def test_scalars_past_the_int_string_limit_print_exactly():
+    # str(int) refuses more than 4300 digits
+    big = 10 ** 5000 - 1
+    assert scalar_str(Fraction(big)) == "9" * 5000
+    assert scalar_str(Fraction(-big, 10 ** 4999)) == "-" + "9" * 5000 + "/1" + "0" * 4999
+
+
 def test_scalar_rejects_garbage():
     with pytest.raises(ValueError):
         parse_scalar("1.5e3x")

@@ -69,6 +69,30 @@ def test_every_counted_enumerator_is_a_generator_of_bang():
         assert inspect.isgeneratorfunction(resolve("bang." + attr)), attr
 
 
+def _count_yields(fn, counter, counts):
+    """A generator function that counts its yields, as the tracer's ``count_yields``."""
+    def counted(*args, **kwargs):
+        for item in fn(*args, **kwargs):
+            counts[counter] = counts.get(counter, 0) + 1
+            yield item
+    return counted
+
+
+def test_delta_and_promotion_drive_the_counted_enumerators(monkeypatch):
+    # the tracer rebinds the module attributes; an enumerator that Delta or
+    # promotion stopped calling through them would read 0
+    bang = importlib.import_module("sweedler.bang")
+    vec = importlib.import_module("sweedler.exact").Vec
+    counts = {}
+    for attr, counter in _constants(_tree("tracer.py"), "ENUMERATORS")["ENUMERATORS"].items():
+        monkeypatch.setattr(bang, attr, _count_yields(getattr(bang, attr), counter, counts))
+    ket = bang.BangElement.ket(bang.BaseSpace(2), vec((1, 2)), (vec.basis(2, 1),) * 4)
+    bang.coproduct(ket)
+    assert counts == {"bang.subsets": 5}
+    bang.promote(ket)
+    assert counts == {"bang.subsets": 5, "bang.partitions": 5}
+
+
 # Names bound to sweedler modules in the benchmark: the ``m``/``mods``
 # namespace of layers, the short aliases of ``build_doubling``,
 # ``build_numerals`` and the Prom span, and the module parameters of the

@@ -1,7 +1,9 @@
 import gc
 import itertools
+import math
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -328,6 +330,18 @@ def test_denotation_cache_keeps_every_rule_premise_alive():
 # -- the promotion rule calls its premise once per distinct block -------------
 
 
+def _set_partitions(items):
+    """Reference: the Bell(n) partitions of a list into blocks, as lists of tuples."""
+    if not items:
+        yield []
+        return
+    head, tail = items[0], items[1:]
+    for blocks in _set_partitions(tail):
+        yield [(head,)] + blocks
+        for i in range(len(blocks)):
+            yield blocks[:i] + [(head,) + blocks[i]] + blocks[i + 1:]
+
+
 def _prom_by_partitions(prem, vals):
     """Reference promotion: one premise call per block of every set partition."""
     spaces = tuple(s.inner for s in prem.source)
@@ -339,7 +353,7 @@ def _prom_by_partitions(prem, vals):
         kets = [k for k, _ in combo]
         tagged = [(si, x) for si, k in enumerate(kets) for x in k.tangents]
         point = prem.fn(*(bg.BangElement.ket(spaces[si], k.point) for si, k in enumerate(kets)))
-        for blocks in bg.set_partitions(range(len(tagged))):
+        for blocks in _set_partitions(list(range(len(tagged)))):
             entries = []
             for block in blocks:
                 picked = {}
@@ -382,11 +396,14 @@ def test_promotion_calls_the_premise_once_per_distinct_block(premise, profiles, 
         vals = [_rand_ket_sum(rng, space, s) for s in profile]
         calls.clear()
         out = prom.fn(*vals)
-        # 1 call at the point, one per nonempty block: 2^s per combination of kets
-        assert len(calls) == sum(2 ** sum(k.order for k in kets)
-                                 for kets in itertools.product(*(v.terms for v in vals)))
+        # 1 call at the point, one per nonempty sub-multiset of the tangents
+        # tagged with their slot: prod (m + 1) over the runs of m equal ones
+        assert len(calls) == sum(
+            math.prod(m + 1 for m in Counter((si, x) for si, k in enumerate(kets)
+                                             for x in k.tangents).values())
+            for kets in itertools.product(*(v.terms for v in vals)))
         ref = _prom_by_partitions(prem, vals)
-        assert list(out.terms.items()) == list(ref.terms.items())
+        assert out.terms == ref.terms
         assert repr(out) == repr(ref)
 
 
