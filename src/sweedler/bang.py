@@ -10,9 +10,13 @@ up, for !!V, with unit kets playing the role of basis vectors.
 
 Any space with ``contains``, ``expand`` (into canonical units), ``key``,
 ``zero`` and ``label`` can carry kets; ``BaseSpace`` and ``BangSpace`` here,
-the map and tensor spaces of ``semantics``.  Entries do their own arithmetic:
-``+``, unary ``-`` and ``scale``, and print as their ``repr``, in parentheses
-when the entry is itself a sum of terms.
+the map and tensor spaces of ``semantics``.  A canonical unit u is a fixed
+point, ``expand(u) == [(1, u)]``, and a canonical ket's tangents are units
+sorted by ``key``.  ``from_terms`` canonicalises raw input; D and nabla keep
+canonical tangents: ``deriving`` expands only the new tangent and inserts its
+units, ``cocontract`` merges two sorted tuples.  Entries do their own
+arithmetic: ``+``, unary ``-`` and ``scale``, and print as their ``repr``, in
+parentheses when the entry is itself a sum of terms.
 
 Every exact sum of terms, ``BangElement`` here as much as ``TensorElement``,
 ``semantics.TensorVal`` and ``poly.Polynomial``, is a ``_TermSum``: a space, a
@@ -53,6 +57,7 @@ rather than silently truncating.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -64,6 +69,7 @@ from .record import Immutable, record
 MAX_SUBSET_TANGENTS = 12
 MAX_PARTITION_TANGENTS = 8
 _KEY = itemgetter(1)
+_ONE = as_scalar(1)  # shared: equal unit elements compare their coefficient by identity
 
 
 class SpaceError(ValueError):
@@ -216,26 +222,27 @@ def _keyed(space, entry):
     return [(None if c == 1 else c, space.key(u), u) for c, u in space.expand(entry)]
 
 
-def _add_kets(acc, space, coeff, point, expansions):
-    """acc += coeff |t1,...,ts>_point, the tangents given by their keyed expansions.
-
-    Multiplies the expansions out, sorts each product's units by key and
-    merges like kets into acc.  More than 2^MAX_SUBSET_TANGENTS products
-    raise EnumerationLimitError.
-    """
-    size = math.prod(map(len, expansions))
+def _check_products(size):
     if size > 1 << MAX_SUBSET_TANGENTS:
         raise EnumerationLimitError(
             "refusing to expand a ket into %d tangent products (limit 2^%d)"
             % (size, MAX_SUBSET_TANGENTS))
+
+
+def _add_kets(coeff, point, expansions):
+    """The (ket, coefficient) pairs of coeff |t1,...,ts>_point, the tangents
+    given by their keyed expansions, for ``_TermSum._sum`` to merge.
+
+    Multiplies the expansions out and sorts each product's units by key.
+    More than 2^MAX_SUBSET_TANGENTS products raise EnumerationLimitError.
+    """
+    _check_products(math.prod(map(len, expansions)))
     for combo in itertools.product(*expansions):
         c = coeff
         for u, _, _ in combo:
             if u is not None:
                 c *= u
-        k = Ket(point, tuple([e for _, _, e in sorted(combo, key=_KEY)]))
-        c0 = acc.get(k)
-        acc[k] = c if c0 is None else c0 + c
+        yield Ket(point, tuple([e for _, _, e in sorted(combo, key=_KEY)])), c
 
 
 class _TermSum(Immutable):
@@ -373,20 +380,21 @@ class BangElement(_TermSum):
     def from_terms(cls, space, items):
         """Canonicalize raw (coeff, point, tangents) triples into a sum.
 
-        Tangents are expanded multilinearly into the space's canonical units
-        and sorted; like kets merge; zero coefficients vanish.  Points pass
-        through untouched.  A raw ket whose expansion would exceed
-        2^MAX_SUBSET_TANGENTS products raises EnumerationLimitError.
+        The canonicaliser of raw input: tangents are expanded multilinearly
+        into the space's canonical units and sorted; like kets merge; zero
+        coefficients vanish.  Points pass through untouched.  A raw ket whose
+        expansion would exceed 2^MAX_SUBSET_TANGENTS products raises
+        EnumerationLimitError.
         """
-        acc = {}
-        for coeff, point, tangents in items:
-            coeff = as_scalar(coeff)
-            if coeff == 0:
-                continue
-            if not space.contains(point):
-                raise SpaceError("point %r does not lie in %s" % (point, space.label()))
-            _add_kets(acc, space, coeff, point, [_keyed(space, t) for t in tangents])
-        return cls(space, {k: c for k, c in acc.items() if c != 0})
+        def kets():
+            for coeff, point, tangents in items:
+                coeff = as_scalar(coeff)
+                if coeff == 0:
+                    continue
+                if not space.contains(point):
+                    raise SpaceError("point %r does not lie in %s" % (point, space.label()))
+                yield from _add_kets(coeff, point, [_keyed(space, t) for t in tangents])
+        return cls._sum(space, kets())
 
     def _sort_key(self, item):
         return ket_key(self.space, item[0])
@@ -396,7 +404,7 @@ class BangElement(_TermSum):
 
 def unit(space, k: Ket) -> BangElement:
     """The single-ket element 1·k; the ket must already be canonical."""
-    return BangElement(space, {k: Fraction(1)})
+    return BangElement(space, {k: _ONE})
 
 
 class TensorElement(_TermSum):
@@ -528,7 +536,7 @@ def promote_blocks(vals, block, space) -> BangElement:
     it stands for.  ``block`` is called, and its value expanded, once per
     distinct sub-multiset of the tangents and once at the point.
     """
-    acc = {}
+    pairs = []
     for combo in itertools.product(*(v.sorted_terms() for v in vals)):
         coeff = Fraction(1)
         for _, c in combo:
@@ -551,8 +559,8 @@ def promote_blocks(vals, block, space) -> BangElement:
                     keyed = parts[part] = _keyed(space, block(*(
                         unit(v.space, Ket(k.point, xs)) for v, k, xs in zip(vals, kets, picked))))
                 expansions.append(keyed)
-            _add_kets(acc, space, coeff if w == 1 else coeff * w, point, expansions)
-    return BangElement(space, {k: c for k, c in acc.items() if c != 0})
+            pairs.extend(_add_kets(coeff if w == 1 else coeff * w, point, expansions))
+    return BangElement._sum(space, pairs)
 
 
 def promote(t: BangElement) -> BangElement:
@@ -561,19 +569,32 @@ def promote(t: BangElement) -> BangElement:
 
 
 def deriving(t: BangElement, v) -> BangElement:
-    """D: adjoin one more tangent v to every ket."""
-    return BangElement.from_terms(
-        t.space, ((c, k.point, k.tangents + (v,)) for k, c in t.terms.items()))
+    """D: adjoin one more tangent v to every ket, keeping the tangents canonical.
+
+    v is expanded once, and each unit is inserted into each ket's sorted
+    tangents at its key.  More than 2^MAX_SUBSET_TANGENTS units raise
+    EnumerationLimitError.
+    """
+    space, pairs = t.space, []
+    units = _keyed(space, v) if t.terms else []
+    _check_products(len(units))
+    for k, c in t.terms.items():
+        ts = k.tangents
+        for cu, key, u in units:
+            i = bisect.bisect_right(ts, key, key=space.key)
+            pairs.append((Ket(k.point, ts[:i] + (u,) + ts[i:]), c if cu is None else c * cu))
+    return BangElement._sum(space, pairs)
 
 
 def cocontract(a: BangElement, b: BangElement) -> BangElement:
-    """nabla: multiply kets by adding points and concatenating tangents."""
+    """nabla: multiply kets by adding points and merging their sorted tangents."""
     if a.space != b.space:
         raise SpaceError("cocontraction needs matching spaces")
-    return BangElement.from_terms(
-        a.space,
-        ((ca * cb, ka.point + kb.point, ka.tangents + kb.tangents)
-         for ka, ca in a.terms.items() for kb, cb in b.terms.items()))
+    key = a.space.key
+    return BangElement._sum(a.space, (
+        (Ket(ka.point + kb.point, tuple(sorted(ka.tangents + kb.tangents, key=key))
+             if ka.tangents and kb.tangents else ka.tangents or kb.tangents), ca * cb)
+        for ka, ca in a.terms.items() for kb, cb in b.terms.items()))
 
 
 def antipode(t: BangElement) -> BangElement:

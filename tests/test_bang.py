@@ -1,13 +1,14 @@
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sweedler.exact import Vec
+from sweedler.exact import Matrix, Vec, as_scalar
 from sweedler import bang as bg
 from sweedler.bang import (
     MAX_SUBSET_TANGENTS, BangElement, BangSpace, BaseSpace, EnumerationLimitError, Ket,
@@ -17,7 +18,7 @@ from sweedler.bang import (
     split_inverse, split_merge, tangent_lift, tensor, unit)
 from sweedler.laws import deriving_mutated
 from sweedler.poly import Polynomial
-from sweedler.semantics import TensorSpace, TensorVal
+from sweedler.semantics import HomSpace, MapVal, TensorSpace, TensorVal
 
 V2 = BaseSpace(2)
 E0 = Vec.basis(2, 0)
@@ -538,3 +539,115 @@ def test_stored_pairs_and_dereliction_match_a_fresh_computation():
             for left, right in stored_pairs:
                 total = total + tensor(left, right)
             assert total == coproduct(t)
+
+
+# -- D and nabla keep canonical tangents ----------------------------------------
+
+V1, V3 = BaseSpace(1), BaseSpace(3)
+_HOM = HomSpace(V2, V1)
+_CLOSURES = HomSpace(BangSpace(V1), V1)  # not concrete: its entries are closures
+_PAIR = TensorSpace(V2, V1)
+
+
+def _bang_entry(*kets):
+    return BangElement.from_terms(V2, [(c, Vec(p), tuple(map(Vec, ts))) for c, p, ts in kets])
+
+
+# per entry space, a few entries (units and sums of units) to draw points,
+# tangents and the new tangent of D from, so that tangents repeat
+_ENTRIES = {
+    "base1": (V1, [Vec((1,)), Vec((-2,)), Vec((0,))]),
+    "base2": (V2, [E0, E1, Vec((1, 1)), Vec((2, -1)), Vec((0, 0))]),
+    "base3": (V3, [Vec.basis(3, i) for i in range(3)] + [Vec((1, 0, 1)), Vec((0, -1, 2))]),
+    "bang": (BangSpace(V2), [
+        _bang_entry((1, (0, 1), ())), _bang_entry((1, (1, 0), ((1, 0),))),
+        _bang_entry((1, (0, 1), ()), (2, (1, 1), ((0, 1),))),
+        _bang_entry((-1, (0, 0), ((1, 1),)))]),
+    "hom": (_HOM, [Matrix(((1, 0),)), Matrix(((0, 1),)), Matrix(((1, -1),)), Matrix(((2, 1),))]),
+    "closures": (_CLOSURES, [MapVal(_CLOSURES, lambda x: V1.zero()) for _ in range(3)]),
+    "tensor": (_PAIR, [TensorVal.make(_PAIR, [(1, (E0, Vec((1,))))]),
+                       TensorVal.make(_PAIR, [(1, (E1, Vec((1,)))), (-1, (E0, Vec((2,))))])]),
+}
+
+
+def _drawn_element(data, space, entries):
+    pick = st.sampled_from(entries)
+    kets = data.draw(st.lists(st.tuples(
+        st.sampled_from([1, -1, 2, Fraction(1, 2)]), pick, st.lists(pick, max_size=3)),
+        max_size=3))
+    return BangElement.from_terms(space, [(c, p, tuple(ts)) for c, p, ts in kets])
+
+
+def _same(got, ref):
+    assert got == ref and hash(got) == hash(ref) and repr(got) == repr(ref)
+    assert list(got.terms.items()) == list(ref.terms.items())
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRIES))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_deriving_equals_the_from_terms_reference(name, data):
+    space, entries = _ENTRIES[name]
+    t = _drawn_element(data, space, entries)
+    v = data.draw(st.sampled_from(entries))
+    ref = BangElement.from_terms(
+        space, ((c, k.point, k.tangents + (v,)) for k, c in t.terms.items()))
+    _same(deriving(t, v), ref)
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRIES))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_cocontract_equals_the_from_terms_reference(name, data):
+    space, entries = _ENTRIES[name]
+    a, b = _drawn_element(data, space, entries), _drawn_element(data, space, entries)
+    # a sum of two closures is a new closure: share each one between the two
+    # sides, so that their points are the same objects
+    sums, add = {}, MapVal.__add__
+
+    def shared_sum(f, g):
+        if (f, g) not in sums:
+            sums[f, g] = add(f, g)
+        return sums[f, g]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MapVal, "__add__", shared_sum)
+        got = cocontract(a, b)
+        ref = BangElement.from_terms(space, (
+            (ca * cb, ka.point + kb.point, ka.tangents + kb.tangents)
+            for ka, ca in a.terms.items() for kb, cb in b.terms.items()))
+    _same(got, ref)
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRIES))
+def test_a_canonical_unit_is_a_fixed_point_of_expand(name):
+    space, entries = _ENTRIES[name]
+    for entry in entries:
+        for _, u in space.expand(entry):
+            assert space.expand(u) == [(1, u)]
+    # the tangents of a canonical ket are such units, sorted by key
+    nonzero = tuple(e for e in entries if space.expand(e))
+    t = BangElement.from_terms(space, [(1, entries[0], nonzero * 2)])
+    assert t.terms
+    for k in t.terms:
+        assert all(space.expand(x) == [(1, x)] for x in k.tangents)
+        keys = [space.key(x) for x in k.tangents]
+        assert keys == sorted(keys)
+
+
+def test_unit_elements_share_one_exact_one():
+    k1, k2 = Ket(Vec((0, 1)), ()), Ket(Vec((1, 0)), (E0,))
+    assert unit(V2, k1).terms[k1] is unit(V2, k2).terms[k2] is as_scalar(1)
+
+
+def test_deriving_keeps_its_guard_on_the_new_tangent():
+    # an entry of !V with 2^12 + 1 kets expands into 4097 units of !V
+    outer = BangSpace(V1)
+    t = BangElement.ket(outer, BangElement.ket(V1, Vec((1,))))
+    at_limit = BangElement.from_terms(
+        V1, [(1, Vec((i,)), ()) for i in range(1 << MAX_SUBSET_TANGENTS)])
+    assert len(deriving(t, at_limit).terms) == 1 << MAX_SUBSET_TANGENTS
+    past = at_limit + BangElement.ket(V1, Vec((-1,)))
+    with pytest.raises(EnumerationLimitError, match=re.escape(
+            "refusing to expand a ket into 4097 tangent products (limit 2^12)")):
+        deriving(t, past)
