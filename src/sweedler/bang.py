@@ -47,8 +47,10 @@ builds every single-ket value, and ``derelict`` reads d in one pass.  A
 ``BangElement`` keeps its ``coproduct_pairs`` tuple and its ``derelict`` value
 in two slots filled on first use, as it keeps its hash (a lone unit ket of
 order <= 1 keeps no pairs: they hold it): inner contractions and derelictions
-meet the same factors again and read the stored result.  Nothing is hashed
-and no cache is keyed by arguments.
+meet the same factors again and read the stored result.  The one table
+keyed by arguments is ``_PARTITIONS``: the partitions and weights of each
+count tuple, filled on first use.  Promotion passes positive counts that sum
+to at most ``MAX_PARTITION_TANGENTS``, so it holds at most 2^8 = 256 tuples.
 
 Tangent expansion, subset and partition enumerations are guarded by tangent
 counts, repeated or not; blowing a guard raises ``EnumerationLimitError``
@@ -61,15 +63,16 @@ import bisect
 import itertools
 import math
 from fractions import Fraction
+from functools import reduce
 from operator import itemgetter
 
-from .exact import Vec, as_scalar, check_dim, scalar_str
+from .exact import ONE as _ONE, Vec, _mul, as_scalar, check_dim, scalar_str
 from .record import Immutable, record
 
 MAX_SUBSET_TANGENTS = 12
 MAX_PARTITION_TANGENTS = 8
 _KEY = itemgetter(1)
-_ONE = as_scalar(1)  # shared: equal unit elements compare their coefficient by identity
+_PARTITIONS = {}  # counts -> [(blocks, weight)], filled on first use
 
 
 class SpaceError(ValueError):
@@ -107,13 +110,21 @@ def set_partitions(counts):
     decreasing order.  weight is the number of set partitions of the
     sum(counts) copies that it stands for, prod m! / (prod over blocks of
     prod b! * prod over repeated blocks of r!), so the weights add up to the
-    Bell number.
+    Bell number.  Each count tuple is partitioned once, into ``_PARTITIONS``.
     """
     n = sum(counts)
     if n > MAX_PARTITION_TANGENTS:
         raise EnumerationLimitError(
             "refusing to enumerate partitions of %d items (limit %d)"
             % (n, MAX_PARTITION_TANGENTS))
+    counts = tuple(counts)
+    table = _PARTITIONS.get(counts)
+    if table is None:
+        table = _PARTITIONS[counts] = list(_partitions(counts))
+    yield from table
+
+
+def _partitions(counts):
     top = math.prod(map(math.factorial, counts))
 
     def rec(rest, bound, blocks):
@@ -129,7 +140,7 @@ def set_partitions(counts):
             if part <= bound:
                 yield from rec(tuple([m - b for m, b in zip(rest, part)]), part, blocks + (part,))
 
-    yield from rec(tuple(counts), tuple(counts), ())
+    return rec(counts, counts, ())
 
 
 @record
@@ -241,7 +252,7 @@ def _add_kets(coeff, point, expansions):
         c = coeff
         for u, _, _ in combo:
             if u is not None:
-                c *= u
+                c = _mul(c, u)
         yield Ket(point, tuple([e for _, _, e in sorted(combo, key=_KEY)])), c
 
 
@@ -275,12 +286,19 @@ class _TermSum(Immutable):
 
     @classmethod
     def _sum(cls, space, pairs):
-        """Trusted: adds up (term, coefficient) pairs of valid terms, drops zeros."""
-        acc = {}
+        """Trusted: adds up (term, coefficient) pairs of valid terms, one hash
+        per new term; drops zeros, if an input or a merged sum was zero."""
+        acc, zeros = {}, False
         for k, c in pairs:
-            c0 = acc.get(k)
-            acc[k] = c if c0 is None else c0 + c
-        return cls._of(space, {k: c for k, c in acc.items() if c != 0})
+            n = len(acc)
+            c0 = acc.setdefault(k, c)
+            if len(acc) == n:
+                acc[k] = c = c0 + c
+            zeros = zeros or not c.numerator
+        if zeros:
+            for k in [k for k, c in acc.items() if not c.numerator]:
+                del acc[k]
+        return cls._of(space, acc)
 
     def is_zero(self):
         return not self.terms
@@ -289,7 +307,7 @@ class _TermSum(Immutable):
         items = list(self.terms.items())
         return items if len(items) == 1 else sorted(items, key=self._sort_key)
 
-    def _merge(self, other, sign):
+    def _merge(self, other, negate):
         if type(other) is not type(self):
             return NotImplemented
         if other.space != self.space:
@@ -297,8 +315,9 @@ class _TermSum(Immutable):
                              % (self.space, other.space))
         acc = dict(self.terms)
         for k, c in other.terms.items():
+            c = -c if negate else c
             c0 = acc.get(k)
-            c1 = sign * c if c0 is None else c0 + sign * c
+            c1 = c if c0 is None else c0 + c
             if c1 == 0:
                 acc.pop(k, None)
             else:
@@ -306,10 +325,10 @@ class _TermSum(Immutable):
         return self._of(self.space, acc)
 
     def __add__(self, other):
-        return self._merge(other, 1)
+        return self._merge(other, False)
 
     def __sub__(self, other):
-        return self._merge(other, -1)
+        return self._merge(other, True)
 
     def __neg__(self):
         return self.scale(-1)
@@ -318,7 +337,7 @@ class _TermSum(Immutable):
         c = as_scalar(c)
         if c == 0:
             return self._of(self.space, {})
-        return self._of(self.space, {k: c * v for k, v in self.terms.items()})
+        return self._of(self.space, {k: _mul(c, v) for k, v in self.terms.items()})
 
     def __eq__(self, other):
         return (type(other) is type(self)
@@ -431,7 +450,7 @@ class TensorElement(_TermSum):
 def tensor(*factors) -> TensorElement:
     """x1 (x) ... (x) xn for elements x1, ..., xn of !V1, ..., !Vn."""
     return TensorElement._sum(tuple(x.space for x in factors), (
-        (tuple([k for k, _ in combo]), math.prod([c for _, c in combo]))
+        (tuple([k for k, _ in combo]), reduce(_mul, [c for _, c in combo], _ONE))
         for combo in itertools.product(*(x.terms.items() for x in factors))))
 
 
@@ -479,7 +498,7 @@ def coproduct_pairs(t: BangElement):
     rights = {}
     for k, c in t.terms.items():
         for k1, k2, w in _splits(k):
-            rights.setdefault(k1, {})[k2] = c if w == 1 else c * w
+            rights.setdefault(k1, {})[k2] = c if w == 1 else _mul(c, as_scalar(w))
     pairs = tuple([(unit(t.space, k1), BangElement(t.space, right))
                    for k1, right in rights.items()])
     object.__setattr__(t, "_pairs", pairs)
@@ -538,9 +557,7 @@ def promote_blocks(vals, block, space) -> BangElement:
     """
     pairs = []
     for combo in itertools.product(*(v.sorted_terms() for v in vals)):
-        coeff = Fraction(1)
-        for _, c in combo:
-            coeff *= c
+        coeff = reduce(_mul, [c for _, c in combo], _ONE)
         kets = [k for k, _ in combo]
         runs = [(si, x, len(list(run)))
                 for si, k in enumerate(kets) for x, run in itertools.groupby(k.tangents)]
@@ -559,7 +576,7 @@ def promote_blocks(vals, block, space) -> BangElement:
                     keyed = parts[part] = _keyed(space, block(*(
                         unit(v.space, Ket(k.point, xs)) for v, k, xs in zip(vals, kets, picked))))
                 expansions.append(keyed)
-            pairs.extend(_add_kets(coeff if w == 1 else coeff * w, point, expansions))
+            pairs.extend(_add_kets(coeff if w == 1 else _mul(coeff, as_scalar(w)), point, expansions))
     return BangElement._sum(space, pairs)
 
 
@@ -576,13 +593,13 @@ def deriving(t: BangElement, v) -> BangElement:
     EnumerationLimitError.
     """
     space, pairs = t.space, []
-    units = _keyed(space, v) if t.terms else []
+    units = _keyed(space, v)
     _check_products(len(units))
     for k, c in t.terms.items():
         ts = k.tangents
         for cu, key, u in units:
             i = bisect.bisect_right(ts, key, key=space.key)
-            pairs.append((Ket(k.point, ts[:i] + (u,) + ts[i:]), c if cu is None else c * cu))
+            pairs.append((Ket(k.point, ts[:i] + (u,) + ts[i:]), c if cu is None else _mul(c, cu)))
     return BangElement._sum(space, pairs)
 
 
@@ -593,7 +610,7 @@ def cocontract(a: BangElement, b: BangElement) -> BangElement:
     key = a.space.key
     return BangElement._sum(a.space, (
         (Ket(ka.point + kb.point, tuple(sorted(ka.tangents + kb.tangents, key=key))
-             if ka.tangents and kb.tangents else ka.tangents or kb.tangents), ca * cb)
+             if ka.tangents and kb.tangents else ka.tangents or kb.tangents), _mul(ca, cb))
         for ka, ca in a.terms.items() for kb, cb in b.terms.items()))
 
 

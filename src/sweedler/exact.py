@@ -24,6 +24,8 @@ non-field slot ``_int_rows`` for the next; ``@``, ``power``, ``+`` and
 Values are immutable, so cached ones (basis vectors, zero matrices, the
 ``Fraction`` of each integer up to 64 in size that the scalar readers and the
 dot product return) and ``scale(1)`` returning ``self`` are safe to share.
+``ONE`` is the 1 of every integer scalar, basis coordinate and unit element;
+``_mul`` returns the other factor itself when one factor is ``ONE``.
 """
 
 from __future__ import annotations
@@ -55,6 +57,15 @@ _SMALL_INTS = tuple(Fraction(n) for n in range(-_SMALL, _SMALL + 1))
 def _int_scalar(n: int) -> Fraction:
     """Fraction(n), one shared object for |n| <= _SMALL: most entries are small."""
     return _SMALL_INTS[n + _SMALL] if -_SMALL <= n <= _SMALL else Fraction(n)
+
+
+ONE = _int_scalar(1)
+
+
+def _mul(a, b):
+    """a * b, with no Fraction product when either side is the shared ONE;
+    an identity test, so any other operand equal to 1 is still multiplied."""
+    return b if a is ONE else a if b is ONE else a * b
 
 
 def as_scalar(value) -> Fraction:
@@ -198,7 +209,7 @@ class Vec:
         c = as_scalar(c)
         if c == 1:
             return self
-        return Vec._of(tuple(c * a if a else a for a in self.coords))
+        return Vec._of(tuple(_mul(c, a) if a else a for a in self.coords))
 
     def concat(self, other):
         return Vec(self.coords + other.coords)

@@ -23,7 +23,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .exact import DimensionError, Vec, as_scalar
+from .exact import DimensionError, Vec, _mul, as_scalar
 from .bang import BangElement, BaseSpace, Ket, SpaceError, _TermSum
 
 
@@ -74,7 +74,7 @@ class Polynomial(_TermSum):
             if e[i] == 0:
                 continue
             e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-            acc[e2] = c * e[i]  # distinct terms stay distinct, none vanishes
+            acc[e2] = c if e[i] == 1 else c * e[i]  # distinct terms stay distinct, none vanishes
         return Polynomial._of(self.nvars, acc)
 
     def directional(self, v: Vec):
@@ -82,7 +82,7 @@ class Polynomial(_TermSum):
         if v.dim != self.nvars:
             raise DimensionError("direction has dim %d, polynomial has %d vars" % (v.dim, self.nvars))
         return Polynomial._sum(self.nvars, (
-            (e, c * cd) for i, c in enumerate(v.coords) if c != 0
+            (e, _mul(c, cd)) for i, c in enumerate(v.coords) if c != 0
             for e, cd in self.partial(i).terms.items()))
 
     def eval_at(self, p: Vec) -> Fraction:
@@ -122,7 +122,7 @@ def shift_doubling(f: Polynomial) -> Polynomial:
     # expand prod_i (x_i + y_i)^{e_i} by the binomial theorem, one choice of j per i
     return Polynomial._sum(2 * f.nvars, (
         (tuple(js) + tuple(k - j for k, j in zip(e, js)),
-         c * math.prod([math.comb(k, j) for k, j in zip(e, js)]))
+         _mul(c, as_scalar(math.prod([math.comb(k, j) for k, j in zip(e, js)]))))
         for e, c in f.terms.items()
         for js in itertools.product(*(range(k + 1) for k in e))))
 
@@ -146,5 +146,5 @@ def residue_pairing(t: BangElement, f: Polynomial) -> Fraction:
         raise DimensionError("polynomial has %d vars, space has dim %d" % (f.nvars, t.space.dim))
     total = Fraction(0)
     for k, c in t.terms.items():
-        total += c * _ket_pair(k, f)
+        total += _mul(c, _ket_pair(k, f))
     return total

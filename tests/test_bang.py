@@ -651,3 +651,108 @@ def test_deriving_keeps_its_guard_on_the_new_tangent():
     with pytest.raises(EnumerationLimitError, match=re.escape(
             "refusing to expand a ket into 4097 tangent products (limit 2^12)")):
         deriving(t, past)
+
+
+def test_deriving_checks_its_tangent_on_the_zero_element():
+    message = re.escape("expected a vector of dim 2, got %r" % (Vec((1, 2, 3)),))
+    with pytest.raises(SpaceError, match=message):
+        deriving(BangElement.zero(V2), Vec((1, 2, 3)))
+
+
+def test_deriving_checks_its_tangent_on_a_ket():
+    message = re.escape("expected a vector of dim 2, got %r" % (Vec((1, 2, 3)),))
+    with pytest.raises(SpaceError, match=message):
+        deriving(BangElement.ket(V2, Vec((0, 0))), Vec((1, 2, 3)))
+
+
+def test_deriving_the_zero_element_by_a_valid_tangent_is_zero():
+    got = deriving(BangElement.zero(V2), Vec((1, 2)))
+    assert got == BangElement.zero(V2) and got.is_zero() and repr(got) == "0"
+
+
+def _dict_sum(pairs):
+    """Reference: a plain dict sum, zeros dropped at the end, first-seen order."""
+    acc = {}
+    for k, c in pairs:
+        acc[k] = acc.get(k, 0) + c
+    return {k: c for k, c in acc.items() if c != 0}
+
+
+_COEFFS = st.sampled_from([as_scalar(1), Fraction(1), as_scalar(-1), Fraction(0),
+                           as_scalar(2), Fraction(-1, 2), Fraction(1, 2)])
+_POINTS = [Vec((0, 0)), Vec((1, 0)), Vec((0, 1)), Vec((1, 1))]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from(range(len(_POINTS))), st.integers(0, 2), _COEFFS),
+                max_size=12))
+def test_term_sum_equals_a_plain_dict_sum(raw):
+    kets = [(Ket(_POINTS[p], (E0,) * order), c) for p, order, c in raw]
+    ref = _dict_sum(kets)
+    got = BangElement._sum(V2, kets)
+    _same(got, BangElement._of(V2, ref))
+    assert list(got.terms) == list(ref)
+    # the same sums over polynomial terms
+    monos = [((p, order), c) for p, order, c in raw]
+    ref = _dict_sum(monos)
+    got = Polynomial._sum(2, monos)
+    _same(got, Polynomial._of(2, ref))
+    assert list(got.terms) == list(ref)
+
+
+def test_term_sum_drops_cancelled_and_zero_terms_in_order():
+    a, b, c = (Ket(p, ()) for p in _POINTS[:3])
+    half = Fraction(1, 2)
+    pairs = [(a, as_scalar(1)), (b, Fraction(0)), (c, half), (a, as_scalar(-1)),
+             (c, half), (a, as_scalar(2))]
+    got = BangElement._sum(V2, pairs)
+    assert list(got.terms.items()) == [(a, 2), (c, 1)]
+    assert BangElement._sum(V2, [(a, half), (a, -half)]).terms == {}
+
+
+def _partitions_reference(counts):
+    """Reference: the recursion that partitions a multiset block by block,
+    each block at most the one before, weights from factorials."""
+    top = math.prod(map(math.factorial, counts))
+
+    def rec(rest, bound, blocks):
+        if not any(rest):
+            den = math.prod(math.factorial(b) for part in blocks for b in part)
+            den *= math.prod(math.factorial(blocks.count(p)) for p in set(blocks))
+            yield blocks, top // den
+            return
+        i = next(j for j, m in enumerate(rest) if m)
+        ranges = [range(m + 1) for m in rest]
+        ranges[i] = range(1, rest[i] + 1)
+        for part in itertools.product(*ranges):
+            if part <= bound:
+                yield from rec(tuple(m - b for m, b in zip(rest, part)), part, blocks + (part,))
+
+    return list(rec(tuple(counts), tuple(counts), ()))
+
+
+def _compositions(n):
+    """Every tuple of positive counts that sums to n."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+def test_set_partitions_equal_the_recursive_reference_cold_and_warm(monkeypatch):
+    monkeypatch.setattr(bg, "_PARTITIONS", {})
+    built, partitions = [], bg._partitions
+    monkeypatch.setattr(bg, "_partitions", lambda counts: built.append(counts) or partitions(counts))
+    every = [c for n in range(bg.MAX_PARTITION_TANGENTS + 1) for c in _compositions(n)]
+    assert len(every) == 256
+    for counts in every:
+        want = _partitions_reference(counts)
+        assert list(set_partitions(list(counts))) == want  # fills the table
+        assert list(set_partitions(counts)) == want  # reads it
+    assert built == every and len(bg._PARTITIONS) == 256
+    for past in ([1] * 9, [9], [4, 5], [8, 1]):
+        with pytest.raises(EnumerationLimitError, match=PARTITION_LIMIT):
+            list(set_partitions(past))
+    assert built == every and len(bg._PARTITIONS) == 256

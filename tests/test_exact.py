@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sweedler.exact import (
-    DimensionError, Matrix, Vec, as_scalar, json_scalar, parse_scalar, scalar_str)
+    ONE, DimensionError, Matrix, Vec, _mul, as_scalar, json_scalar, parse_scalar, scalar_str)
 from sweedler.semantics import _matrix_unit
 
 
@@ -268,3 +268,25 @@ def test_public_constructors_still_validate():
     with pytest.raises(DimensionError):
         Matrix(((1,) * 9,))
     assert Vec((1, "2/4")).coords == (Fraction(1), Fraction(1, 2))
+
+
+_SCALARS = st.one_of(
+    st.sampled_from([ONE, Fraction(1), Fraction(-1), Fraction(0), Fraction(1, 2)]),
+    st.fractions(max_denominator=50).filter(lambda c: abs(c.numerator) < 10 ** 6))
+
+
+@given(_SCALARS, _SCALARS)
+def test_mul_equals_the_product_and_passes_the_shared_one_through(a, b):
+    got = _mul(a, b)
+    assert type(got) is Fraction and got == a * b
+    assert (got.numerator, got.denominator) == ((a * b).numerator, (a * b).denominator)
+    assert _mul(ONE, b) is b and _mul(a, ONE) is a
+    # identity, not ==: a fresh 1 is multiplied like any other factor
+    fresh = Fraction(1)
+    assert fresh is not ONE and _mul(fresh, b) == b and _mul(b, fresh) == b
+    assert _mul(fresh, b) is not b and _mul(b, fresh) is not b
+
+
+def test_the_shared_one_is_every_integer_read_of_one():
+    assert ONE is as_scalar(1) is parse_scalar("1") is json_scalar(1)
+    assert all(Vec.basis(3, i).coords[i] is ONE for i in range(3))

@@ -1,7 +1,9 @@
 import gc
 import weakref
+from fractions import Fraction
 
 from sweedler.encodings import bint_proof, bint_value
+from sweedler.exact import ONE
 from sweedler.laws import LAWS, LawResult, RunConfig, run_law, run_laws
 from sweedler.semantics import denote_proof
 
@@ -78,3 +80,22 @@ def test_law_runs_keep_no_denotation_alive():
     del d
     gc.collect()
     assert alive() is None
+
+
+def test_no_law_multiplies_by_the_shared_one(monkeypatch):
+    # the coalgebra skips products by the shared 1 (exact._mul); a product that
+    # takes it, or the int 1, as a factor is work whose answer was known
+    trivial = []
+    for name in ("__mul__", "__rmul__"):
+        op = getattr(Fraction, name)
+
+        def counted(a, b, op=op):
+            if any(x is ONE or type(x) is int and x == 1 for x in (a, b)):
+                trivial.append((a, b))
+            return op(a, b)
+        monkeypatch.setattr(Fraction, name, counted)
+    results = run_laws(RunConfig(seed=0, dim=2, max_tangents=4, trials=20),
+                       groups=("bang", "poly"))
+    monkeypatch.undo()
+    assert len(results) == 22 and all(r.passed for r in results)
+    assert trivial == []
