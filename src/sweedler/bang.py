@@ -16,16 +16,16 @@ sorted by ``key``.  ``from_terms`` canonicalises raw input; D and nabla keep
 canonical tangents: ``deriving`` expands only the new tangent and inserts its
 units, ``cocontract`` merges two sorted tuples.  Entries do their own
 arithmetic: ``+``, unary ``-`` and ``scale``, and print as their ``repr``, in
-parentheses when the entry is itself a sum of terms.
+parentheses when the entry is itself a sum of terms other than one lazy map.
 
 Every exact sum of terms, ``BangElement`` here as much as ``TensorElement``,
-``semantics.TensorVal`` and ``poly.Polynomial``, is a ``_TermSum``: a space, a
-dict from terms to nonzero coefficients and a cached hash, with the arithmetic
-on them, one builder from (term, coefficient) pairs (``_sum``), one key
-(``term_key``) and one printer, in which each term writes its own sign.  A
-subclass adds only its constructor or canonicaliser, its products, its term
-order (``_sort_key``) and how one term prints (``_term_str``).  ``tensor`` is
-the pure tensor of n elements.
+``semantics.TensorVal``, the lazy maps ``semantics.MapVal`` and
+``poly.Polynomial``, is a ``_TermSum``: a space, a dict from terms to nonzero
+coefficients and a cached hash, with the arithmetic on them, one builder from
+(term, coefficient) pairs (``_sum``), one key (``term_key``) and one printer,
+in which each term writes its own sign.  A subclass adds only its constructor
+or canonicaliser, its products, its term order (``_sort_key``) and how one
+term prints (``_term_str``).  ``tensor`` is the pure tensor of n elements.
 
 Two splittings serve the exponential rules of the proof semantics, and each
 ket operation has one home.  Both read a ket's sorted tangents as a multiset,
@@ -220,10 +220,11 @@ def ket_key(space, k: Ket):
 
 
 def ket_str(k: Ket):
-    """|t1, ..., ts>_P, each entry its repr, parenthesized if it is a sum of terms."""
+    """|t1, ..., ts>_P, each entry its repr, parenthesized if a sum (but ``_bare_unit``)."""
     entries = []
     for e in k.tangents + (k.point,):
-        entries.append("(%r)" % (e,) if isinstance(e, _TermSum) else repr(e))
+        bare = not isinstance(e, _TermSum) or e._bare_unit and list(e.terms.values()) == [1]
+        entries.append(repr(e) if bare else "(%r)" % (e,))
     return "|%s>_%s" % (", ".join(entries[:-1]), entries[-1])
 
 
@@ -262,7 +263,8 @@ class _TermSum(Immutable):
     The representation and arithmetic shared by ``BangElement`` (terms are
     kets over an entry space), ``TensorElement`` (terms are tuples of kets,
     its space a tuple of entry spaces), ``semantics.TensorVal`` (terms are
-    pairs of canonical units over a ``TensorSpace``) and ``poly.Polynomial``
+    pairs of canonical units over a ``TensorSpace``), ``semantics.MapVal``
+    (terms are curried denotations over a ``HomSpace``) and ``poly.Polynomial``
     (terms are exponent tuples, its space the variable count).  The
     constructor trusts its term dict; subclasses add only their canonicaliser
     or validating constructor, products, ``_sort_key`` and ``_term_str``.  The
@@ -271,6 +273,7 @@ class _TermSum(Immutable):
     """
 
     __slots__ = ("space", "terms", "_hash")
+    _bare_unit = False  # whether ket_str prints a lone term of coefficient 1 bare
 
     def __init__(self, space, terms):
         object.__setattr__(self, "space", space)

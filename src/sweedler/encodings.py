@@ -76,13 +76,11 @@ def comp_proof(n, dim=DEFAULT_DIM):
     a = base_formula(dim)
     if n == 0:
         return LolliR(Axiom(a))
-
-    def chain(k):
-        body = Axiom(a) if k == 1 else chain(k - 1)
-        return LolliL(0, Axiom(a), body)
-
+    body = Axiom(a)
+    for _ in range(n):  # a loop, so that long chains build without recursion
+        body = LolliL(0, Axiom(a), body)
     rotate = tuple(range(1, n + 1)) + (0,)
-    return LolliR(Exchange(rotate, chain(n)))
+    return LolliR(Exchange(rotate, body))
 
 
 def church_proof(n, dim=DEFAULT_DIM):

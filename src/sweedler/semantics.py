@@ -16,18 +16,18 @@ evaluation at a ket builds it with ``bang.BangElement.ket``; kets come from ``ba
 A denotation is linear in each slot, so a zero argument gives a zero value.
 ``LolliL`` and ``Cut`` pass a premise a value they computed themselves, h(x)
 and the left premise's value; when that value is zero they return the target's
-zero and make no premise call.  Every value answers ``is_zero``; a ``MapVal``
-answers ``False``, since a closure is decided only by probing it.
+zero and make no premise call.  Every value answers ``is_zero``, a lazy map too.
 
 Every formula space is an entry space of ``bang``, so elements of !A are
 canonical ket sums over the space of A itself.  Values are plain objects:
 a ``Vec`` for a base space, a ``Matrix`` for a map between base spaces, a
 ``BangElement`` for !A, a ``TensorVal`` for A * B; the last two share their
 representation and arithmetic, ``bang._TermSum``.  A linear map whose
-domain or codomain is not concrete stays a closure (``MapVal``); such values
-are compared extensionally, by probing them with seeded arguments, never
-numerically.  Every value does its own arithmetic: ``+``, unary ``-`` and
-``scale``.
+domain or codomain is not concrete stays lazy: a ``MapVal``, the term sum of
+its ``Curried`` atoms (a ``LolliR`` premise with every slot but the last
+filled), which ``apply_hom`` alone runs; lazy maps that differ structurally
+are compared by probing them with seeded arguments.  Every value does its own
+arithmetic: ``+``, unary ``-`` and ``scale``.
 
 Denotations are shared per distinct proof, weakly: proofs are records that
 compare and hash by value, so a proof rebuilt or parsed again, or a sub-tree
@@ -49,7 +49,7 @@ from fractions import Fraction
 from . import bang as bg
 from . import syntax as syn
 from .bang import BangSpace, BaseSpace as Base
-from .exact import Matrix, Vec, as_scalar, json_scalar, scalar_str
+from .exact import ONE, Matrix, Vec, as_scalar, json_scalar, scalar_str
 from .record import record
 
 
@@ -68,9 +68,9 @@ class ProbeDepthError(RuntimeError):
 class HomSpace:
     """Linear maps dom -> cod: a Matrix between base spaces, else a MapVal.
 
-    As an entry space, a matrix expands into elementary matrices, so kets
-    over a concrete Hom space canonicalize like kets over a base space; a
-    closure is one formal unit, keyed by its creation serial.
+    As an entry space, a matrix expands into elementary matrices and a lazy
+    map into its atoms, so kets over any Hom space canonicalize like kets
+    over a base space.
     """
 
     dom: object
@@ -89,17 +89,15 @@ class HomSpace:
         if not self.contains(v):
             raise bg.SpaceError("expected a map of %s, got %r" % (self.label(), v))
         if isinstance(v, MapVal):
-            return [(Fraction(1), v)]
+            return [(c, MapVal._of(self, {atom: ONE})) for atom, c in v.terms.items()]
         return [(c, _matrix_unit(v.nrows, v.ncols, i, j))
                 for i, row in enumerate(v.rows) for j, c in enumerate(row) if c != 0]
 
     def key(self, v):
-        return ("f", v.serial) if isinstance(v, MapVal) else ("m", v.rows)
+        return v.term_key() if isinstance(v, MapVal) else v.rows
 
     def zero(self):
-        if self.concrete:
-            return Matrix.zero(self.cod.dim, self.dom.dim)
-        return MapVal(self, lambda x: self.cod.zero())
+        return Matrix.zero(self.cod.dim, self.dom.dim) if self.concrete else MapVal(self, {})
 
     def label(self):
         return "(%s -o %s)" % (self.dom.label(), self.cod.label())
@@ -151,38 +149,26 @@ def denote_formula(f: syn.Formula):
 # -- values -----------------------------------------------------------------
 
 
-_serials = itertools.count()
+@record
+class Curried:
+    """One atom of a lazy map: a denotation with every slot but the last filled."""
+
+    den: Denotation
+    args: tuple
 
 
-@record(eq=False)
-class MapVal:
-    """A lazy linear map; ``serial`` counts creations and orders closures."""
+class MapVal(bg._TermSum):
+    """A lazy linear map, the sum of c * Curried atoms run by ``apply_hom``; an
+    atom sorts by its denotation's serial, then by its arguments' keys."""
 
-    space: HomSpace
-    fn: object
-    serial: int
+    __slots__ = ()
+    _bare_unit = True
 
-    def __init__(self, space, fn):
-        self._fill(space, fn, next(_serials))
+    def _sort_key(self, item):
+        den, args = item[0].den, item[0].args
+        return den.serial, tuple(s.key(v) for s, v in zip(den.source, args))
 
-    def __add__(self, other):
-        if not self.space.contains(other):
-            return NotImplemented
-        return MapVal(self.space, lambda x: apply_hom(self, x) + apply_hom(other, x))
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def is_zero(self):
-        return False  # a closure is never decided zero without probing it
-
-    def scale(self, c):
-        c = as_scalar(c)
-        if c == 1:
-            return self
-        return MapVal(self.space, lambda x: apply_hom(self, x).scale(c))
-
-    def __repr__(self):
+    def _term_str(self, atom):
         return "<linear map %s>" % self.space.label()
 
 
@@ -220,7 +206,13 @@ def apply_hom(h, x):
             raise SpaceMismatch("matrix applied to non-vector %r" % (x,))
         return h.apply(x)
     if isinstance(h, MapVal):
-        return h.fn(x)
+        require_value(x, h.space.dom, "argument")
+        acc = None
+        for atom, c in h.terms.items():
+            v = atom.den.fn(*atom.args, x)
+            v = v if c == 1 else v.scale(c)
+            acc = v if acc is None else acc + v
+        return h.space.cod.zero() if acc is None else acc
     raise SpaceMismatch("not a linear map: %r" % (h,))
 
 
@@ -233,11 +225,20 @@ def require_value(v, space, what="value"):
 # -- denotations -------------------------------------------------------------
 
 
+_serials = itertools.count()
+
+
 @record(eq=False, weakref=True)
 class Denotation:
+    """A proof's multilinear map; ``serial`` counts creations, to order lazy maps."""
+
     source: tuple
     target: object
     fn: object
+    serial: int
+
+    def __init__(self, source, target, fn):
+        self._fill(source, target, fn, next(_serials))
 
     def eval(self, *args):
         if len(args) != len(self.source):
@@ -352,7 +353,7 @@ def _build(p) -> Denotation:
                     [prem.fn(*args, Vec.basis(dom.dim, j)) for j in range(dom.dim)])
         else:
             def fn(*args):
-                return MapVal(hom, lambda x: prem.fn(*args, require_value(x, dom, "argument")))
+                return MapVal._of(hom, {Curried(prem, args): ONE})
         return Denotation(src, hom, fn)
 
     if isinstance(p, syn.LolliL):
@@ -364,7 +365,7 @@ def _build(p) -> Denotation:
 
         def fn(*vals):
             # h lies in hom, so h(x) lies in b: a matrix of hom has b.dim rows,
-            # and every map of hom (lazy LolliR, +, scale, zero) returns into b;
+            # and every atom of a lazy map of hom returns into b;
             # an axiom argument (every comp_proof link) passes its value as is;
             # the body is linear in slot i, so h(x) = 0 makes it 0 uncalled
             head, rest = vals[:na], vals[na:]
@@ -504,10 +505,10 @@ def _opaque(v) -> bool:
 def extensional_equal(a, b, space, cfg: ProbeConfig | None = None) -> bool:
     """Exact equality, probing lazy linear maps with seeded arguments.
 
-    Structural equality decides concrete values outright.  Hom values are
-    applied to deterministic probes and their outputs compared recursively;
-    the probe tangent budget is shared along an application chain.  Raises
-    ProbeDepthError when neither route can decide.
+    Structural equality decides equal values, and concrete ones, outright.
+    Other Hom values are applied to deterministic probes and their outputs
+    compared recursively; the probe tangent budget is shared along an
+    application chain.  Raises ProbeDepthError when neither route can decide.
     """
     cfg = cfg or ProbeConfig()
     rng = random.Random(cfg.seed)
@@ -515,11 +516,11 @@ def extensional_equal(a, b, space, cfg: ProbeConfig | None = None) -> bool:
 
 
 def _ext_eq(a, b, space, rng, cfg, depth, budget):
-    if isinstance(space, Base):
-        return a == b
+    if a == b:  # a structural match short-cuts the probes
+        return True
+    if isinstance(space, Base) or isinstance(a, Matrix) and isinstance(b, Matrix):
+        return False
     if isinstance(space, HomSpace):
-        if isinstance(a, Matrix) and isinstance(b, Matrix):
-            return a == b
         for probe, used in probes(space.dom, rng, cfg, depth, budget):
             xa = apply_hom(a, probe)
             xb = apply_hom(b, probe)
@@ -527,8 +528,6 @@ def _ext_eq(a, b, space, rng, cfg, depth, budget):
                 return False
         return True
     if isinstance(space, (BangSpace, TensorSpace)):
-        if a == b:
-            return True
         if _opaque(a) or _opaque(b):
             raise ProbeDepthError(
                 "cannot decide equality of opaque values in %s" % space.label())

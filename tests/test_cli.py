@@ -489,6 +489,16 @@ def test_importing_the_cli_leaves_the_law_suite_unloaded():
     assert out.strip() == "False"
 
 
+def test_a_promoted_closure_prints_the_same_under_every_hash_seed(tmp_path):
+    path = tmp_path / "prom.sexp"
+    path.write_text("(prom (lolli-r (der 0 (axiom (pvar A 1)))))")
+    for seed in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-m", "sweedler.cli", "eval", str(path)],
+                              env=dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed),
+                              capture_output=True, check=False)
+        assert (proc.returncode, proc.stdout) == (0, b"|>_<linear map (!1 -o 1)>\n")
+
+
 def test_one_parser_serves_every_call_of_a_process(capsys):
     calls = [("check", proof("church-2")),
              ("eval", proof("church-2"), "--input", '[[{"point": [[1,1],[0,1]]}]]'),

@@ -8,7 +8,7 @@ from sweedler import bang as bg
 from sweedler.exact import Matrix, Vec
 from sweedler.sexpr import parse_proof, print_proof
 from sweedler.syntax import (
-    Bang, Cut, Lolli, Prom, PropVar, Sequent, Weak, check_proof, derivative_transform)
+    Bang, Cut, Lolli, LolliL, Prom, PropVar, Sequent, Weak, check_proof, derivative_transform)
 from sweedler.semantics import (
     BangSpace, Base, HomSpace, ProbeConfig, denote_proof, derivative_eval,
     extensional_equal, nl_eval)
@@ -46,6 +46,15 @@ def test_conclusions_frozen():
     assert check_proof(repeat_proof()) == Sequent((Bang(bint_formula()),), bint_formula())
     assert check_proof(mult_proof()) == Sequent((Bang(int_formula()), int_formula()), int_formula())
     assert check_proof(mult_by_numeral(3)) == Sequent((Bang(int_formula()),), int_formula())
+
+
+def test_long_numerals_build_without_recursion():
+    # construction only: hashing and denoting such a proof still recurse
+    p, links = comp_proof(2000).premise.premise, 0
+    while isinstance(p, LolliL):
+        p, links = p.body, links + 1
+    assert links == 2000
+    church_proof(2000)
 
 
 def test_parse_bits():

@@ -136,6 +136,16 @@ def test_the_benchmark_configs_construct():
     laws.RunConfig(seed=0, dim=1, max_tangents=consts["LAW_MAX_TANGENTS"])
 
 
+def test_the_traced_promotion_rule_rebuilds_its_denotation():
+    # the tracer re-wraps each Prom denotation as Denotation(source, target, fn)
+    sem = importlib.import_module("sweedler.semantics")
+    syn = importlib.import_module("sweedler.syntax")
+    d = sem.denote_proof(syn.Prom(syn.Der(0, syn.Axiom(syn.PropVar("A", 1)))))
+    wrapped = sem.Denotation(d.source, d.target, d.fn)
+    ket = sem.bg.BangElement.ket(sem.Base(1), sem.Vec((2,)))
+    assert wrapped.eval(ket) == d.eval(ket)
+
+
 def test_every_law_is_reachable_by_its_function_name():
     # the laws workload calls each trial as getattr(laws, law.fn.__name__)
     laws = importlib.import_module("sweedler.laws")

@@ -23,6 +23,8 @@ from sweedler.semantics import (
     denote_proof, derivative_eval, extensional_equal, nl_eval,
     parse_value, value_to_json)
 
+from lazy_maps import lazy_map
+
 A = PropVar("A", 2)
 NA = Bang(A)
 
@@ -179,9 +181,9 @@ def test_closures_print_in_creation_order():
     # Freed closures leave holes that later ones fill, so that addresses no
     # longer follow creation order.
     for _ in range(100):
-        maps = [MapVal(hom, zero) for _ in range(8)]
+        maps = [lazy_map(hom, zero) for _ in range(8)]
         del maps[:4]
-        maps += [MapVal(hom, zero) for _ in range(4)]
+        maps += [lazy_map(hom, zero) for _ in range(4)]
         if sorted(maps, key=id) != maps:
             break
     assert sorted(maps, key=id) != maps
@@ -191,11 +193,41 @@ def test_closures_print_in_creation_order():
     assert repr(elt) == " + ".join([body] + ["%d %s" % (i, body) for i in range(2, 9)])
 
 
+def test_equal_closures_merge_and_cancel():
+    # the same proof evaluated twice curries the same denotation: equal maps
+    d = denote_proof(parse_proof("(lolli-r (der 0 (axiom (pvar A 1))))"))
+    f, g = d.eval(), d.eval()
+    assert f is not g and f == g and hash(f) == hash(g)
+    diff = bg.BangElement.ket(d.target, f) - bg.BangElement.ket(d.target, g)
+    assert diff.is_zero() and repr(diff) == "0"
+    assert (f - g).is_zero() and f + g == f.scale(2) and repr(f.scale(-2)) == (
+        "-2 <linear map (!1 -o 1)>")
+    # a lazy map expands into its atoms: kets are linear in each tangent;
+    # a lone atom prints bare in a ket, a sum in parentheses
+    h = lazy_map(d.target, lambda x: Vec((bg.counit(x),)))
+    assert bg.BangElement.ket(d.target, f, (f + h,)) == (
+        bg.BangElement.ket(d.target, f, (f,)) + bg.BangElement.ket(d.target, f, (h,)))
+    assert bg.BangElement.ket(d.target, f, (g - f,)).is_zero()
+    assert repr(bg.BangElement.ket(d.target, f + f, (f,))) == (
+        "|<linear map (!1 -o 1)>>_(2 <linear map (!1 -o 1)>)")
+
+
+def test_a_structural_match_short_cuts_the_probes(monkeypatch):
+    hom = HomSpace(BangSpace(Base(2)), Base(2))
+    lolli, calls = _build_counted(LolliR, Der(0, Axiom(A)), monkeypatch)
+    f, g = lolli.fn(), lolli.fn()
+    assert extensional_equal(f, f, hom) and extensional_equal(f, g, hom)
+    assert extensional_equal(f + g, g.scale(2), hom) and calls == []
+    # maps that differ structurally are still probed
+    h = lazy_map(hom, lambda x: bg.derelict(x) or Vec((0, 0)))
+    assert extensional_equal(f, h, hom) and calls
+
+
 def test_extensional_equal_probes_maps():
     hom = HomSpace(Base(2), Base(2))
     mat = Matrix(((1, 1), (0, 1)))
-    clone = MapVal(hom, lambda x: mat.apply(x))
-    other = MapVal(hom, lambda x: x)
+    clone = lazy_map(hom, mat.apply)
+    other = lazy_map(hom, lambda x: x)
     assert extensional_equal(mat, clone, hom)
     assert not extensional_equal(mat, other, hom)
     assert extensional_equal(mat, mat, hom)
@@ -213,8 +245,8 @@ def test_extensional_equal_on_bang_domains():
 
 def test_probe_depth_error_for_unreachable_domains():
     weird = HomSpace(HomSpace(BangSpace(Base(2)), Base(2)), Base(2))
-    a = MapVal(weird, lambda x: Vec((0, 0)))
-    b = MapVal(weird, lambda x: Vec((0, 0)))
+    a = lazy_map(weird, lambda x: Vec((0, 0)))
+    b = lazy_map(weird, lambda x: Vec((0, 0)))
     with pytest.raises(ProbeDepthError):
         extensional_equal(a, b, weird)
 
@@ -317,7 +349,7 @@ def test_denotation_cache_keeps_every_rule_premise_alive():
     # and the closures still evaluate: h(1) = |>_(1,2) (x) (3,4)
     hom, arg = d.source
     P, Q = Vec((1, 2)), Vec((3, 4))
-    h = MapVal(hom, lambda a: TensorVal.make(hom.cod, [(a.coords[0], (bval((1, 2)), Q))]))
+    h = lazy_map(hom, lambda a: TensorVal.make(hom.cod, [(a.coords[0], (bval((1, 2)), Q))]))
     space = TensorSpace(Base(2), Base(2))
     assert d.eval(h, Vec((1,))) == TensorVal.make(space, [(1, (P, Q)), (1, (Q, P))])
     alive = weakref.ref(d)
@@ -538,16 +570,21 @@ def test_lolli_l_skips_the_body_when_the_map_gives_zero(monkeypatch):
     assert lolli.fn(u, ident) == u and calls == [(u,)]
 
 
-def test_lolli_l_passes_a_lazy_map_on_even_when_it_is_zero(monkeypatch):
-    # C, (C -o C) |- C with C = !A -o A: closures are never decided zero
+def test_lolli_l_skips_the_body_at_the_zero_map(monkeypatch):
+    # C, (C -o C) |- C with C = !A -o A: the zero map is the empty sum
     c = Lolli(NA, A)
     lolli, calls = _build_counted(partial(LolliL, 0, Axiom(c)), Axiom(c), monkeypatch)
     zero_map = denote_formula(c).zero()
-    assert isinstance(zero_map, MapVal) and not zero_map.is_zero()
+    assert zero_map == HomSpace(BangSpace(Base(2)), Base(2)).zero()
+    assert isinstance(zero_map, MapVal) and zero_map.is_zero() and repr(zero_map) == "0"
     ident = denote_proof(LolliR(Axiom(c))).eval()
-    out = lolli.fn(zero_map, ident)
-    assert len(calls) == 1 and isinstance(calls[0][0], MapVal)
-    assert extensional_equal(out, zero_map, denote_formula(c))
+    assert lolli.fn(zero_map, ident) == zero_map and calls == []
+    # h = 0 gives h(x) = 0 without a call of the body, and so does h - h
+    zero_hom = HomSpace(denote_formula(c), denote_formula(c)).zero()
+    f = lazy_map(denote_formula(c), lambda x: Vec((bg.counit(x), 0)))
+    assert lolli.fn(f, zero_hom) == zero_map and calls == []
+    assert lolli.fn(f, ident - ident) == zero_map and calls == []
+    assert lolli.fn(f, ident) == f and calls == [(f,)]
 
 
 def test_cut_skips_the_right_premise_when_the_left_gives_zero(monkeypatch):
@@ -562,11 +599,13 @@ def test_cut_skips_the_right_premise_when_the_left_gives_zero(monkeypatch):
     assert cut.fn(bg.coweaken(Base(2)), b) == b and len(calls) == 1
     assert cut.fn(bval((1, 2)).scale(0), b) == Vec((0, 0, 0)) and len(calls) == 1
     monkeypatch.undo()
-    # a lazy map is passed on
+    # the zero map is skipped, a nonzero lazy map is passed on
     c = Lolli(NA, A)
     cut, calls = _build_counted(partial(Cut, 0, Axiom(c)), Axiom(c), monkeypatch)
     zero_map = denote_formula(c).zero()
-    assert cut.fn(zero_map) is zero_map and calls == [(zero_map,)]
+    assert cut.fn(zero_map) == zero_map and calls == []
+    f = lazy_map(denote_formula(c), lambda x: Vec((0, 0)))
+    assert cut.fn(f) is f and calls == [(f,)]
 
 
 # -- work counts: a regression in the work shows without timing the host ------
@@ -646,22 +685,27 @@ def test_extensional_equality_with_a_bang_valued_codomain():
     # nabla after Delta multiplies a ket of order s by 2^s
     doubled, _ = _closed("(lolli-r (ctr 0 (coctr 0 (axiom (bang A)))))")
     assert not extensional_equal(doubled, ident, space)
-    # kets whose entries are closures: equal only by probing, which ends here
+    # kets whose entries are closures: a structural match decides them, else
+    # only probing could, and it ends here
     lazy, space = _closed("(lolli-r (prom (lolli-r (weak 0 (bang A) (der 0 (axiom A))))))")
+    same, _ = _closed(
+        "(lolli-r (prom (lolli-r (weak 0 (bang A) (ctr 0 (weak 0 (bang A) (der 0 (axiom A))))))))")
     assert space.cod == BangSpace(HomSpace(BangSpace(Base(1)), Base(1)))
+    assert extensional_equal(lazy, lazy, space)
     with pytest.raises(ProbeDepthError, match="opaque values"):
-        extensional_equal(lazy, lazy, space)
+        extensional_equal(lazy, same, space)
     # a pure tensor whose left factor is a closure is opaque too
     pair, space = _closed("(lolli-r (tensor-r (lolli-r (axiom (bang A))) (axiom (pvar B 1))))")
+    twin, _ = _closed("(lolli-r (tensor-r (lolli-r (prom (der 0 (axiom A)))) (axiom (pvar B 1))))")
     assert space.cod == TensorSpace(HomSpace(BangSpace(Base(1)), BangSpace(Base(1))), Base(1))
     with pytest.raises(ProbeDepthError, match="opaque values"):
-        extensional_equal(pair, pair, space)
+        extensional_equal(pair, twin, space)
 
 
 def test_lazy_maps_scale_and_negate():
     ident, space = _closed("(lolli-r (axiom (bang A)))")
     x = bg.BangElement.ket(Base(1), Vec((2,)), (Vec((5,)),), coeff=3)
-    assert ident.scale(1) is ident
+    assert ident.scale(1) == ident and (ident - ident).is_zero()
     assert sem.apply_hom(ident.scale(Fraction(-3, 2)), x) == x.scale(Fraction(-3, 2))
     assert sem.apply_hom(-ident, x) == -x
     assert value_to_json(sem.apply_hom(-ident, x)) == [
