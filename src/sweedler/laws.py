@@ -1,9 +1,18 @@
 """Randomized verification of the engine's structural laws.
 
-Each law is an executable identity over exact rational data.  A run draws
-random elements from a seeded generator, evaluates both sides with exact
-arithmetic, and reports a concrete witness on the first mismatch.  There is
-no tolerance anywhere: two sides are equal or the law fails.
+Each law is an executable identity over exact rational data.  Its body draws
+random inputs from a seeded generator and returns ``(inputs, checks)``: the
+inputs as ``(name, value)`` pairs and its identities as ``(label, lhs, rhs)``
+triples whose two sides it evaluates with exact arithmetic.  ``law`` registers
+the trial built from the body; the trial alone compares the sides.  There is
+no tolerance anywhere: two sides are equal or the law fails.  A law decided by
+probing checks ``extensional_equal(...)`` against True.
+
+A trial returns None when every check holds, and otherwise the witness of the
+first failing check, one line of ``name = value`` parts joined by ``; ``: the
+inputs in the order they were drawn, then ``check = <label>`` when the law has
+more than one check, then ``lhs`` and ``rhs``.  Each value is cut at 200
+characters.
 
 Laws are grouped:
 
@@ -24,6 +33,7 @@ variant, ``deriving_mutated``; the suite is expected to catch it (see
 
 from __future__ import annotations
 
+import functools
 import random
 import zlib
 from fractions import Fraction
@@ -81,9 +91,13 @@ LAWS: list[Law] = []
 
 
 def law(group, name, weight=1):
-    def deco(fn):
-        LAWS.append(Law(group, name, fn, weight))
-        return fn
+    """Register the trial of a law body; the trial keeps the body's name."""
+    def deco(body):
+        @functools.wraps(body)
+        def trial(rng, cfg):
+            return _witness(*body(rng, cfg))
+        LAWS.append(Law(group, name, trial, weight))
+        return trial
     return deco
 
 
@@ -108,17 +122,22 @@ def run_laws(cfg: RunConfig, groups=None, names=None) -> list:
     return [run_law(l, cfg) for l in picked]
 
 
-# ---------------------------------------------------------------------------
-# random generators
-
-
 def _short(x, limit=200):
     s = str(x)
     return s if len(s) <= limit else s[:limit - 3] + "..."
 
 
-def _witness(parts):
-    return "; ".join("%s = %s" % (k, _short(v)) for k, v in parts)
+def _witness(inputs, checks):
+    """None if both sides of every check agree, else the first failure's witness."""
+    for label, lhs, rhs in checks:
+        if lhs != rhs:
+            named = [("check", label)] if len(checks) > 1 else []
+            parts = [*inputs, *named, ("lhs", lhs), ("rhs", rhs)]
+            return "; ".join("%s = %s" % (k, _short(v)) for k, v in parts)
+
+
+# ---------------------------------------------------------------------------
+# random generators
 
 
 def rand_vec(rng, dim):
@@ -166,9 +185,7 @@ def _law_deriving_counit(rng, cfg):
     space = bg.BaseSpace(cfg.dim)
     x = rand_bang(rng, space, cfg.max_tangents)
     v = rand_vec(rng, cfg.dim)
-    got = bg.counit(_D(cfg)(x, v))
-    if got != 0:
-        return _witness([("x", x), ("v", v), ("counit", got)])
+    return [("x", x), ("v", v)], [("counit", bg.counit(_D(cfg)(x, v)), 0)]
 
 
 @law("bang", "deriving-coproduct")
@@ -182,8 +199,7 @@ def _law_deriving_coproduct(rng, cfg):
     rhs = bg.TensorElement.from_terms((space, space), [])
     for x1, x2 in bg.coproduct_pairs(x):
         rhs = rhs + bg.tensor(x1, D(x2, v)) + bg.tensor(D(x1, v), x2)
-    if lhs != rhs:
-        return _witness([("x", x), ("v", v), ("lhs", lhs), ("rhs", rhs)])
+    return [("x", x), ("v", v)], [("coproduct", lhs, rhs)]
 
 
 @law("bang", "deriving-dereliction")
@@ -192,10 +208,8 @@ def _law_deriving_dereliction(rng, cfg):
     space = bg.BaseSpace(cfg.dim)
     x = rand_bang(rng, space, cfg.max_tangents)
     v = rand_vec(rng, cfg.dim)
-    lhs = bg.dereliction(_D(cfg)(x, v))
-    rhs = v.scale(bg.counit(x))
-    if lhs != rhs:
-        return _witness([("x", x), ("v", v), ("lhs", lhs), ("rhs", rhs)])
+    return [("x", x), ("v", v)], [
+        ("dereliction", bg.dereliction(_D(cfg)(x, v)), v.scale(bg.counit(x)))]
 
 
 @law("bang", "deriving-promotion")
@@ -206,12 +220,10 @@ def _law_deriving_promotion(rng, cfg):
     x = rand_bang(rng, space, cfg.max_tangents)
     v = rand_vec(rng, cfg.dim)
     lhs = bg.promote(D(x, v))
-    outer = bg.BangSpace(space)
-    rhs = bg.BangElement.zero(outer)
+    rhs = bg.BangElement.zero(bg.BangSpace(space))
     for x1, x2 in bg.coproduct_pairs(x):
         rhs = rhs + D(bg.promote(x1), D(x2, v))
-    if lhs != rhs:
-        return _witness([("x", x), ("v", v), ("lhs", lhs), ("rhs", rhs)])
+    return [("x", x), ("v", v)], [("promotion", lhs, rhs)]
 
 
 @law("bang", "coproduct-coassociative")
@@ -227,8 +239,7 @@ def _law_coassoc(rng, cfg):
     rhs = bg.TensorElement._sum((space,) * 3, (
         ((k1, k2, k3), c3) for x1, x2 in pairs for z1, z2 in bg.coproduct_pairs(x2)
         for k1 in x1.terms for k2 in z1.terms for k3, c3 in z2.terms.items()))
-    if lhs != rhs:
-        return _witness([("x", x), ("lhs", lhs), ("rhs", rhs)])
+    return [("x", x)], [("coassociative", lhs, rhs)]
 
 
 @law("bang", "coproduct-cocommutative")
@@ -238,8 +249,7 @@ def _law_cocomm(rng, cfg):
     dx = bg.coproduct(x)
     swapped = bg.TensorElement.from_terms(
         dx.space, ((c, (k2, k1)) for (k1, k2), c in dx.terms.items()))
-    if swapped != dx:
-        return _witness([("x", x), ("coproduct", dx)])
+    return [("x", x)], [("cocommutative", swapped, dx)]
 
 
 @law("bang", "coproduct-counit")
@@ -250,18 +260,14 @@ def _law_counit_law(rng, cfg):
     acc = bg.BangElement.zero(space)
     for x1, x2 in bg.coproduct_pairs(x):
         acc = acc + x2.scale(bg.counit(x1))
-    if acc != x:
-        return _witness([("x", x), ("collapsed", acc)])
+    return [("x", x)], [("counit", acc, x)]
 
 
 @law("bang", "promotion-dereliction")
 def _law_promotion_dereliction(rng, cfg):
     """Dereliction undoes promotion (comonad counit law)."""
-    space = bg.BaseSpace(cfg.dim)
-    x = rand_bang(rng, space, cfg.max_tangents)
-    got = bg.dereliction(bg.promote(x))
-    if got != x:
-        return _witness([("x", x), ("got", got)])
+    x = rand_bang(rng, bg.BaseSpace(cfg.dim), cfg.max_tangents)
+    return [("x", x)], [("dereliction", bg.dereliction(bg.promote(x)), x)]
 
 
 @law("bang", "promotion-coalgebra-morphism")
@@ -271,14 +277,11 @@ def _law_promotion_morphism(rng, cfg):
     outer = bg.BangSpace(space)
     x = rand_bang(rng, space, cfg.max_tangents)
     px = bg.promote(x)
-    lhs = bg.coproduct(px)
     rhs = bg.TensorElement.from_terms((outer, outer), [])
     for x1, x2 in bg.coproduct_pairs(x):
         rhs = rhs + bg.tensor(bg.promote(x1), bg.promote(x2))
-    if lhs != rhs:
-        return _witness([("x", x), ("lhs", lhs), ("rhs", rhs)])
-    if bg.counit(px) != bg.counit(x):
-        return _witness([("x", x), ("counit(promote)", bg.counit(px))])
+    return [("x", x)], [("coproduct", bg.coproduct(px), rhs),
+                        ("counit", bg.counit(px), bg.counit(x))]
 
 
 @law("bang", "cocontraction-commutative-monoid")
@@ -287,12 +290,11 @@ def _law_cocontraction_monoid(rng, cfg):
     x = rand_bang(rng, space, 2)
     y = rand_bang(rng, space, 2)
     z = rand_bang(rng, space, 1)
-    if bg.cocontract(x, y) != bg.cocontract(y, x):
-        return _witness([("x", x), ("y", y)])
-    if bg.cocontract(bg.cocontract(x, y), z) != bg.cocontract(x, bg.cocontract(y, z)):
-        return _witness([("x", x), ("y", y), ("z", z)])
-    if bg.cocontract(x, bg.coweaken(space)) != x:
-        return _witness([("x", x), ("against", "unit")])
+    xy = bg.cocontract(x, y)
+    return [("x", x), ("y", y), ("z", z)], [
+        ("commutative", xy, bg.cocontract(y, x)),
+        ("associative", bg.cocontract(xy, z), bg.cocontract(x, bg.cocontract(y, z))),
+        ("unit", bg.cocontract(x, bg.coweaken(space)), x)]
 
 
 @law("bang", "bialgebra-compatibility")
@@ -301,25 +303,19 @@ def _law_bialgebra(rng, cfg):
     space = bg.BaseSpace(cfg.dim)
     x = rand_bang(rng, space, 2)
     y = rand_bang(rng, space, 2)
-    lhs = bg.coproduct(bg.cocontract(x, y))
+    xy = bg.cocontract(x, y)
     rhs = bg.TensorElement.from_terms((space, space), [])
     for x1, x2 in bg.coproduct_pairs(x):
         for y1, y2 in bg.coproduct_pairs(y):
             rhs = rhs + bg.tensor(bg.cocontract(x1, y1), bg.cocontract(x2, y2))
-    if lhs != rhs:
-        return _witness([("x", x), ("y", y), ("lhs", lhs), ("rhs", rhs)])
-    if bg.counit(bg.cocontract(x, y)) != bg.counit(x) * bg.counit(y):
-        return _witness([("x", x), ("y", y), ("counit mismatch", "")])
+    return [("x", x), ("y", y)], [("coproduct", bg.coproduct(xy), rhs),
+                                  ("counit", bg.counit(xy), bg.counit(x) * bg.counit(y))]
 
 
 @law("bang", "coweakening-group-like")
 def _law_coweaken(rng, cfg):
-    space = bg.BaseSpace(cfg.dim)
-    u = bg.coweaken(space)
-    if bg.coproduct(u) != bg.tensor(u, u):
-        return "coproduct of the empty ket is not group-like"
-    if bg.counit(u) != 1:
-        return "counit of the empty ket is not 1"
+    u = bg.coweaken(bg.BaseSpace(cfg.dim))
+    return [], [("group-like", bg.coproduct(u), bg.tensor(u, u)), ("counit", bg.counit(u), 1)]
 
 
 @law("bang", "antipode-convolution-inverse")
@@ -330,11 +326,8 @@ def _law_antipode(rng, cfg):
     acc = bg.BangElement.zero(space)
     for x1, x2 in bg.coproduct_pairs(x):
         acc = acc + bg.cocontract(bg.antipode(x1), x2)
-    target = bg.coweaken(space).scale(bg.counit(x))
-    if acc != target:
-        return _witness([("x", x), ("lhs", acc), ("rhs", target)])
-    if bg.antipode(bg.antipode(x)) != x:
-        return _witness([("x", x), ("S(S(x))", bg.antipode(bg.antipode(x)))])
+    return [("x", x)], [("convolution", acc, bg.coweaken(space).scale(bg.counit(x))),
+                        ("involution", bg.antipode(bg.antipode(x)), x)]
 
 
 @law("bang", "codereliction-primitives")
@@ -343,12 +336,8 @@ def _law_codereliction(rng, cfg):
     v = rand_vec(rng, cfg.dim)
     e = bg.codereliction(space, v)
     u = bg.coweaken(space)
-    if bg.counit(e) != 0:
-        return _witness([("v", v), ("counit", bg.counit(e))])
-    if bg.dereliction(e) != v:
-        return _witness([("v", v), ("dereliction", bg.dereliction(e))])
-    if bg.coproduct(e) != bg.tensor(e, u) + bg.tensor(u, e):
-        return _witness([("v", v), ("coproduct", bg.coproduct(e))])
+    return [("v", v)], [("counit", bg.counit(e), 0), ("dereliction", bg.dereliction(e), v),
+                        ("coproduct", bg.coproduct(e), bg.tensor(e, u) + bg.tensor(u, e))]
 
 
 @law("bang", "deriving-via-cocontraction")
@@ -357,10 +346,8 @@ def _law_deriving_cocontraction(rng, cfg):
     space = bg.BaseSpace(cfg.dim)
     x = rand_bang(rng, space, cfg.max_tangents)
     v = rand_vec(rng, cfg.dim)
-    lhs = _D(cfg)(x, v)
-    rhs = bg.cocontract(x, bg.codereliction(space, v))
-    if lhs != rhs:
-        return _witness([("x", x), ("v", v), ("lhs", lhs), ("rhs", rhs)])
+    return [("x", x), ("v", v)], [
+        ("cocontraction", _D(cfg)(x, v), bg.cocontract(x, bg.codereliction(space, v)))]
 
 
 @law("bang", "split-merge-inverse")
@@ -369,11 +356,9 @@ def _law_split_merge(rng, cfg):
     a = rand_bang(rng, bg.BaseSpace(d1), cfg.max_tangents)
     b = rand_bang(rng, bg.BaseSpace(d2), cfg.max_tangents)
     merged = bg.split_merge(a, b)
-    back = bg.split_inverse(merged, d1, d2)
-    if back != bg.tensor(a, b):
-        return _witness([("a", a), ("b", b), ("roundtrip", back)])
-    if bg.counit(merged) != bg.counit(a) * bg.counit(b):
-        return _witness([("a", a), ("b", b), ("counit", bg.counit(merged))])
+    return [("a", a), ("b", b)], [
+        ("roundtrip", bg.split_inverse(merged, d1, d2), bg.tensor(a, b)),
+        ("counit", bg.counit(merged), bg.counit(a) * bg.counit(b))]
 
 
 @law("bang", "tangent-lift-primitive-pair")
@@ -382,12 +367,11 @@ def _law_tangent_lift(rng, cfg):
     p = rand_vec(rng, cfg.dim)
     v = rand_vec(rng, cfg.dim)
     e0, e1 = bg.tangent_lift(space, p, v)
-    if bg.coproduct(e0) != bg.tensor(e0, e0):
-        return _witness([("p", p), ("coproduct(e0)", bg.coproduct(e0))])
-    if bg.coproduct(e1) != bg.tensor(e0, e1) + bg.tensor(e1, e0):
-        return _witness([("p", p), ("v", v), ("coproduct(e1)", bg.coproduct(e1))])
-    if bg.counit(e0) != 1 or bg.counit(e1) != 0 or bg.dereliction(e1) != v:
-        return _witness([("p", p), ("v", v)])
+    return [("p", p), ("v", v)], [
+        ("coproduct(e0)", bg.coproduct(e0), bg.tensor(e0, e0)),
+        ("coproduct(e1)", bg.coproduct(e1), bg.tensor(e0, e1) + bg.tensor(e1, e0)),
+        ("counit(e0)", bg.counit(e0), 1), ("counit(e1)", bg.counit(e1), 0),
+        ("dereliction(e1)", bg.dereliction(e1), v)]
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +389,7 @@ def _law_pair_coproduct(rng, cfg):
         a = pl.residue_pairing(x1, f)
         if a:
             lhs += a * pl.residue_pairing(x2, g)
-    rhs = pl.residue_pairing(x, f * g)
-    if lhs != rhs:
-        return _witness([("x", x), ("f", f), ("g", g),
-                         ("lhs", lhs), ("rhs", rhs)])
+    return [("x", x), ("f", f), ("g", g)], [("pairing", lhs, pl.residue_pairing(x, f * g))]
 
 
 @law("poly", "cocontraction-dual-to-doubling")
@@ -418,11 +399,9 @@ def _law_pair_cocontraction(rng, cfg):
     x = rand_bang(rng, space, 2)
     y = rand_bang(rng, space, 2)
     f = rand_poly(rng, cfg.dim)
-    lhs = pl.residue_pairing(bg.cocontract(x, y), f)
-    rhs = pl.residue_pairing(bg.split_merge(x, y), pl.shift_doubling(f))
-    if lhs != rhs:
-        return _witness([("x", x), ("y", y), ("f", f),
-                         ("lhs", lhs), ("rhs", rhs)])
+    return [("x", x), ("y", y), ("f", f)], [
+        ("pairing", pl.residue_pairing(bg.cocontract(x, y), f),
+         pl.residue_pairing(bg.split_merge(x, y), pl.shift_doubling(f)))]
 
 
 @law("poly", "deriving-dual-to-directional")
@@ -431,11 +410,8 @@ def _law_pair_deriving(rng, cfg):
     x = rand_bang(rng, space, cfg.max_tangents)
     v = rand_vec(rng, cfg.dim)
     f = rand_poly(rng, cfg.dim, deg=3)
-    lhs = pl.residue_pairing(_D(cfg)(x, v), f)
-    rhs = pl.residue_pairing(x, f.directional(v))
-    if lhs != rhs:
-        return _witness([("x", x), ("v", v), ("f", f),
-                         ("lhs", lhs), ("rhs", rhs)])
+    return [("x", x), ("v", v), ("f", f)], [
+        ("pairing", pl.residue_pairing(_D(cfg)(x, v), f), pl.residue_pairing(x, f.directional(v)))]
 
 
 @law("poly", "units-dual-to-evaluation")
@@ -444,14 +420,12 @@ def _law_pair_units(rng, cfg):
     x = rand_bang(rng, space, cfg.max_tangents)
     v = rand_vec(rng, cfg.dim)
     f = rand_poly(rng, cfg.dim)
-    one = pl.Polynomial.const(cfg.dim, 1)
     origin = Vec.zero(cfg.dim)
-    if pl.residue_pairing(x, one) != bg.counit(x):
-        return _witness([("x", x)])
-    if pl.residue_pairing(bg.coweaken(space), f) != f.eval_at(origin):
-        return _witness([("f", f)])
-    if pl.residue_pairing(bg.codereliction(space, v), f) != f.directional(v).eval_at(origin):
-        return _witness([("v", v), ("f", f)])
+    return [("x", x), ("v", v), ("f", f)], [
+        ("counit", pl.residue_pairing(x, pl.Polynomial.const(cfg.dim, 1)), bg.counit(x)),
+        ("coweakening", pl.residue_pairing(bg.coweaken(space), f), f.eval_at(origin)),
+        ("codereliction", pl.residue_pairing(bg.codereliction(space, v), f),
+         f.directional(v).eval_at(origin))]
 
 
 @law("poly", "antipode-dual-to-reflection")
@@ -459,10 +433,8 @@ def _law_pair_antipode(rng, cfg):
     space = bg.BaseSpace(cfg.dim)
     x = rand_bang(rng, space, cfg.max_tangents)
     f = rand_poly(rng, cfg.dim, deg=3)
-    lhs = pl.residue_pairing(bg.antipode(x), f)
-    rhs = pl.residue_pairing(x, f.reflect())
-    if lhs != rhs:
-        return _witness([("x", x), ("f", f), ("lhs", lhs), ("rhs", rhs)])
+    return [("x", x), ("f", f)], [
+        ("pairing", pl.residue_pairing(bg.antipode(x), f), pl.residue_pairing(x, f.reflect()))]
 
 
 # ---------------------------------------------------------------------------
@@ -486,23 +458,16 @@ def _law_multilinearity(rng, cfg):
     combo[slot] = mats[slot] + extra.scale(c)
     alt = list(mats)
     alt[slot] = extra
-    lhs = den.eval(*combo)
-    rhs = den.eval(*mats) + den.eval(*alt).scale(c)
-    if lhs != rhs:
-        return _witness([("slot", slot), ("c", c), ("lhs", lhs), ("rhs", rhs)])
+    return [("slot", slot), ("c", c)], [
+        ("linear", den.eval(*combo), den.eval(*mats) + den.eval(*alt).scale(c))]
 
 
 @law("semantics", "promotion-on-identity", weight=5)
 def _law_promotion_identity(rng, cfg):
     """The promoted identity proof denotes the promotion map itself."""
-    a = PropVar("A", cfg.dim)
-    den = denote_proof(Prom(Axiom(Bang(a))))
-    space = bg.BaseSpace(cfg.dim)
-    x = rand_bang(rng, space, 2)
-    got = den.eval(x)
-    want = bg.promote(x)
-    if got != want:
-        return _witness([("x", x), ("got", got), ("want", want)])
+    den = denote_proof(Prom(Axiom(Bang(PropVar("A", cfg.dim)))))
+    x = rand_bang(rng, bg.BaseSpace(cfg.dim), 2)
+    return [("x", x)], [("promotion", den.eval(x), bg.promote(x))]
 
 
 @law("semantics", "promotion-group-like-totem", weight=10)
@@ -511,10 +476,9 @@ def _law_promotion_group_like(rng, cfg):
     n = rng.randint(0, 3)
     den = denote_proof(Prom(enc.church_proof(n, cfg.dim)))
     alpha = rand_matrix(rng, cfg.dim)
-    got = den.eval(enc.end_ket(cfg.dim, alpha))
-    want = enc.end_ket(cfg.dim, enc.church_value_oracle(n, alpha))
-    if got != want:
-        return _witness([("n", n), ("alpha", alpha), ("got", got), ("want", want)])
+    return [("n", n), ("alpha", alpha)], [
+        ("image", den.eval(enc.end_ket(cfg.dim, alpha)),
+         enc.end_ket(cfg.dim, enc.church_value_oracle(n, alpha)))]
 
 
 @law("semantics", "promotion-tangent-totem", weight=10)
@@ -524,12 +488,10 @@ def _law_promotion_tangent(rng, cfg):
     den = denote_proof(Prom(enc.church_proof(n, cfg.dim)))
     alpha = rand_matrix(rng, cfg.dim)
     nu = rand_matrix(rng, cfg.dim)
-    got = den.eval(enc.end_ket(cfg.dim, alpha, nu))
-    want = enc.end_ket(cfg.dim, enc.church_value_oracle(n, alpha),
-                       enc.church_derivative_oracle(n, alpha, nu))
-    if got != want:
-        return _witness([("n", n), ("alpha", alpha), ("nu", nu),
-                         ("got", got), ("want", want)])
+    return [("n", n), ("alpha", alpha), ("nu", nu)], [
+        ("pushforward", den.eval(enc.end_ket(cfg.dim, alpha, nu)),
+         enc.end_ket(cfg.dim, enc.church_value_oracle(n, alpha),
+                     enc.church_derivative_oracle(n, alpha, nu)))]
 
 
 @law("semantics", "derivative-path-coherence", weight=10)
@@ -540,12 +502,10 @@ def _law_derivative_path(rng, cfg):
     dpi = denote_proof(derivative_transform(p))
     alpha = rand_matrix(rng, cfg.dim)
     nu = rand_matrix(rng, cfg.dim)
-    got = dpi.eval(enc.end_ket(cfg.dim, alpha), nu)
-    want = derivative_eval(p, alpha, nu)
-    oracle = enc.church_derivative_oracle(n, alpha, nu)
-    if not (got == want == oracle):
-        return _witness([("n", n), ("alpha", alpha), ("nu", nu),
-                         ("transform", got), ("direct", want), ("oracle", oracle)])
+    direct = derivative_eval(p, alpha, nu)
+    return [("n", n), ("alpha", alpha), ("nu", nu)], [
+        ("transform = direct", dpi.eval(enc.end_ket(cfg.dim, alpha), nu), direct),
+        ("direct = oracle", direct, enc.church_derivative_oracle(n, alpha, nu))]
 
 
 @law("semantics", "derivative-path-coherence-curried", weight=100)
@@ -559,8 +519,8 @@ def _law_derivative_path_bint(rng, cfg):
     got = dpi.eval(enc.end_ket(cfg.dim, gamma), nu)
     want = derivative_eval(p, gamma, nu)
     target = denote_formula(enc.int_formula(cfg.dim))
-    if not extensional_equal(got, want, target, _probe_cfg(rng, cfg)):
-        return _witness([("s", repr(s)), ("gamma", gamma), ("nu", nu)])
+    return [("s", repr(s)), ("gamma", gamma), ("nu", nu)], [
+        ("probes agree", extensional_equal(got, want, target, _probe_cfg(rng, cfg)), True)]
 
 
 @law("semantics", "cut-against-promotion", weight=100)
@@ -571,8 +531,8 @@ def _law_cut_promotion(rng, cfg):
     got = denote_proof(p).eval()
     want = enc.bint_value(s + s, cfg.dim)
     target = denote_formula(enc.bint_formula(cfg.dim))
-    if not extensional_equal(got, want, target, _probe_cfg(rng, cfg)):
-        return _witness([("s", repr(s))])
+    return [("s", repr(s))], [
+        ("probes agree", extensional_equal(got, want, target, _probe_cfg(rng, cfg)), True)]
 
 
 # ---------------------------------------------------------------------------
@@ -585,11 +545,9 @@ def _law_church_oracle(rng, cfg):
     p = enc.church_proof(n, cfg.dim)
     alpha = rand_matrix(rng, cfg.dim)
     nu = rand_matrix(rng, cfg.dim)
-    if nl_eval(p, alpha) != enc.church_value_oracle(n, alpha):
-        return _witness([("n", n), ("alpha", alpha)])
-    got = derivative_eval(p, alpha, nu)
-    if got != enc.church_derivative_oracle(n, alpha, nu):
-        return _witness([("n", n), ("alpha", alpha), ("nu", nu), ("got", got)])
+    return [("n", n), ("alpha", alpha), ("nu", nu)], [
+        ("value", nl_eval(p, alpha), enc.church_value_oracle(n, alpha)),
+        ("derivative", derivative_eval(p, alpha, nu), enc.church_derivative_oracle(n, alpha, nu))]
 
 
 @law("encodings", "string-numeral-oracle", weight=20)
@@ -604,11 +562,8 @@ def _law_bint_oracle(rng, cfg):
     v = enc.bint_value(s, cfg.dim)
     got = apply_hom(apply_hom(v, enc.end_ket(cfg.dim, gamma, *alphas)),
                     enc.end_ket(cfg.dim, delta, *betas))
-    want = enc.bint_oracle(s, gamma, delta, alphas, betas)
-    if got != want:
-        return _witness([("s", repr(s)), ("gamma", gamma), ("delta", delta),
-                         ("alphas", alphas), ("betas", betas),
-                         ("got", got), ("want", want)])
+    return [("s", repr(s)), ("gamma", gamma), ("delta", delta), ("alphas", alphas),
+            ("betas", betas)], [("oracle", got, enc.bint_oracle(s, gamma, delta, alphas, betas))]
 
 
 @law("encodings", "doubling-concatenates", weight=100)
@@ -617,8 +572,8 @@ def _law_repeat(rng, cfg):
     got = nl_eval(enc.repeat_proof(cfg.dim), enc.bint_value(s, cfg.dim))
     want = enc.bint_value(s + s, cfg.dim)
     target = denote_formula(enc.bint_formula(cfg.dim))
-    if not extensional_equal(got, want, target, _probe_cfg(rng, cfg)):
-        return _witness([("s", repr(s))])
+    return [("s", repr(s))], [
+        ("probes agree", extensional_equal(got, want, target, _probe_cfg(rng, cfg)), True)]
 
 
 @law("encodings", "multiplication-derivative", weight=50)
@@ -628,9 +583,7 @@ def _law_mult(rng, cfg):
                          denote_proof(enc.int_proof(l, cfg.dim)).eval(),
                          denote_proof(enc.int_proof(m, cfg.dim)).eval())
     x = rand_matrix(rng, cfg.dim)
-    got = apply_hom(dv, enc.end_ket(cfg.dim, x))
     closed = enc.mult_derivative_oracle(l, m, n, x)
-    interp = enc.mult_difference_quotient(l, m, n, x)
-    if not (got == closed == interp):
-        return _witness([("l", l), ("m", m), ("n", n), ("x", x),
-                         ("got", got), ("closed", closed), ("interpolated", interp)])
+    return [("l", l), ("m", m), ("n", n), ("x", x)], [
+        ("closed form", apply_hom(dv, enc.end_ket(cfg.dim, x)), closed),
+        ("difference quotient", closed, enc.mult_difference_quotient(l, m, n, x))]

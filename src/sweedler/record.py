@@ -3,15 +3,14 @@
 ``record`` reads a class body of annotated fields, class-level values being
 defaults, and returns a ``__slots__`` class: ``__init__`` takes the fields by
 position or keyword, ``==`` holds within one class and ``hash`` of the field
-tuple is computed once per instance (both by identity with ``eq=False``), the
-repr is ``Name(field=value, ...)`` and ``_fields`` names the fields.  A body
-that checks or converts its fields writes its own ``__init__`` and stores them
-with ``self._fill(*values)``; ``trusted_maker`` gives a one-field record
-built on a hot path a trusted constructor, which skips the checks and
-``_fill`` and stores the slots directly.  The field tuple also sits in a
-``_values`` slot, so ``==`` and ``hash`` build none; ``weakref=True`` adds a
-weakref slot.  ``slots=`` names slots that hold no field, such as a value
-kept on first use: they stay out of ``_fields``, ``_values``, ``==``,
+tuple is computed once per instance, the repr is ``Name(field=value, ...)``
+and ``_fields`` names the fields.  A body that checks or converts its fields
+writes its own ``__init__`` and stores them with ``self._fill(*values)``;
+``trusted_maker`` gives a one-field record built on a hot path a trusted
+constructor, which skips the checks and ``_fill`` and stores the slots
+directly.  The field tuple also sits in a ``_values`` slot, so ``==`` and
+``hash`` build none.  ``slots=`` names slots that hold no field, such as a
+value kept on first use: they stay out of ``_fields``, ``_values``, ``==``,
 ``hash`` and the repr, and are set only through ``object.__setattr__``.
 """
 
@@ -55,16 +54,14 @@ class _Record(Immutable):
         return h
 
 
-def record(cls=None, /, *, eq=True, weakref=False, slots=()):
+def record(cls=None, /, *, slots=()):
     if cls is None:
-        return lambda c: record(c, eq=eq, weakref=weakref, slots=slots)
+        return lambda c: record(c, slots=slots)
     ns = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
     names = ns["_fields"] = tuple(ns.get("__annotations__", ()))
     defaults = {n: ns.pop(n) for n in names if n in ns}
-    ns["__slots__"] = names + ("_values", "_hash") + ("__weakref__",) * weakref + slots
+    ns["__slots__"] = names + ("_values", "_hash") + slots
     ns["__qualname__"] = cls.__qualname__
-    if not eq:
-        ns.update(__eq__=object.__eq__, __hash__=object.__hash__)
     cls = type(cls)(cls.__name__, (_Record,), ns)
     n, sv, sh = len(names), cls._values.__set__, cls._hash.__set__
     s0, s1, s2, *rest = [getattr(cls, name).__set__ for name in names] + [None] * 3

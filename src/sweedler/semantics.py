@@ -50,7 +50,7 @@ from . import bang as bg
 from . import syntax as syn
 from .bang import BangSpace, BaseSpace as Base
 from .exact import ONE, Matrix, Vec, as_scalar, json_scalar, scalar_str
-from .record import record
+from .record import Immutable, record
 
 
 class SpaceMismatch(ValueError):
@@ -228,17 +228,15 @@ def require_value(v, space, what="value"):
 _serials = itertools.count()
 
 
-@record(eq=False, weakref=True)
-class Denotation:
-    """A proof's multilinear map; ``serial`` counts creations, to order lazy maps."""
+class Denotation(Immutable):
+    """A proof's multilinear map, equal only to itself; ``serial`` counts
+    creations, to order lazy maps."""
 
-    source: tuple
-    target: object
-    fn: object
-    serial: int
+    __slots__ = ("source", "target", "fn", "serial", "__weakref__")
 
     def __init__(self, source, target, fn):
-        self._fill(source, target, fn, next(_serials))
+        for slot, value in zip(self.__slots__, (source, target, fn, next(_serials))):
+            object.__setattr__(self, slot, value)
 
     def eval(self, *args):
         if len(args) != len(self.source):

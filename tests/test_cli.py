@@ -365,6 +365,31 @@ def test_named_values_outside_their_space_exit_1(capsys, tmp_path, dim):
         assert (code, out, err) == (1, "", "error: %s\n" % message)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("(weak 3 (bang (pvar A 1)) (axiom (pvar A 1)))",
+     "weak index 3 out of range for context of length 1"),
+    ("(coctr 0 (axiom (pvar A 1)))", "coctr needs a !-formula at index 0, found A"),
+    ("(coweak 0 (bang (pvar A 1)) (axiom (pvar A 1)))",
+     "coweak deletes a !-formula, index 0 holds A"),
+], ids=["weak index", "coctr formula", "coweak formula"])
+def test_costructural_rule_faults_at_the_root(capsys, tmp_path, text, message):
+    with pytest.raises(syntax.ProofError) as exc:
+        syntax.check_proof(parse_proof(text))
+    assert (exc.value.path, exc.value.message) == ((), message)
+    bad = tmp_path / "bad.sexp"
+    bad.write_text(text)
+    assert run(capsys, "check", str(bad)) == (1, "invalid at root: %s\n" % message, "")
+
+
+@pytest.mark.parametrize("inputs,message", [
+    ("{}", "--input must be a JSON list, one value per slot"),
+    ('[[{"point": [[1,1],[0,1]]}], [1,2], [3,4]]', "cannot apply a value of 2 to further input"),
+], ids=["not a list", "past the value"])
+def test_eval_inputs_that_do_not_fit_are_one_error_line(capsys, inputs, message):
+    assert run(capsys, "eval", proof("church-2"), "--input", inputs) == (
+        1, "", "error: %s\n" % message)
+
+
 def test_invalid_proof_paths_read_as_in_proof_error(capsys, tmp_path):
     bad = tmp_path / "bad.sexp"
     bad.write_text("(lolli-r (ctr 0 (axiom (pvar A 2))))")

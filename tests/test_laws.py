@@ -1,7 +1,11 @@
 import gc
+import random
 import weakref
 from fractions import Fraction
 
+import pytest
+
+from sweedler import laws
 from sweedler.encodings import bint_proof, bint_value
 from sweedler.exact import ONE
 from sweedler.laws import LAWS, LawResult, RunConfig, run_law, run_laws
@@ -99,3 +103,39 @@ def test_no_law_multiplies_by_the_shared_one(monkeypatch):
     monkeypatch.undo()
     assert len(results) == 22 and all(r.passed for r in results)
     assert trivial == []
+
+
+class _Unlike:
+    """Unequal to every value; prints longer than a witness keeps."""
+
+    def __ne__(self, other):
+        return True
+
+    def __str__(self):
+        return "u" * 500
+
+
+def _cut(value):
+    s = str(value)
+    return s if len(s) <= 200 else s[:197] + "..."
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda l: "%s/%s" % (l.group, l.name))
+def test_every_law_writes_its_witness_through_the_shared_comparison(monkeypatch, law):
+    # the last check of the law fails: its left side becomes a value unequal to
+    # everything, so no engine map is corrupted and the earlier checks must hold
+    seen = []
+    compare = laws._witness
+
+    def last_check_fails(inputs, checks):
+        *held, (label, _, rhs) = checks
+        seen.append((inputs, label, rhs, len(checks)))
+        return compare(inputs, [*held, (label, _Unlike(), rhs)])
+    monkeypatch.setattr(laws, "_witness", last_check_fails)
+    witness = law.fn(random.Random(0), RunConfig(seed=0, dim=2, max_tangents=2))
+    [(inputs, label, rhs, n)] = seen
+    named = [("check", label)] if n > 1 else []
+    parts = [*inputs, *named, ("lhs", _Unlike()), ("rhs", rhs)]
+    assert witness == "; ".join("%s = %s" % (k, _cut(v)) for k, v in parts)
+    # each value is cut to 200 characters, the unequal side among them
+    assert ("lhs = %s...; rhs = " % ("u" * 197)) in witness

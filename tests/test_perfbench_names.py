@@ -11,6 +11,7 @@ import ast
 import importlib
 import inspect
 import os
+import random
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
@@ -151,3 +152,16 @@ def test_every_law_is_reachable_by_its_function_name():
     laws = importlib.import_module("sweedler.laws")
     for l in laws.LAWS:
         assert getattr(laws, l.fn.__name__) is l.fn, l.name
+
+
+def test_every_benchmarked_law_trial_returns_none():
+    # the laws workload calls each trial as below and fails the verdict on any
+    # answer but None, so a trial that handed back its body's (inputs, checks)
+    # would break every benchmark run
+    consts = _constants(_tree("workloads.py"), "LAW_GROUPS", "LAW_COUNT", "LAW_MAX_TANGENTS")
+    laws = importlib.import_module("sweedler.laws")
+    picked = [l for l in laws.LAWS if l.group in consts["LAW_GROUPS"]]
+    assert len(picked) == consts["LAW_COUNT"] == 22
+    cfg = laws.RunConfig(seed=0, dim=1, max_tangents=consts["LAW_MAX_TANGENTS"])
+    for l in picked:
+        assert getattr(laws, l.fn.__name__)(random.Random(0), cfg) is None, l.name
