@@ -62,11 +62,11 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from fractions import Fraction
 from functools import reduce
 from operator import itemgetter
 
-from .exact import ONE as _ONE, Vec, _mul, as_scalar, check_dim, scalar_str
+from .exact import (
+    ONE as _ONE, ZERO as _ZERO, Vec, _add, _mul, _neg, as_scalar, check_dim, scalar_str)
 from .record import Immutable, record
 
 MAX_SUBSET_TANGENTS = 12
@@ -159,7 +159,7 @@ class BaseSpace:
         """Decompose into canonical units: the standard basis vectors."""
         if not self.contains(entry):
             raise SpaceError("expected a vector of dim %d, got %r" % (self.dim, entry))
-        return [(c, Vec.basis(self.dim, i)) for i, c in enumerate(entry.coords) if c != 0]
+        return [(c, Vec.basis(self.dim, i)) for i, c in enumerate(entry.coords) if c]
 
     def key(self, entry):
         return entry.coords
@@ -186,7 +186,7 @@ class BangSpace:
             raise SpaceError("expected an element of !%s" % self.inner.label())
         if len(entry.terms) == 1:
             (k, c), = entry.terms.items()
-            return [(c, entry if c == 1 else unit(self.inner, k))]
+            return [(c, entry if c is _ONE else unit(self.inner, k))]
         return [(c, unit(self.inner, k)) for k, c in entry.sorted_terms()]
 
     def key(self, entry):
@@ -229,9 +229,10 @@ def ket_str(k: Ket):
 
 
 def _keyed(space, entry):
-    """An entry's expansion into canonical units, as (coeff, key, unit); a
-    coefficient of 1 is stored as None, so products skip it cheaply."""
-    return [(None if c == 1 else c, space.key(u), u) for c, u in space.expand(entry)]
+    """An entry's expansion into canonical units, as (coeff, key, unit); the
+    shared ONE, every 1 the kernel computes, is stored as None, so products
+    skip it cheaply."""
+    return [(None if c is _ONE else c, space.key(u), u) for c, u in space.expand(entry)]
 
 
 def _check_products(size):
@@ -296,10 +297,10 @@ class _TermSum(Immutable):
             n = len(acc)
             c0 = acc.setdefault(k, c)
             if len(acc) == n:
-                acc[k] = c = c0 + c
-            zeros = zeros or not c.numerator
+                acc[k] = c = _add(c0, c)
+            zeros = zeros or not c
         if zeros:
-            for k in [k for k, c in acc.items() if not c.numerator]:
+            for k in [k for k, c in acc.items() if not c]:
                 del acc[k]
         return cls._of(space, acc)
 
@@ -318,10 +319,10 @@ class _TermSum(Immutable):
                              % (self.space, other.space))
         acc = dict(self.terms)
         for k, c in other.terms.items():
-            c = -c if negate else c
+            c = _neg(c) if negate else c
             c0 = acc.get(k)
-            c1 = c if c0 is None else c0 + c
-            if c1 == 0:
+            c1 = c if c0 is None else _add(c0, c)
+            if not c1:
                 acc.pop(k, None)
             else:
                 acc[k] = c1
@@ -334,11 +335,11 @@ class _TermSum(Immutable):
         return self._merge(other, True)
 
     def __neg__(self):
-        return self.scale(-1)
+        return self._of(self.space, {k: _neg(v) for k, v in self.terms.items()})
 
     def scale(self, c):
         c = as_scalar(c)
-        if c == 0:
+        if not c:
             return self._of(self.space, {})
         return self._of(self.space, {k: _mul(c, v) for k, v in self.terms.items()})
 
@@ -515,9 +516,9 @@ def coproduct(t: BangElement) -> TensorElement:
         for k1 in left.terms for k2, c in right.terms.items()})
 
 
-def counit(t: BangElement) -> Fraction:
+def counit(t: BangElement):
     """The coefficient sum over the tangent-free kets."""
-    return sum((c for k, c in t.terms.items() if k.order == 0), Fraction(0))
+    return reduce(_add, [c for k, c in t.terms.items() if not k.tangents], _ZERO)
 
 
 def dereliction(t: BangElement):
@@ -538,7 +539,7 @@ def derelict(t: BangElement):
         if len(k.tangents) > 1:
             continue
         v = k.tangents[0] if k.tangents else k.point
-        v = v if c == 1 else v.scale(c)
+        v = v if c is _ONE else v.scale(c)
         acc = v if acc is None else acc + v
     object.__setattr__(t, "_d", acc)
     return acc
@@ -646,7 +647,7 @@ def split_merge(a: BangElement, b: BangElement) -> BangElement:
             point = ka.point.concat(kb.point)
             tangents = tuple(x.concat(z2) for x in ka.tangents) \
                 + tuple(z1.concat(x) for x in kb.tangents)
-            items.append((ca * cb, point, tangents))
+            items.append((_mul(ca, cb), point, tangents))
     return BangElement.from_terms(target, items)
 
 

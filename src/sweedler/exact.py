@@ -11,21 +11,30 @@ constructors validate outside input (ints, 'p' or 'p/q' strings of ASCII
 digits with a sign on p and no decimal point, exponent or underscore, shapes
 and dimensions) before ``_fill`` stores it; the private ``_of`` constructors
 (``record.trusted_maker``) skip ``__init__`` and the checks, trust the
-invariant and are what the arithmetic uses, since Fraction operations on
-Fraction entries of checked shapes yield Fraction entries of the same
-shapes.  The arithmetic skips every product with a zero factor and every sum
-with a zero term, so sparse operands (elementary matrices, basis vectors)
-cost only their nonzero entries.  ``Matrix.apply`` and ``@`` reduce each
-output entry once: the one ``_dot`` sums it over the plain-int numerators
-and denominators of its factors and builds one ``Fraction`` at the end.  A
+invariant and are what the arithmetic uses.  The arithmetic skips every
+product with a zero factor and every sum with a zero term, so sparse operands
+(elementary matrices, basis vectors) cost only their nonzero entries.
+``Matrix.apply`` and ``@`` reduce each output entry once: the one ``_dot``
+sums it over the plain-int numerators and denominators of its factors.  A
 matrix reads its rows' integers at its first ``apply`` and keeps them in the
 non-field slot ``_int_rows`` for the next; ``@``, ``power``, ``+`` and
 ``scale`` read each operand once and keep nothing.
-Values are immutable, so cached ones (basis vectors, zero matrices, the
-``Fraction`` of each integer up to 64 in size that the scalar readers and the
-dot product return) and ``scale(1)`` returning ``self`` are safe to share.
-``ONE`` is the 1 of every integer scalar, basis coordinate and unit element;
-``_mul`` returns the other factor itself when one factor is ``ONE``.
+
+The scalar kernel does every engine scalar operation on the reduced integer
+pair, and only this module reads or fills a Fraction's two slots.
+``_scalar(n, d)`` is its one trusted constructor: from a reduced pair with
+d > 0 it fills a fresh ``Fraction``, or returns the shared ``Fraction`` of an
+integer up to 64 in size.  ``_ratio`` reduces a pair once with ``math.gcd``;
+``_add``, ``_mul`` and ``_neg`` are a + b, a * b and -a on ``Fraction``
+operands.  ``_add`` returns one side itself when the other is 0, and ``_mul``
+returns one factor itself when the other is ``ONE`` (an identity test, so
+any other 1 is still multiplied).  Every other result is built by
+``_scalar``, so a computed integer up to 64 in size, 0 (``ZERO``) and 1
+(``ONE``) among them, is the shared object.  Values stay plain reduced
+``Fraction`` objects: ``type``, ``==``, ``hash``, ``repr`` and ordering are
+the standard library's.  Values are immutable, so the cached ones (basis
+vectors, zero matrices, the shared integers) and ``scale(1)`` returning
+``self`` are safe to share.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ import re
 import reprlib
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 from .record import record, trusted_maker
 
@@ -52,20 +62,62 @@ def check_dim(dim):
 
 _SMALL = 64
 _SMALL_INTS = tuple(Fraction(n) for n in range(-_SMALL, _SMALL + 1))
+_new = object.__new__
 
 
-def _int_scalar(n: int) -> Fraction:
-    """Fraction(n), one shared object for |n| <= _SMALL: most entries are small."""
-    return _SMALL_INTS[n + _SMALL] if -_SMALL <= n <= _SMALL else Fraction(n)
+def _scalar(n: int, d: int = 1) -> Fraction:
+    """The kernel's one trusted constructor: n/d for ints already reduced,
+    d > 0; the shared Fraction for an integer with |n| <= _SMALL."""
+    if d == 1 and -_SMALL <= n <= _SMALL:
+        return _SMALL_INTS[n + _SMALL]
+    c = _new(Fraction)
+    c._numerator = n
+    c._denominator = d
+    return c
 
 
-ONE = _int_scalar(1)
+ONE, ZERO = _scalar(1), _scalar(0)
+
+
+def _ratio(p: int, q: int) -> Fraction:
+    """p/q for ints with q > 0, reduced once."""
+    g = gcd(p, q)
+    return _scalar(p // g, q // g)
+
+
+def _add(a, b):
+    """a + b, either side itself when the other is 0, else reduced once."""
+    bn = b._numerator
+    if not bn:
+        return a
+    an = a._numerator
+    if not an:
+        return b
+    ad, bd = a._denominator, b._denominator
+    if ad == bd:
+        n = an + bn
+        return _scalar(n) if ad == 1 else _ratio(n, ad)
+    return _ratio(an * bd + bn * ad, ad * bd)
 
 
 def _mul(a, b):
-    """a * b, with no Fraction product when either side is the shared ONE;
-    an identity test, so any other operand equal to 1 is still multiplied."""
-    return b if a is ONE else a if b is ONE else a * b
+    """a * b, the other factor itself when one is the shared ONE (an identity
+    test: any other operand equal to 1 is still multiplied), else reduced by
+    cross gcds."""
+    if a is ONE:
+        return b
+    if b is ONE:
+        return a
+    an, ad, bn, bd = a._numerator, a._denominator, b._numerator, b._denominator
+    if ad == 1 and bd == 1:
+        return _scalar(an * bn)
+    g, h = gcd(an, bd), gcd(bn, ad)
+    return _scalar((an // g) * (bn // h), (ad // h) * (bd // g))
+
+
+def _neg(a):
+    """-a."""
+    return _scalar(-a._numerator, a._denominator)
 
 
 def as_scalar(value) -> Fraction:
@@ -73,7 +125,7 @@ def as_scalar(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return _int_scalar(value)
+        return _scalar(value)
     if isinstance(value, str):
         return parse_scalar(value)
     raise TypeError("not an exact scalar: %r" % (value,))
@@ -88,7 +140,7 @@ def json_scalar(value) -> Fraction:
     if isinstance(value, str):
         return parse_scalar(value)
     if type(value) is int:
-        return _int_scalar(value)
+        return _scalar(value)
     # reprlib: a bad value may nest hundreds deep, its message stays short
     raise JSONScalarError("expected an integer or a \"p/q\" string, got %s"
                           % reprlib.repr(value))
@@ -104,11 +156,13 @@ def parse_scalar(text: str) -> Fraction:
     try:
         if m is None:
             raise ValueError
-        c = Fraction(int(m[1]), int(m[2] or 1))  # int() refuses past 4300 digits
-    except (ValueError, ZeroDivisionError):
+        p, q = int(m[1]), int(m[2] or 1)  # int() refuses past 4300 digits
+        if not q:
+            raise ValueError
+    except ValueError:
         raise ValueError("bad scalar %s: expected p or p/q, q nonzero"
                          % reprlib.repr(text)) from None
-    return _int_scalar(c.numerator) if c.denominator == 1 else c
+    return _ratio(p, q)
 
 
 def scalar_str(c) -> str:
@@ -120,23 +174,13 @@ def scalar_str(c) -> str:
     return "%s/%s" % (Decimal(c.numerator), Decimal(c.denominator))
 
 
-_ZERO = _int_scalar(0)
 _BASIS_CACHE = {}
 _ZERO_CACHE = {}  # Matrix.zero by (nrows, ncols)
 
 
-def _add(a, b):
-    """a + b, with no Fraction operation when either side is 0."""
-    if not b:
-        return a
-    if not a:
-        return b
-    return a + b
-
-
 def _nonzero(entries):
     """(j, numerator, denominator) of each nonzero entry: a ``_dot`` operand."""
-    return tuple([(j, n, x.denominator) for j, x in enumerate(entries) if (n := x.numerator)])
+    return tuple([(j, n, x._denominator) for j, x in enumerate(entries) if (n := x._numerator)])
 
 
 def _dot(nonzero, xs):
@@ -146,14 +190,14 @@ def _dot(nonzero, xs):
     n, d = 0, 1
     for j, cn, cd in nonzero:
         x = xs[j]
-        xn = x.numerator  # an int test, not the Python-level Fraction.__bool__
+        xn = x._numerator
         if xn:
-            pn, pd = cn * xn, cd * x.denominator
+            pn, pd = cn * xn, cd * x._denominator
             if pd == d:
                 n += pn
             else:
                 n, d = n * pd + pn * d, d * pd
-    return _int_scalar(n) if d == 1 else Fraction(n, d)
+    return _scalar(n) if d == 1 else _ratio(n, d)
 
 
 @record
@@ -188,7 +232,7 @@ class Vec:
 
     def is_zero(self):
         for c in self.coords:
-            if c.numerator:  # an int test, not Fraction.__eq__
+            if c._numerator:
                 return False
         return True
 
@@ -203,13 +247,13 @@ class Vec:
         return self + (-other)
 
     def __neg__(self):
-        return Vec._of(tuple(-a for a in self.coords))
+        return Vec._of(tuple(map(_neg, self.coords)))
 
     def scale(self, c):
         c = as_scalar(c)
-        if c == 1:
+        if c._numerator == c._denominator:  # c == 1
             return self
-        return Vec._of(tuple(_mul(c, a) if a else a for a in self.coords))
+        return Vec._of(tuple([_mul(c, a) if a._numerator else a for a in self.coords]))
 
     def concat(self, other):
         return Vec(self.coords + other.coords)
@@ -264,7 +308,7 @@ class Matrix:
         check_dim(ncols)
         cached = _ZERO_CACHE.get((nrows, ncols))
         if cached is None:
-            cached = _ZERO_CACHE[(nrows, ncols)] = cls._of(((_ZERO,) * ncols,) * nrows)
+            cached = _ZERO_CACHE[(nrows, ncols)] = cls._of(((ZERO,) * ncols,) * nrows)
         return cached
 
     @property
@@ -276,7 +320,7 @@ class Matrix:
         return len(self.rows[0])
 
     def is_zero(self):
-        return not any(c.numerator for row in self.rows for c in row)
+        return not any(c._numerator for row in self.rows for c in row)
 
     def apply(self, v: Vec) -> Vec:
         coords = v.coords
@@ -300,13 +344,14 @@ class Matrix:
         return self + (-other)
 
     def __neg__(self):
-        return Matrix._of(tuple(tuple(-a for a in row) for row in self.rows))
+        return Matrix._of(tuple(tuple(map(_neg, row)) for row in self.rows))
 
     def scale(self, c):
         c = as_scalar(c)
-        if c == 1:
+        if c._numerator == c._denominator:  # c == 1
             return self
-        return Matrix._of(tuple(tuple(c * a if a else a for a in row) for row in self.rows))
+        return Matrix._of(tuple(tuple([_mul(c, a) if a._numerator else a for a in row])
+                                   for row in self.rows))
 
     def __matmul__(self, other):
         """Matrix product self @ other, i.e. the composite self after other."""

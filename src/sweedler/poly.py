@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
-from .exact import DimensionError, Vec, _mul, as_scalar
+from .exact import ZERO, DimensionError, Vec, _add, _mul, _neg, as_scalar
 from .bang import BangElement, BaseSpace, Ket, SpaceError, _TermSum
 
 
@@ -64,7 +63,7 @@ class Polynomial(_TermSum):
         if other.nvars != self.nvars:
             raise DimensionError("polynomials over different variable counts")
         return Polynomial._sum(self.nvars, (
-            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            (tuple(a + b for a, b in zip(e1, e2)), _mul(c1, c2))
             for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()))
 
     def partial(self, i):
@@ -74,7 +73,8 @@ class Polynomial(_TermSum):
             if e[i] == 0:
                 continue
             e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-            acc[e2] = c if e[i] == 1 else c * e[i]  # distinct terms stay distinct, none vanishes
+            # distinct terms stay distinct, none vanishes
+            acc[e2] = c if e[i] == 1 else _mul(c, as_scalar(e[i]))
         return Polynomial._of(self.nvars, acc)
 
     def directional(self, v: Vec):
@@ -82,25 +82,25 @@ class Polynomial(_TermSum):
         if v.dim != self.nvars:
             raise DimensionError("direction has dim %d, polynomial has %d vars" % (v.dim, self.nvars))
         return Polynomial._sum(self.nvars, (
-            (e, _mul(c, cd)) for i, c in enumerate(v.coords) if c != 0
+            (e, _mul(c, cd)) for i, c in enumerate(v.coords) if c
             for e, cd in self.partial(i).terms.items()))
 
-    def eval_at(self, p: Vec) -> Fraction:
+    def eval_at(self, p: Vec):
         if p.dim != self.nvars:
             raise DimensionError("point has dim %d, polynomial has %d vars" % (p.dim, self.nvars))
-        total = Fraction(0)
+        total = ZERO
         for e, c in self.terms.items():
             val = c
             for x, k in zip(p.coords, e):
                 for _ in range(k):
-                    val *= x
-            total += val
+                    val = _mul(val, x)
+            total = _add(total, val)
         return total
 
     def reflect(self):
         """Substitute x -> -x."""
-        return Polynomial._of(self.nvars,
-                              {e: (c if sum(e) % 2 == 0 else -c) for e, c in self.terms.items()})
+        return Polynomial._of(self.nvars, {e: (c if sum(e) % 2 == 0 else _neg(c))
+                                           for e, c in self.terms.items()})
 
     def _sort_key(self, item):
         """Degree first, descending; then exponents, descending."""
@@ -131,20 +131,20 @@ def shift_doubling(f: Polynomial) -> Polynomial:
 # residue pairing
 
 
-def _ket_pair(k: Ket, f: Polynomial) -> Fraction:
+def _ket_pair(k: Ket, f: Polynomial):
     g = f
     for v in k.tangents:
         g = g.directional(v)
     return g.eval_at(k.point)
 
 
-def residue_pairing(t: BangElement, f: Polynomial) -> Fraction:
+def residue_pairing(t: BangElement, f: Polynomial):
     """<t, f> for t in !V with V a concrete base space."""
     if not isinstance(t.space, BaseSpace):
         raise SpaceError("residue pairing needs a concrete base space")
     if f.nvars != t.space.dim:
         raise DimensionError("polynomial has %d vars, space has dim %d" % (f.nvars, t.space.dim))
-    total = Fraction(0)
+    total = ZERO
     for k, c in t.terms.items():
-        total += _mul(c, _ket_pair(k, f))
+        total = _add(total, _mul(c, _ket_pair(k, f)))
     return total

@@ -44,12 +44,11 @@ import operator
 import random
 import reprlib
 import weakref
-from fractions import Fraction
 
 from . import bang as bg
 from . import syntax as syn
 from .bang import BangSpace, BaseSpace as Base
-from .exact import ONE, Matrix, Vec, as_scalar, json_scalar, scalar_str
+from .exact import ONE, Matrix, Vec, _mul, _ratio, as_scalar, json_scalar, scalar_str
 from .record import Immutable, record
 
 
@@ -91,7 +90,7 @@ class HomSpace:
         if isinstance(v, MapVal):
             return [(c, MapVal._of(self, {atom: ONE})) for atom, c in v.terms.items()]
         return [(c, _matrix_unit(v.nrows, v.ncols, i, j))
-                for i, row in enumerate(v.rows) for j, c in enumerate(row) if c != 0]
+                for i, row in enumerate(v.rows) for j, c in enumerate(row) if c]
 
     def key(self, v):
         return v.term_key() if isinstance(v, MapVal) else v.rows
@@ -116,7 +115,7 @@ class TensorSpace:
     def expand(self, v):
         if not self.contains(v):
             raise bg.SpaceError("expected a tensor of %s, got %r" % (self.label(), v))
-        return [(c, TensorVal(self, {pair: Fraction(1)})) for pair, c in v.sorted_terms()]
+        return [(c, TensorVal(self, {pair: ONE})) for pair, c in v.sorted_terms()]
 
     def key(self, v):
         return v.term_key()
@@ -181,7 +180,7 @@ class TensorVal(bg._TermSum):
     @classmethod
     def make(cls, space, items):
         return cls._sum(space, (
-            ((ua, ub), as_scalar(coeff) * ca * cb) for coeff, (a, b) in items
+            ((ua, ub), _mul(_mul(as_scalar(coeff), ca), cb)) for coeff, (a, b) in items
             for (ca, ua), (cb, ub) in itertools.product(space.left.expand(a),
                                                         space.right.expand(b))))
 
@@ -210,7 +209,7 @@ def apply_hom(h, x):
         acc = None
         for atom, c in h.terms.items():
             v = atom.den.fn(*atom.args, x)
-            v = v if c == 1 else v.scale(c)
+            v = v if c is ONE else v.scale(c)
             acc = v if acc is None else acc + v
         return h.space.cod.zero() if acc is None else acc
     raise SpaceMismatch("not a linear map: %r" % (h,))
@@ -281,7 +280,7 @@ def _tensor_left(prem, i, j):
         acc = None
         for (a, b), c in vals[i].sorted_terms():
             v = prem.fn(*vals[:i], a, b, *vals[j:])
-            v = v if c == 1 else v.scale(c)
+            v = v if c is ONE else v.scale(c)
             acc = v if acc is None else acc + v
         return prem.target.zero() if acc is None else acc
     return fn
@@ -303,7 +302,7 @@ def _weak(prem, i, j):
         if not c:
             return prem.target.zero()
         v = prem.fn(*vals[:i], *vals[j:])
-        return v if c == 1 else v.scale(c)
+        return v if c is ONE else v.scale(c)
     return fn
 
 
@@ -450,7 +449,7 @@ SPAN = 3  # coordinate magnitude of random probe entries and law data
 
 
 def rand_fraction(rng):
-    return Fraction(rng.randint(-SPAN, SPAN), rng.randint(1, 2))
+    return _ratio(rng.randint(-SPAN, SPAN), rng.randint(1, 2))
 
 
 def probes(space, rng, cfg, depth, budget):

@@ -1,3 +1,5 @@
+import ast
+import os
 import random
 from fractions import Fraction
 from math import gcd
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sweedler.exact import (
-    ONE, DimensionError, Matrix, Vec, _mul, as_scalar, json_scalar, parse_scalar, scalar_str)
+    ONE, ZERO, DimensionError, Matrix, Vec, _add, _mul, _neg, _ratio, _scalar, as_scalar,
+    json_scalar, parse_scalar, scalar_str)
 from sweedler.semantics import _matrix_unit
 
 
@@ -290,3 +293,75 @@ def test_mul_equals_the_product_and_passes_the_shared_one_through(a, b):
 def test_the_shared_one_is_every_integer_read_of_one():
     assert ONE is as_scalar(1) is parse_scalar("1") is json_scalar(1)
     assert all(Vec.basis(3, i).coords[i] is ONE for i in range(3))
+
+
+# -- the scalar kernel against fractions.Fraction --------------------------------
+
+_BIG = 10 ** 4400  # past the 4300 digits that str(int), and so repr, refuses
+_huge_int = st.builds(lambda sign, k: sign * (_BIG + k), st.sampled_from((1, -1)),
+                      st.integers(0, 10 ** 6))
+_KERNEL_SCALARS = st.one_of(
+    st.sampled_from([ONE, Fraction(1), ZERO, Fraction(0), Fraction(-1), Fraction(64),
+                     Fraction(-64), Fraction(65), Fraction(1, 2), Fraction(-7, 3)]),
+    st.fractions(max_denominator=60).filter(lambda c: abs(c.numerator) < 10 ** 4),
+    st.builds(Fraction, _huge_int, st.one_of(st.just(1), st.integers(1, 10 ** 6),
+                                             _huge_int.map(abs))))
+
+
+def _shown(c):
+    try:
+        return repr(c)
+    except ValueError as e:  # a numerator or denominator past the int string limit
+        return "ValueError: %s" % e
+
+
+def _same_scalar(got, want, passed=None):
+    """got is the reduced Fraction want: its value, type, form, hash and repr;
+    an integer up to 64 in size is the shared one unless the kernel handed
+    an operand through (``passed``)."""
+    assert type(got) is Fraction and got == want
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got.denominator > 0 and gcd(got.numerator, got.denominator) == 1
+    assert hash(got) == hash(want) and _shown(got) == _shown(want)
+    if passed is not None:
+        assert got is passed
+    elif want.denominator == 1 and abs(want.numerator) <= 64:
+        assert got is as_scalar(want.numerator)
+
+
+@given(_KERNEL_SCALARS, _KERNEL_SCALARS)
+def test_kernel_operations_equal_fraction_arithmetic(a, b):
+    _same_scalar(_add(a, b), a + b, a if not b else b if not a else None)
+    _same_scalar(_mul(a, b), a * b, b if a is ONE else a if b is ONE else None)
+    _same_scalar(_neg(a), -a)
+    _same_scalar(_scalar(a.numerator, a.denominator), a)
+    q = abs(b.numerator) + 1
+    _same_scalar(_ratio(a.numerator, q), Fraction(a.numerator, q))
+
+
+def test_fraction_keeps_the_slots_the_kernel_fills():
+    # the kernel builds and reads Fractions through these two slots
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+_SRC = os.path.join(os.path.dirname(__file__), "..", "src", "sweedler")
+
+
+def _modules():
+    for name in sorted(os.listdir(_SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(_SRC, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read())
+
+
+def test_only_the_kernel_reads_fraction_slots():
+    """``exact`` alone touches a Fraction's slots, and the ``encodings``
+    oracles import none of its private names, so they stay an independent
+    reference for the engine's arithmetic."""
+    slots = {name for name, tree in _modules() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in Fraction.__slots__}
+    assert slots == {"exact.py"}
+    private = [(node.module, alias.name) for name, tree in _modules() if name == "encodings.py"
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import weakref
 from fractions import Fraction
 
@@ -98,6 +99,27 @@ def test_no_law_multiplies_by_the_shared_one(monkeypatch):
                 trivial.append((a, b))
             return op(a, b)
         monkeypatch.setattr(Fraction, name, counted)
+    results = run_laws(RunConfig(seed=0, dim=2, max_tangents=4, trials=20),
+                       groups=("bang", "poly"))
+    monkeypatch.undo()
+    assert len(results) == 22 and all(r.passed for r in results)
+    assert trivial == []
+
+
+def test_no_kernel_product_takes_a_one_it_cannot_skip(monkeypatch):
+    # engine products go through the kernel (exact._mul), not Fraction.__mul__;
+    # it skips the shared 1, so a 1 that reaches it as another object, or the
+    # int 1, is a product whose answer was known
+    trivial = []
+    binders = [m for name, m in list(sys.modules.items())
+               if name.startswith("sweedler.") and hasattr(m, "_mul")]
+    assert {m.__name__ for m in binders} >= {"sweedler.exact", "sweedler.bang", "sweedler.poly"}
+    for mod in binders:
+        def counted(a, b, mul=mod._mul):
+            if any(x == 1 and x is not ONE for x in (a, b)):
+                trivial.append((a, b))
+            return mul(a, b)
+        monkeypatch.setattr(mod, "_mul", counted)
     results = run_laws(RunConfig(seed=0, dim=2, max_tangents=4, trials=20),
                        groups=("bang", "poly"))
     monkeypatch.undo()
