@@ -282,3 +282,61 @@ def test_shape_table_covers_each_class_once_with_a_kind_per_field():
         assert len(kinds) == len(cls._fields), cls
         assert set(kinds) <= {"name", "dimension", "index", "perm", "formula", "proof"}
         assert list(kinds) == sorted(kinds, key=lambda kind: kind == "proof"), cls
+
+
+# -- every context-rule failure, pinned exactly --------------------------------
+
+_D = Der(0, Axiom(A))                          # !A |- A
+_DB = Weak(0, Bang(B), _D)                     # !B, !A |- A
+
+# (proof, path, message): each of the 15 ways a context rule can fail, at the
+# root or inside the tree, and three inputs with two faults, which pin the
+# order of the checks
+CONTEXT_RULE_FAILURES = [
+    pytest.param(TensorL(1, Axiom(A)), (),
+                 "tensor-l index 1 out of range for context of length 1", id="tensor-l index"),
+    pytest.param(LolliR(TensorL(0, Axiom(A))), (0,),
+                 "tensor-l needs two formulas at index 0, context is A |- A",
+                 id="tensor-l adjacency"),
+    pytest.param(Der(-1, Axiom(A)), (),
+                 "der index -1 out of range for context of length 1", id="der index"),
+    pytest.param(Cut(0, Axiom(A), Ctr(2, _DB)), (1,),
+                 "ctr index 2 out of range for context of length 2", id="ctr index"),
+    pytest.param(Ctr(1, _DB), (),
+                 "ctr needs an adjacent pair at index 1 in !B, !A |- A", id="ctr adjacency"),
+    pytest.param(Ctr(0, _DB), (),
+                 "ctr needs two equal !-formulas, found !B and !A", id="ctr equal"),
+    pytest.param(Weak(0, A, Axiom(A)), (),
+                 "weak inserts a !-formula, got A", id="weak inserts"),
+    pytest.param(Weak(2, Bang(A), Axiom(A)), (),
+                 "weak index 2 out of range for context of length 1", id="weak index"),
+    pytest.param(Coder(1, _D), (),
+                 "coder index 1 out of range for context of length 1", id="coder index"),
+    pytest.param(LolliR(Coder(0, Axiom(A))), (0,),
+                 "coder needs a !-formula at index 0, found A", id="coder formula"),
+    pytest.param(Coctr(-1, _D), (),
+                 "coctr index -1 out of range for context of length 1", id="coctr index"),
+    pytest.param(Coctr(0, Axiom(A)), (),
+                 "coctr needs a !-formula at index 0, found A", id="coctr formula"),
+    pytest.param(Coweak(3, Bang(A), _DB), (),
+                 "coweak index 3 out of range for context of length 2", id="coweak index"),
+    pytest.param(Coweak(0, Bang(A), Axiom(A)), (),
+                 "coweak deletes a !-formula, index 0 holds A", id="coweak formula"),
+    pytest.param(Coweak(0, Bang(A), _DB), (),
+                 "coweak annotation !A does not match context formula !B",
+                 id="coweak annotation"),
+    pytest.param(Weak(-1, A, Axiom(A)), (),
+                 "weak inserts a !-formula, got A", id="weak formula before index"),
+    pytest.param(Ctr(0, Axiom(A)), (),
+                 "ctr needs an adjacent pair at index 0 in A |- A", id="ctr pair before formulas"),
+    pytest.param(Coweak(0, A, Axiom(A)), (),
+                 "coweak deletes a !-formula, index 0 holds A",
+                 id="coweak formula before annotation"),
+]
+
+
+@pytest.mark.parametrize("p,path,message", CONTEXT_RULE_FAILURES)
+def test_every_context_rule_failure_has_its_path_and_message(p, path, message):
+    with pytest.raises(ProofError) as exc:
+        check_proof(p)
+    assert (exc.value.path, exc.value.message) == (path, message)
