@@ -206,10 +206,6 @@ class Ket:
     point: object
     tangents: tuple
 
-    @property
-    def order(self):
-        return len(self.tangents)
-
 
 # loops, not generators or map: nested !-values recurse here once per level
 def ket_key(space, k: Ket):

@@ -8,8 +8,9 @@ multilinear map, packaged as a ``Denotation`` with one callable slot per
 context formula.  The seven context rules -- tensor-left, dereliction,
 contraction, weakening, codereliction, cocontraction and coweakening --
 precompose the premise with one map of ``bang``: the pair split, d, Delta,
-epsilon, dbar, nabla and u.  One table (``_STRUCTURAL``) gives each its slots
-and its own closure, which calls the premise once per term of that map.
+epsilon, dbar, nabla and u.  One table (``_STRUCTURAL``) gives each the spaces
+of its new slots and its own closure, which calls the premise once per term of
+that map; how many premise slots each replaces is read from ``syntax.CONTEXT_RULES``.
 Promotion hands its premise to ``bang.promote_blocks`` as the block map, and
 evaluation at a ket builds it with ``bang.BangElement.ket``; kets come from ``bang``.
 
@@ -269,11 +270,11 @@ def _den(p) -> Denotation:
     return d
 
 
-# The context rules: rule -> (k, conclusion spaces, make).  The rule at index i
-# replaces the premise's k slots i.. by the conclusion's slots i..j, whose spaces
-# it computes from those k.  make(prem, i, j) builds the closure that sums the
-# premise over the rule's map at slots i..j, from its own frame (one frame per
-# level); it reads prem.fn at each call, so it holds prem and the weak cache keeps it.
+# The context rules: rule -> (conclusion spaces, make); k is the rule's arity in
+# ``syntax.CONTEXT_RULES``.  The rule at index i replaces the premise's k slots i..
+# by the conclusion's slots i..j, whose spaces it computes from those k.  make(prem,
+# i, j) builds the closure that sums the premise over the rule's map at slots i..j,
+# one frame per level; it reads prem.fn at each call, so the weak cache keeps prem.
 
 def _tensor_left(prem, i, j):
     def fn(*vals):
@@ -307,18 +308,18 @@ def _weak(prem, i, j):
 
 
 _STRUCTURAL = {
-    syn.TensorL: (2, lambda p, a, b: (TensorSpace(a, b),), _tensor_left),
+    syn.TensorL: (lambda p, a, b: (TensorSpace(a, b),), _tensor_left),
     # d kills kets of order >= 2: with none of order <= 1 there is no call
-    syn.Der: (1, lambda p, a: (BangSpace(a),), lambda prem, i, j: lambda *vals: (
+    syn.Der: (lambda p, a: (BangSpace(a),), lambda prem, i, j: lambda *vals: (
         prem.target.zero() if (x := bg.derelict(vals[i])) is None
         else prem.fn(*vals[:i], x, *vals[j:]))),
-    syn.Ctr: (2, lambda p, a, b: (a,), _ctr),
-    syn.Weak: (0, lambda p: (denote_formula(p.formula),), _weak),
-    syn.Coder: (1, lambda p, a: (a.inner,), lambda prem, i, j: lambda *vals: prem.fn(
+    syn.Ctr: (lambda p, a, b: (a,), _ctr),
+    syn.Weak: (lambda p: (denote_formula(p.formula),), _weak),
+    syn.Coder: (lambda p, a: (a.inner,), lambda prem, i, j: lambda *vals: prem.fn(
         *vals[:i], bg.codereliction(prem.source[i].inner, vals[i]), *vals[j:])),
-    syn.Coctr: (1, lambda p, a: (a, a), lambda prem, i, j: lambda *vals: prem.fn(
+    syn.Coctr: (lambda p, a: (a, a), lambda prem, i, j: lambda *vals: prem.fn(
         *vals[:i], bg.cocontract(vals[i], vals[i + 1]), *vals[j:])),
-    syn.Coweak: (1, lambda p, a: (), lambda prem, i, j: lambda *vals: prem.fn(
+    syn.Coweak: (lambda p, a: (), lambda prem, i, j: lambda *vals: prem.fn(
         *vals[:i], bg.coweaken(prem.source[i].inner), *vals[j:])),
 }
 
@@ -328,7 +329,8 @@ def _build(p) -> Denotation:
     # bound to that name sees every node
     rule = _STRUCTURAL.get(type(p))
     if rule is not None:
-        k, spaces, make = rule
+        spaces, make = rule
+        k = syn.CONTEXT_RULES[type(p)][1]
         prem = _den(p.premise)
         i = p.index
         conc = spaces(p, *prem.source[i:i + k])

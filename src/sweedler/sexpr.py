@@ -104,68 +104,66 @@ _PRINTED = {cls: (sort, head, tuple(zip(cls._fields, kinds)))
             for head, (cls, kinds) in _SHAPES.items() for sort in _SORTS if cls in _SORTS[sort]}
 
 
-def _parse(text, sort):
-    """The ``sort`` read from ``text``, descending over token indices."""
-    tokens, close = _read(text)
+def _int_atom(tokens, i, what):
+    tok, line, col = tokens[i]
+    if tok == "(":
+        raise ParseError("expected an integer %s" % what, line, col)
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError("expected an integer %s, got %r" % (what, tok), line, col) from None
 
-    def int_atom(i, what):
-        tok, line, col = tokens[i]
-        if tok == "(":
-            raise ParseError("expected an integer %s" % what, line, col)
-        try:
-            return int(tok)
-        except ValueError:
-            raise ParseError("expected an integer %s, got %r" % (what, tok),
-                             line, col) from None
 
-    def items(i):
-        """The token indices of the items of the list opened at i."""
-        out, j, end = [], i + 1, close[i]
-        while j < end:
-            out.append(j)
-            j = close.get(j, j) + 1
-        return out
+def _items(close, i):
+    """The token indices of the items of the list opened at i."""
+    out, j, end = [], i + 1, close[i]
+    while j < end:
+        out.append(j)
+        j = close.get(j, j) + 1
+    return out
 
-    def parse(i, sort):
-        tok, line, col = tokens[i]
-        if tok != "(" or tokens[i + 1][0] in ("(", ")"):
-            raise ParseError("expected a %s form" % sort, line, col)
-        head, args = tokens[i + 1][0], items(i)[1:]
-        cls, kinds = _SHAPES.get(head, (None, ()))
-        if cls not in _SORTS[sort]:
-            raise ParseError("unknown %s head %r" % (sort, head), line, col)
-        if len(args) != len(kinds):
-            raise ParseError("%s takes %d arguments, got %d" % (head, len(kinds), len(args)),
-                             line, col)
-        values = []
-        for kind, arg in zip(kinds, args):
-            if kind in _SORTS:
-                values.append(parse(arg, kind))
-            elif kind in ("index", "dimension"):
-                values.append(int_atom(arg, kind))
-            elif kind == "name":
-                if tokens[arg][0] == "(":
-                    raise ParseError("%s name must be an atom" % head, *tokens[arg][1:])
-                values.append(tokens[arg][0])
-            else:
-                if tokens[arg][0] != "(":
-                    raise ParseError("%s needs a parenthesized permutation" % head,
-                                     *tokens[arg][1:])
-                values.append(tuple(int_atom(a, "permutation entry") for a in items(arg)))
-        try:
-            return cls(*values)
-        except ValueError as exc:
-            raise ParseError(str(exc), line, col) from None
 
-    return parse(0, sort)
+def _parse(tokens, close, i, sort):
+    """The ``sort`` read from the form at token i, descending over token indices;
+    module-level, so a parse leaves no reference cycle behind."""
+    tok, line, col = tokens[i]
+    if tok != "(" or tokens[i + 1][0] in ("(", ")"):
+        raise ParseError("expected a %s form" % sort, line, col)
+    head, args = tokens[i + 1][0], _items(close, i)[1:]
+    cls, kinds = _SHAPES.get(head, (None, ()))
+    if cls not in _SORTS[sort]:
+        raise ParseError("unknown %s head %r" % (sort, head), line, col)
+    if len(args) != len(kinds):
+        raise ParseError("%s takes %d arguments, got %d" % (head, len(kinds), len(args)),
+                         line, col)
+    values = []
+    for kind, arg in zip(kinds, args):
+        if kind in _SORTS:
+            values.append(_parse(tokens, close, arg, kind))
+        elif kind in ("index", "dimension"):
+            values.append(_int_atom(tokens, arg, kind))
+        elif kind == "name":
+            if tokens[arg][0] == "(":
+                raise ParseError("%s name must be an atom" % head, *tokens[arg][1:])
+            values.append(tokens[arg][0])
+        else:
+            if tokens[arg][0] != "(":
+                raise ParseError("%s needs a parenthesized permutation" % head,
+                                 *tokens[arg][1:])
+            values.append(tuple(_int_atom(tokens, a, "permutation entry")
+                                for a in _items(close, arg)))
+    try:
+        return cls(*values)
+    except ValueError as exc:
+        raise ParseError(str(exc), line, col) from None
 
 
 def parse_formula(text: str) -> syn.Formula:
-    return _parse(text, "formula")
+    return _parse(*_read(text), 0, "formula")
 
 
 def parse_proof(text: str) -> syn.Proof:
-    return _parse(text, "proof")
+    return _parse(*_read(text), 0, "proof")
 
 
 # -- printing ---------------------------------------------------------------

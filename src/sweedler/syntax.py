@@ -8,7 +8,9 @@ sequent bottom-up and reports the exact path of the first violation.
 Context conventions (fixed once, here, and relied on by the encodings):
   * lolli_r always abstracts the *last* context formula;
   * lolli_l and cut place the left premise's context *first*;
-  * exchange carries an explicit permutation: conclusion[j] = premise[perm[j]].
+  * exchange carries an explicit permutation: conclusion[j] = premise[perm[j]];
+  * the seven context rules, each in place of k formulas at its index, are
+    declared once, in ``CONTEXT_RULES``.
 """
 
 from __future__ import annotations
@@ -187,12 +189,73 @@ def _fail(path, fmt, *args):
     raise ProofError(path, fmt % args if args else fmt)
 
 
-def _need_index(path, ctx, i, what):
-    if not 0 <= i < len(ctx):
+def _need_index(path, ctx, i, what, gaps=0):  # gaps=1: i may also be len(ctx)
+    if not 0 <= i < len(ctx) + gaps:
         _fail(path, "%s index %d out of range for context of length %d", what, i, len(ctx))
 
 
+def _tensor_l(path, p, s, a, b=None):
+    if b is None:
+        _fail(path, "tensor-l needs two formulas at index %d, context is %s", p.index, s)
+    return (Tensor(a, b),)
+
+
+def _ctr(path, p, s, a, b=None):
+    if b is None:
+        _fail(path, "ctr needs an adjacent pair at index %d in %s", p.index, s)
+    if a != b or not isinstance(a, Bang):
+        _fail(path, "ctr needs two equal !-formulas, found %s and %s", a, b)
+    return (a,)
+
+
+def _weak(path, p, s):
+    if not isinstance(p.formula, Bang):
+        _fail(path, "weak inserts a !-formula, got %s", p.formula)
+    return (p.formula,)
+
+
+def _bang_at(path, p, a, fmt):
+    if not isinstance(a, Bang):
+        _fail(path, fmt, p.index, a)
+    return a
+
+
+def _coweak(path, p, s, a):
+    if p.formula != _bang_at(path, p, a, "coweak deletes a !-formula, index %d holds %s"):
+        _fail(path, "coweak annotation %s does not match context formula %s", p.formula, a)
+    return ()
+
+
+# The context rules: rule -> (head, k, conclusion).  At index i a rule puts
+# conclusion(path, p, s, *formulas) in place of the k formulas there in its
+# premise's sequent s; it gets those that lie there (one, for a pair rule at the
+# last slot) and raises ProofError when they do not fit.  Weak, whose k is 0,
+# checks its own formula first, then inserts it at any i <= len(context).
+CONTEXT_RULES = {
+    TensorL: ("tensor-l", 2, _tensor_l),
+    Der: ("der", 1, lambda path, p, s, a: (Bang(a),)),
+    Ctr: ("ctr", 2, _ctr),
+    Weak: ("weak", 0, _weak),
+    Coder: ("coder", 1, lambda path, p, s, a: (
+        _bang_at(path, p, a, "coder needs a !-formula at index %d, found %s").inner,)),
+    Coctr: ("coctr", 1, lambda path, p, s, a: (
+        _bang_at(path, p, a, "coctr needs a !-formula at index %d, found %s"),) * 2),
+    Coweak: ("coweak", 1, _coweak),
+}
+
+
 def _check(p, path) -> Sequent:
+    rule = CONTEXT_RULES.get(type(p))
+    if rule is not None:
+        head, k, conclude = rule
+        s = _check(p.premise, path + (0,))
+        ctx, i = s.context, p.index
+        if k:  # the formulas it reads must be there
+            _need_index(path, ctx, i, head)
+        new = conclude(path, p, s, *ctx[i:i + k])
+        _need_index(path, ctx, i, head, gaps=1)  # weak's index, after its formula
+        return Sequent(ctx[:i] + new + ctx[i + k:], s.conclusion)
+
     if isinstance(p, Axiom):
         return Sequent((p.formula,), p.formula)
 
@@ -214,43 +277,6 @@ def _check(p, path) -> Sequent:
         sl = _check(p.left, path + (0,))
         sr = _check(p.right, path + (1,))
         return Sequent(sl.context + sr.context, Tensor(sl.conclusion, sr.conclusion))
-
-    if isinstance(p, TensorL):
-        s = _check(p.premise, path + (0,))
-        _need_index(path, s.context, p.index, "tensor-l")
-        if p.index + 1 >= len(s.context):
-            _fail(path, "tensor-l needs two formulas at index %d, context is %s", p.index, s)
-        a, b = s.context[p.index], s.context[p.index + 1]
-        ctx = s.context[:p.index] + (Tensor(a, b),) + s.context[p.index + 2:]
-        return Sequent(ctx, s.conclusion)
-
-    if isinstance(p, Der):
-        s = _check(p.premise, path + (0,))
-        _need_index(path, s.context, p.index, "der")
-        a = s.context[p.index]
-        ctx = s.context[:p.index] + (Bang(a),) + s.context[p.index + 1:]
-        return Sequent(ctx, s.conclusion)
-
-    if isinstance(p, Ctr):
-        s = _check(p.premise, path + (0,))
-        _need_index(path, s.context, p.index, "ctr")
-        if p.index + 1 >= len(s.context):
-            _fail(path, "ctr needs an adjacent pair at index %d in %s", p.index, s)
-        a, b = s.context[p.index], s.context[p.index + 1]
-        if a != b or not isinstance(a, Bang):
-            _fail(path, "ctr needs two equal !-formulas, found %s and %s", a, b)
-        ctx = s.context[:p.index] + (a,) + s.context[p.index + 2:]
-        return Sequent(ctx, s.conclusion)
-
-    if isinstance(p, Weak):
-        s = _check(p.premise, path + (0,))
-        if not isinstance(p.formula, Bang):
-            _fail(path, "weak inserts a !-formula, got %s", p.formula)
-        if not 0 <= p.index <= len(s.context):
-            _fail(path, "weak index %d out of range for context of length %d",
-                  p.index, len(s.context))
-        ctx = s.context[:p.index] + (p.formula,) + s.context[p.index:]
-        return Sequent(ctx, s.conclusion)
 
     if isinstance(p, Prom):
         s = _check(p.premise, path + (0,))
@@ -276,35 +302,6 @@ def _check(p, path) -> Sequent:
             _fail(path, "exchange %r is not a permutation of a %d-slot context",
                   p.perm, len(s.context))
         ctx = tuple(s.context[j] for j in p.perm)
-        return Sequent(ctx, s.conclusion)
-
-    if isinstance(p, Coder):
-        s = _check(p.premise, path + (0,))
-        _need_index(path, s.context, p.index, "coder")
-        a = s.context[p.index]
-        if not isinstance(a, Bang):
-            _fail(path, "coder needs a !-formula at index %d, found %s", p.index, a)
-        ctx = s.context[:p.index] + (a.inner,) + s.context[p.index + 1:]
-        return Sequent(ctx, s.conclusion)
-
-    if isinstance(p, Coctr):
-        s = _check(p.premise, path + (0,))
-        _need_index(path, s.context, p.index, "coctr")
-        a = s.context[p.index]
-        if not isinstance(a, Bang):
-            _fail(path, "coctr needs a !-formula at index %d, found %s", p.index, a)
-        ctx = s.context[:p.index] + (a, a) + s.context[p.index + 1:]
-        return Sequent(ctx, s.conclusion)
-
-    if isinstance(p, Coweak):
-        s = _check(p.premise, path + (0,))
-        _need_index(path, s.context, p.index, "coweak")
-        a = s.context[p.index]
-        if not isinstance(a, Bang):
-            _fail(path, "coweak deletes a !-formula, index %d holds %s", p.index, a)
-        if p.formula != a:
-            _fail(path, "coweak annotation %s does not match context formula %s", p.formula, a)
-        ctx = s.context[:p.index] + s.context[p.index + 1:]
         return Sequent(ctx, s.conclusion)
 
     raise ProofError(path, "unknown proof node %r" % (p,))

@@ -93,7 +93,7 @@ def test_promote_three_tangents_has_bell3_kets():
     assert dt.space == BangSpace(V2)
     # 3 tangents -> 5 set partitions, but tangent expansion of (1,1) doubles
     # the underlying sums; counting distinct outer kets after merging:
-    orders = sorted(k.order for k in dt.terms)
+    orders = sorted(len(k.tangents) for k in dt.terms)
     assert counit(dt) == 0
     assert orders.count(1) >= 1 and orders.count(3) >= 1
 
@@ -183,7 +183,7 @@ def _coproduct_by_subsets(t):
     """Reference Delta as one tensor, every ket split over its index subsets."""
     items = []
     for k, c in t.terms.items():
-        for chosen, rest in _index_splits(k.order):
+        for chosen, rest in _index_splits(len(k.tangents)):
             items.append((c, (Ket(k.point, tuple(k.tangents[j] for j in chosen)),
                               Ket(k.point, tuple(k.tangents[j] for j in rest)))))
     return TensorElement.from_terms((t.space, t.space), items)
@@ -193,7 +193,7 @@ def _pairs_by_splits(t):
     """Reference Delta grouped by left factor, every ket split over its index subsets."""
     rights = {}
     for k, c in t.terms.items():
-        for chosen, rest in _index_splits(k.order):
+        for chosen, rest in _index_splits(len(k.tangents)):
             k1 = Ket(k.point, tuple(k.tangents[j] for j in chosen))
             k2 = Ket(k.point, tuple(k.tangents[j] for j in rest))
             right = rights.setdefault(k1, {})
@@ -221,7 +221,7 @@ def test_coproduct_pairs_fast_paths_match_the_subset_enumeration():
             assert len(left.terms) == 1 and set(left.terms.values()) == {1}
         got = [(next(iter(left.terms)), right) for left, right in pairs]
         assert dict(got) == dict(_pairs_by_splits(t)) and len(got) == len(dict(got))
-        orders |= {k.order for k in t.terms}
+        orders |= {len(k.tangents) for k in t.terms}
     assert orders == {0, 1, 2, 3}
     t = ket((1, 2))
     assert coproduct_pairs(t) == ((t, t),)
@@ -533,7 +533,7 @@ def test_stored_pairs_and_dereliction_match_a_fresh_computation():
             fresh = BangElement(t.space, t.terms)   # equal, with nothing stored
             assert fresh == t and fresh is not t
             lone = len(t.terms) == 1 and all(   # pairs built on each call
-                c == 1 and k.order <= 1 for k, c in t.terms.items())
+                c == 1 and len(k.tangents) <= 1 for k, c in t.terms.items())
             assert (stored_pairs is first_pairs) != lone and stored_d is first_d
             assert stored_pairs == coproduct_pairs(fresh)
             assert stored_d == bg.derelict(fresh)

@@ -390,6 +390,20 @@ def test_eval_inputs_that_do_not_fit_are_one_error_line(capsys, inputs, message)
         1, "", "error: %s\n" % message)
 
 
+@pytest.mark.parametrize("text,inputs,message", [
+    ("(axiom (pvar A 2))", "[5]", "vector JSON must be an array, got 5"),
+    (None, '[[{"point": []}]]', "matrix needs at least one row"),
+    (None, '[[{"point": [[1,0],[0,1]]}], [1,2,3]]', "matrix is 2x2, vector has dim 3"),
+], ids=["vector not an array", "matrix without rows", "vector of the wrong dim"])
+def test_values_that_fail_their_input_guard_are_one_error_line(capsys, tmp_path, text,
+                                                                inputs, message):
+    path = proof("church-2")
+    if text is not None:
+        path = tmp_path / "p.sexp"
+        path.write_text(text)
+    assert run(capsys, "eval", str(path), "--input", inputs) == (1, "", "error: %s\n" % message)
+
+
 def test_invalid_proof_paths_read_as_in_proof_error(capsys, tmp_path):
     bad = tmp_path / "bad.sexp"
     bad.write_text("(lolli-r (ctr 0 (axiom (pvar A 2))))")

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import os
 import random
 import weakref
 from collections import Counter
@@ -12,6 +13,7 @@ import pytest
 from sweedler.exact import Matrix, Vec
 from sweedler import bang as bg
 from sweedler import semantics as sem
+from sweedler import syntax
 from sweedler.encodings import bint_proof, church_proof, end_formula
 from sweedler.sexpr import parse_proof, print_proof
 from sweedler.syntax import (
@@ -24,9 +26,11 @@ from sweedler.semantics import (
     parse_value, value_to_json)
 
 from lazy_maps import lazy_map
+from proof_gen import well_typed_proofs
 
 A = PropVar("A", 2)
 NA = Bang(A)
+PROOFS = os.path.join(os.path.dirname(__file__), "..", "proofs")
 
 
 def bval(point, *tangents, coeff=1):
@@ -446,7 +450,25 @@ B3 = PropVar("B", 3)
 
 
 def test_one_table_holds_the_context_rules():
-    assert set(sem._STRUCTURAL) == {TensorL, Der, Ctr, Weak, Coder, Coctr, Coweak}
+    assert set(sem._STRUCTURAL) == set(syntax.CONTEXT_RULES)
+    assert set(syntax.CONTEXT_RULES) == {TensorL, Der, Ctr, Weak, Coder, Coctr, Coweak}
+
+
+def test_checker_and_semantics_agree_on_spaces():
+    """Every generated proof and every bundled one denotes a map from the
+    spaces of its sequent's context to the space of its conclusion."""
+    names = sorted(os.listdir(PROOFS))
+    assert len(names) == 13
+    proofs = []
+    for name in names:
+        with open(os.path.join(PROOFS, name), encoding="utf-8") as fh:
+            proofs.append(parse_proof(fh.read()))
+    generated = [p for seed in range(3) for p, _ in well_typed_proofs(seed, 200)]
+    assert {type(p) for p in generated} == set(Proof.__args__)
+    for p in proofs + generated:
+        s, d = sem.denote_sequent(p)
+        assert d.source == tuple(map(denote_formula, s.context))
+        assert d.target == denote_formula(s.conclusion)
 
 
 def _build_counted(rule, premise, monkeypatch):

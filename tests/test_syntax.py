@@ -1,3 +1,4 @@
+import gc
 import os
 
 import pytest
@@ -264,6 +265,21 @@ def test_bundled_proof_files_tokenize_as_read_by_character():
         with open(os.path.join(PROOFS, name), encoding="utf-8") as fh:
             text = fh.read()
         assert list(sexpr._tokenize(text)) == _read_by_character(text), name
+
+
+def test_a_parse_leaves_nothing_for_the_cyclic_collector():
+    with open(os.path.join(PROOFS, "repeat.sexp"), encoding="utf-8") as fh:
+        text = fh.read()
+    parse_proof(text)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        parse_proof(text)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_print_proof_is_indented():
