@@ -298,6 +298,9 @@ def test_shape_table_covers_each_class_once_with_a_kind_per_field():
         assert len(kinds) == len(cls._fields), cls
         assert set(kinds) <= {"name", "dimension", "index", "perm", "formula", "proof"}
         assert list(kinds) == sorted(kinds, key=lambda kind: kind == "proof"), cls
+    # a context rule's checker messages name it by its s-expression head
+    for cls, (head, _, _) in syntax.CONTEXT_RULES.items():
+        assert sexpr._PRINTED[cls][1] == head
 
 
 # -- every context-rule failure, pinned exactly --------------------------------
