@@ -381,23 +381,18 @@ def test_costructural_rule_faults_at_the_root(capsys, tmp_path, text, message):
     assert run(capsys, "check", str(bad)) == (1, "invalid at root: %s\n" % message, "")
 
 
-@pytest.mark.parametrize("inputs,message", [
-    ("{}", "--input must be a JSON list, one value per slot"),
-    ('[[{"point": [[1,1],[0,1]]}], [1,2], [3,4]]', "cannot apply a value of 2 to further input"),
-], ids=["not a list", "past the value"])
-def test_eval_inputs_that_do_not_fit_are_one_error_line(capsys, inputs, message):
-    assert run(capsys, "eval", proof("church-2"), "--input", inputs) == (
-        1, "", "error: %s\n" % message)
-
-
 @pytest.mark.parametrize("text,inputs,message", [
+    (None, "{}", "--input must be a JSON list, one value per slot"),
+    (None, '[[{"point": [[1,1],[0,1]]}], [1,2], [3,4]]',
+     "cannot apply a value of 2 to further input"),
     ("(axiom (pvar A 2))", "[5]", "vector JSON must be an array, got 5"),
     (None, '[[{"point": []}]]', "matrix needs at least one row"),
     (None, '[[{"point": [[1,0],[0,1]]}], [1,2,3]]', "matrix is 2x2, vector has dim 3"),
-], ids=["vector not an array", "matrix without rows", "vector of the wrong dim"])
-def test_values_that_fail_their_input_guard_are_one_error_line(capsys, tmp_path, text,
-                                                                inputs, message):
-    path = proof("church-2")
+], ids=["not a list", "past the value", "vector not an array", "matrix without rows",
+        "vector of the wrong dim"])
+def test_eval_inputs_that_do_not_fit_are_one_error_line(capsys, tmp_path, text, inputs,
+                                                        message):
+    path = proof("church-2")    # or, given its text, a proof of its own
     if text is not None:
         path = tmp_path / "p.sexp"
         path.write_text(text)
