@@ -12,11 +12,12 @@ Any space with ``contains``, ``expand`` (into canonical units), ``key``,
 ``zero`` and ``label`` can carry kets; ``BaseSpace`` and ``BangSpace`` here,
 the map and tensor spaces of ``semantics``.  A canonical unit u is a fixed
 point, ``expand(u) == [(1, u)]``, and a canonical ket's tangents are units
-sorted by ``key``.  ``from_terms`` canonicalises raw input; D and nabla keep
-canonical tangents: ``deriving`` expands only the new tangent and inserts its
-units, ``cocontract`` merges two sorted tuples.  Entries do their own
-arithmetic: ``+``, unary ``-`` and ``scale``, and print as their ``repr``, in
-parentheses when the entry is itself a sum of terms other than one lazy map.
+sorted by ``key`` (a vector or matrix keeps an int ``key``: kets sort and hash
+in C).  ``from_terms`` canonicalises raw input; D and nabla keep canonical
+tangents: ``deriving`` expands only the new tangent and inserts its units,
+``cocontract`` merges two sorted tuples.  Entries do their own arithmetic:
+``+``, unary ``-`` and ``scale``, and print as their ``repr``, in parentheses
+when the entry is itself a sum of terms other than one lazy map.
 
 Every exact sum of terms, ``BangElement`` here as much as ``TensorElement``,
 ``semantics.TensorVal``, the lazy maps ``semantics.MapVal`` and
@@ -63,7 +64,7 @@ import bisect
 import itertools
 import math
 from functools import reduce
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .exact import (
     ONE as _ONE, ZERO as _ZERO, Vec, _add, _mul, _neg, as_scalar, check_dim, scalar_str)
@@ -161,8 +162,7 @@ class BaseSpace:
             raise SpaceError("expected a vector of dim %d, got %r" % (self.dim, entry))
         return [(c, Vec.basis(self.dim, i)) for i, c in enumerate(entry.coords) if c]
 
-    def key(self, entry):
-        return entry.coords
+    key = staticmethod(attrgetter("key"))
 
     def zero(self):
         return Vec.zero(self.dim)
@@ -343,11 +343,11 @@ class _TermSum(Immutable):
         return (type(other) is type(self)
                 and other.space == self.space and other.terms == self.terms)
 
-    def __hash__(self):
+    def __hash__(self):  # of the terms, not their coefficients: no Fraction hashed
         try:
             return self._hash
         except AttributeError:
-            h = hash((type(self).__name__, self.space, frozenset(self.terms.items())))
+            h = hash((type(self).__name__, self.space, frozenset(self.terms)))
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -408,7 +408,7 @@ class BangElement(_TermSum):
         def kets():
             for coeff, point, tangents in items:
                 coeff = as_scalar(coeff)
-                if coeff == 0:
+                if not coeff:
                     continue
                 if not space.contains(point):
                     raise SpaceError("point %r does not lie in %s" % (point, space.label()))
@@ -486,7 +486,7 @@ def coproduct_pairs(t: BangElement):
     """
     if len(t.terms) == 1:
         (k, c), = t.terms.items()
-        if c == 1 and len(k.tangents) <= 1:
+        if (c is _ONE or c == 1) and len(k.tangents) <= 1:  # the shared 1 calls no __eq__
             if not k.tangents:
                 return ((t, t),)
             k0 = unit(t.space, Ket(k.point, ()))

@@ -18,7 +18,9 @@ product with a zero factor and every sum with a zero term, so sparse operands
 sums it over the plain-int numerators and denominators of its factors.  A
 matrix reads its rows' integers at its first ``apply`` and keeps them in the
 non-field slot ``_int_rows`` for the next; ``@``, ``power``, ``+`` and
-``scale`` read each operand once and keep nothing.
+``scale`` read each operand once and keep nothing.  Either keeps its ``key``
+in the slot ``_key`` from its first use: its ``==`` and hash read it, and so do
+``bang``'s sorts and ``bisect`` of kets, comparing ints in C.
 
 The scalar kernel does every engine scalar operation on the reduced integer
 pair, and only this module reads or fills a Fraction's two slots.
@@ -183,6 +185,12 @@ def _nonzero(entries):
     return tuple([(j, n, x._denominator) for j, x in enumerate(entries) if (n := x._numerator)])
 
 
+def _int_key(entries):
+    """The entries, ordered and equal as they are: integers as ints, rows as keys."""
+    return tuple([_int_key(x) if type(x) is tuple else x._numerator if x._denominator == 1
+                  else x for x in entries])
+
+
 def _dot(nonzero, xs):
     """The sum of c * xs[j] over the ``_nonzero`` triples (j, cn, cd) of c as
     one int fraction n/d, reduced once at the end; d stays 1 while every
@@ -200,7 +208,7 @@ def _dot(nonzero, xs):
     return _scalar(n) if d == 1 else _ratio(n, d)
 
 
-@record
+@record(slots=("_key",))
 class Vec:
     """Immutable vector in Q^dim."""
 
@@ -229,6 +237,21 @@ class Vec:
     @property
     def dim(self):
         return len(self.coords)
+
+    @property
+    def key(self):
+        """``_int_key`` of the entries, kept in ``_key`` from the first use."""
+        if (key := getattr(self, "_key", None)) is None:
+            object.__setattr__(self, "_key", key := _int_key(self._values[0]))
+        return key
+
+    def __eq__(self, other):
+        return self.key == other.key if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):  # a record's hash, as hash(n) == hash(Fraction(n))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.key,)))
+        return self._hash
 
     def is_zero(self):
         for c in self.coords:
@@ -275,7 +298,7 @@ class Vec:
 Vec._of = staticmethod(trusted_maker(Vec))
 
 
-@record(slots=("_int_rows",))
+@record(slots=("_int_rows", "_key"))
 class Matrix:
     """Immutable rational matrix; composition is ordinary matrix product."""
 
@@ -318,6 +341,8 @@ class Matrix:
     @property
     def ncols(self):
         return len(self.rows[0])
+
+    key, __eq__, __hash__ = Vec.key, Vec.__eq__, Vec.__hash__
 
     def is_zero(self):
         return not any(c._numerator for row in self.rows for c in row)

@@ -94,7 +94,7 @@ class HomSpace:
                 for i, row in enumerate(v.rows) for j, c in enumerate(row) if c]
 
     def key(self, v):
-        return v.term_key() if isinstance(v, MapVal) else v.rows
+        return v.term_key() if isinstance(v, MapVal) else v.key
 
     def zero(self):
         return Matrix.zero(self.cod.dim, self.dom.dim) if self.concrete else MapVal(self, {})

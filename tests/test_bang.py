@@ -373,6 +373,36 @@ def test_four_equal_tangents_split_five_ways_and_partition_five_ways(monkeypatch
     assert got == _promote_by_set_partitions((t,), lambda u: u, BangSpace(V2))
 
 
+def test_integer_kets_sort_merge_and_hash_without_fraction_calls(monkeypatch):
+    # ket keys and hashes read each vector's int key, so on integer points and
+    # tangents no sort, bisect, merge or hash reaches a Python-level Fraction
+    # method; integers up to 64 in size are shared, so equal points built
+    # apart (the sums of nabla) compare entry by entry as one object
+    rng = random.Random(30)
+    V3 = BaseSpace(3)
+
+    def vec():
+        return Vec(tuple(rng.randint(-3, 3) for _ in range(3)))
+    items = [(rng.choice((1, 2, -1)), vec(), tuple(vec() for _ in range(3))) for _ in range(2)]
+    lone = BangElement.ket(V3, vec(), (Vec.basis(3, 1),))
+    v, w = vec(), vec()
+    calls = []
+    for name in ("__eq__", "__lt__", "_richcmp", "__hash__"):
+        def counted(*args, name=name, method=getattr(Fraction, name)):
+            calls.append(name)
+            return method(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+    t = BangElement.from_terms(V3, items)
+    pairs, lone_pairs = coproduct_pairs(t), coproduct_pairs(lone)
+    promoted, derived = promote(t), deriving(t, v)
+    merged = cocontract(derived, deriving(lone, w))
+    monkeypatch.undo()
+    assert calls == []
+    assert len(t.terms) > 10 and len(pairs) > 10 and len(lone_pairs) == 2
+    assert len(promoted.terms) > 50 and len(derived.terms) > 10 and len(merged.terms) > 10
+    assert derived == BangElement.from_terms(V3, [(c, p, ts + (v,)) for c, p, ts in items])
+
+
 def test_ket_product_guard_at_2_to_the_subset_limit():
     # (e0 + e1)^12 expands into 2^12 = 4096 products: allowed, and binomial
     ones = (Vec((1, 1)),) * MAX_SUBSET_TANGENTS

@@ -3,6 +3,7 @@ import os
 import random
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -294,6 +295,80 @@ def test_the_shared_one_is_every_integer_read_of_one():
     assert ONE is as_scalar(1) is parse_scalar("1") is json_scalar(1)
     assert all(Vec.basis(3, i).coords[i] is ONE for i in range(3))
 
+
+
+# -- integer keys ----------------------------------------------------------------
+
+# small and negative integers, integers past 64 (not shared) and non-integers
+_KEY_ENTRY = st.one_of(st.integers(-3, 3), st.sampled_from([64, -64, 65, -65, 2 ** 70]),
+                       st.integers(-10 ** 30, 10 ** 30), st.fractions(max_denominator=7))
+
+
+@st.composite
+def _keyed_vec(draw, dim):
+    """A vector of dim key entries, built through the validating constructor,
+    ``_of`` (its integers as fresh, unshared Fractions) or arithmetic."""
+    entries = draw(st.lists(_KEY_ENTRY, min_size=dim, max_size=dim))
+    other = Vec(draw(st.lists(_KEY_ENTRY, min_size=dim, max_size=dim)))
+    return draw(st.sampled_from([
+        lambda: Vec(entries),
+        lambda: Vec._of(tuple(map(Fraction, entries))),
+        lambda: Vec(entries) - other + other,
+        lambda: Vec(entries).scale(3).scale(Fraction(1, 3)),
+        lambda: Matrix.identity(dim).apply(Vec(entries)),
+    ]))()
+
+
+@st.composite
+def _keyed_matrix(draw, nrows, ncols):
+    """A matrix of key entries, built like ``_keyed_vec``'s vectors."""
+    rows = [draw(st.lists(_KEY_ENTRY, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    other = Matrix([draw(st.lists(_KEY_ENTRY, min_size=ncols, max_size=ncols))
+                    for _ in range(nrows)])
+    return draw(st.sampled_from([
+        lambda: Matrix(rows),
+        lambda: Matrix._of(tuple(tuple(map(Fraction, row)) for row in rows)),
+        lambda: Matrix(rows) - other + other,
+        lambda: Matrix(rows).scale(-2).scale(Fraction(-1, 2)),
+        lambda: Matrix.identity(nrows) @ Matrix(rows),
+        lambda: Matrix._from_columns([Vec(col) for col in zip(*rows)]),
+    ]))()
+
+
+def _keys_agree(values, entries):
+    """Sorting by key is sorting by the entries, keys are equal exactly when
+    the values are, and a value hashes as its record fields do."""
+    by_key, by_entries = sorted(values, key=attrgetter("key")), sorted(values, key=entries)
+    assert all(a is b for a, b in zip(by_key, by_entries))
+    for a in values:
+        assert a.key is a.key and hash(a) == hash((entries(a),))
+        for b in values:
+            assert (a.key == b.key) == (a == b)
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+_some = st.integers(1, 3)
+
+
+@given(st.data())
+def test_vector_keys_order_compare_and_hash_as_the_coords(data):
+    # the same entries drawn again give equal values built by other routes
+    dims = data.draw(st.lists(_some, min_size=1, max_size=3))
+    vecs = [data.draw(_keyed_vec(dim)) for dim in dims for _ in range(3)]
+    vecs += [Vec(v.coords) for v in vecs[:3]] + [Vec._of(v.coords) for v in vecs[3:6]]
+    for v in vecs:
+        assert all(k is c if c.denominator != 1 else type(k) is int and k == c
+                   for k, c in zip(v.key, v.coords))
+    _keys_agree(vecs, attrgetter("coords"))
+
+
+@given(st.data())
+def test_matrix_keys_order_compare_and_hash_as_the_rows(data):
+    shapes = data.draw(st.lists(st.tuples(_some, _some), min_size=1, max_size=3))
+    mats = [data.draw(_keyed_matrix(n, m)) for n, m in shapes for _ in range(3)]
+    mats += [Matrix(m.rows) for m in mats[:3]] + [Matrix._of(m.rows) for m in mats[3:6]]
+    _keys_agree(mats, attrgetter("rows"))
 
 # -- the scalar kernel against fractions.Fraction --------------------------------
 

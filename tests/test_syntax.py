@@ -67,7 +67,6 @@ def test_ctr_requires_adjacent_equal_bangs():
 def test_prom_needs_banged_context():
     d = Der(0, Axiom(A))
     assert check_proof(Prom(d)) == Sequent((Bang(A),), Bang(A))
-    err = pytest.raises(ProofError, match="all-!").value if False else None
     with pytest.raises(ProofError, match="all-!"):
         check_proof(Prom(Axiom(A)))
 
