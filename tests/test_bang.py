@@ -374,10 +374,10 @@ def test_four_equal_tangents_split_five_ways_and_partition_five_ways(monkeypatch
 
 
 def test_integer_kets_sort_merge_and_hash_without_fraction_calls(monkeypatch):
-    # ket keys and hashes read each vector's int key, so on integer points and
-    # tangents no sort, bisect, merge or hash reaches a Python-level Fraction
-    # method; integers up to 64 in size are shared, so equal points built
-    # apart (the sums of nabla) compare entry by entry as one object
+    # ket keys, == and hashes read each vector's int key, so on integer points
+    # and tangents no sort, bisect, merge or hash reaches a Python-level
+    # Fraction method; the coefficients stay small integers, which the kernel
+    # shares, so equal ones compare as one object
     rng = random.Random(30)
     V3 = BaseSpace(3)
 
